@@ -2,8 +2,8 @@
 
 Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
-errors, 64 usage errors.  Diagnostics go to stderr, results to stdout and
-files.
+errors or input nested too deeply to process, 64 usage errors.
+Diagnostics go to stderr, results to stdout and files.
 
 The typing rule and the erasure are paired (--eps1 with --strong, --eps2 with
 --weak); crossing them requires --force-variant.  Prover configuration
@@ -340,6 +340,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"usage error: {e}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
+    except RecursionError:
+        # Numerals expand to nested applications, and every layer walks terms
+        # recursively, so very deep input exhausts the interpreter's stack.
+        print("error: input nests too deeply (Python recursion limit reached)", file=sys.stderr)
+        return EXIT_STRUCTURAL
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ class ObligationKind(enum.Enum):
     TYPE_EQ = "TypeEq"
     CHOICE_WITNESS = "ChoiceWitness"
     TYPE_INHABITED = "TypeInhabited"
-    AXIOM_WELL_FORMED = "AxiomWellFormed"
     CONJECTURE = "Conjecture"
 
 

@@ -11,19 +11,17 @@ carrier; carriers are nonempty, so this is total, and it validates the HOL
 choice rule by construction: whenever a witness exists, the chosen element is
 one.
 
-Terms are compiled once into a flat instruction array and interpreted by one
-of two backends: a compiled Cython core when available, else a pure-Python
-twin with identical semantics (set DHOLC_EVAL_BACKEND=pure|compiled to force
-one).  benchmarks/bench_eval.py compares the two.
+Each term is compiled once into nested Python closures, one per subterm, that
+read and write a shared list of variable slots (closure generation, Feeley &
+Lapalme 1987); the countermodel search reassigns the constants' slots and
+reruns the axiom and conjecture closures.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from array import array
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .syntax import (
     App,
@@ -48,31 +46,14 @@ from .syntax import (
     Var,
 )
 
-from . import _evalpure
-
-try:
-    from . import _evalcore
-except ImportError:  # extension not built; the pure twin carries the load
-    _evalcore = None
-
-_FORCED = os.environ.get("DHOLC_EVAL_BACKEND")
-# The compiled core works on 64-bit integers; beyond this the pure backend
-# (arbitrary precision) takes over transparently.
-_COMPILED_CARD_LIMIT = 1 << 62
-
 
 class OracleError(Exception):
     pass
 
 
 def active_backend() -> str:
-    if _FORCED == "pure":
-        return "pure"
-    if _FORCED == "compiled":
-        if _evalcore is None:
-            raise OracleError("DHOLC_EVAL_BACKEND=compiled but dholc._evalcore is not built")
-        return "compiled"
-    return "compiled" if _evalcore is not None else "pure"
+    """Name of the evaluator, recorded by the benchmark harness."""
+    return "closures"
 
 
 # ---------------------------------------------------------------------------
@@ -154,138 +135,117 @@ def _show_value(ty: Type, decoded) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to the instruction array
+# Compilation to closures
 
-OP_VAR, OP_FALSE, OP_IMPL, OP_EQ, OP_FORALL, OP_LAMBDA, OP_APP, OP_CHOICE = range(8)
+# A compiled term: called with no arguments, it returns the term's value under
+# the current contents of its compiler's slot list.
+Closure = Callable[[], int]
 
 
 class Compiler:
-    """Compiles terms into one shared flat node array.  Slots 0..n-1 hold the
-    values of the named symbols (constants first, then extra assignment
-    variables); binder slots are allocated after them."""
+    """Compiles terms into nested Python closures over one shared slot list,
+    ``env``.  Slots 0..n-1 hold the values of the named symbols (constants
+    first, then extra assignment variables); binder slots are allocated after
+    them, one per binder occurrence, so no two closures write the same slot."""
 
     def __init__(self, sizes: dict[str, int], symbols: dict[str, Type]):
         self.sizes = sizes
         self.symbol_types = dict(symbols)
         self.slot_of = {name: i for i, name in enumerate(symbols)}
-        self.next_slot = len(symbols)
-        self.nodes: list[int] = []
-        self.max_card = 2
+        self.env: list[int] = [0] * len(symbols)
 
-    def _emit(self, op: int, a: int = 0, b: int = 0, c: int = 0, d: int = 0) -> int:
-        idx = len(self.nodes) // 5
-        self.nodes.extend((op, a, b, c, d))
-        return idx
-
-    def _card(self, ty: Type) -> int:
-        n = type_card(ty, self.sizes)
-        self.max_card = max(self.max_card, n)
-        return n
-
-    def compile(self, t: Term) -> tuple[int, Type]:
-        """Returns (root node index, simple type of the term)."""
+    def compile(self, t: Term) -> tuple[Closure, Type]:
+        """Returns (closure computing the term's value, simple type of the term)."""
         return self._go(t, {})
 
-    def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[int, Type]:
+    def _binder(self, x: str, a: Type, body: Term, benv: dict[str, tuple[int, Type]]):
+        slot = len(self.env)
+        self.env.append(0)
+        fn, ty = self._go(body, {**benv, x: (slot, a)})
+        return slot, range(type_card(a, self.sizes)), fn, ty
+
+    def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[Closure, Type]:
+        env = self.env
         match t:
             case Var(name=n):
                 if n in benv:
                     slot, ty = benv[n]
-                    return self._emit(OP_VAR, slot), ty
-                if n in self.slot_of:
-                    return self._emit(OP_VAR, self.slot_of[n]), self.symbol_types[n]
-                raise OracleError(f"unbound symbol {n!r} in oracle term")
+                elif n in self.slot_of:
+                    slot, ty = self.slot_of[n], self.symbol_types[n]
+                else:
+                    raise OracleError(f"unbound symbol {n!r} in oracle term")
+                return (lambda: env[slot]), ty
             case Falsum():
-                return self._emit(OP_FALSE), BOOL
+                return (lambda: 0), BOOL
             case Implies(lhs=l, rhs=r):
-                li, lt = self._go(l, benv)
-                ri, rt = self._go(r, benv)
+                lf, lt = self._go(l, benv)
+                rf, rt = self._go(r, benv)
                 if not isinstance(lt, Bool) or not isinstance(rt, Bool):
                     raise OracleError("ill-typed implication reached the oracle")
-                return self._emit(OP_IMPL, li, ri), BOOL
+                return (lambda: rf() if lf() else 1), BOOL
             case Eq(lhs=l, rhs=r):
-                li, _ = self._go(l, benv)
-                ri, _ = self._go(r, benv)
-                return self._emit(OP_EQ, li, ri), BOOL
+                lf, _ = self._go(l, benv)
+                rf, _ = self._go(r, benv)
+                return (lambda: 1 if lf() == rf() else 0), BOOL
             case Forall(bound=x, annot=a, body=b):
-                slot = self.next_slot
-                self.next_slot += 1
-                bi, bt = self._go(b, {**benv, x: (slot, a)})
+                slot, values, body, bt = self._binder(x, a, b, benv)
                 if not isinstance(bt, Bool):
                     raise OracleError("ill-typed quantifier body reached the oracle")
-                return self._emit(OP_FORALL, bi, slot, self._card(a)), BOOL
+
+                def forall() -> int:
+                    for v in values:
+                        env[slot] = v
+                        if not body():
+                            return 0
+                    return 1
+
+                return forall, BOOL
             case Choice(bound=x, annot=a, body=b):
-                slot = self.next_slot
-                self.next_slot += 1
-                bi, bt = self._go(b, {**benv, x: (slot, a)})
+                slot, values, body, bt = self._binder(x, a, b, benv)
                 if not isinstance(bt, Bool):
                     raise OracleError("ill-typed choice body reached the oracle")
-                return self._emit(OP_CHOICE, bi, slot, self._card(a)), a
+
+                def choice() -> int:
+                    for v in values:
+                        env[slot] = v
+                        if body():
+                            return v
+                    return 0
+
+                return choice, a
             case Lambda(bound=x, annot=a, body=b):
-                slot = self.next_slot
-                self.next_slot += 1
-                bi, bt = self._go(b, {**benv, x: (slot, a)})
-                ty = Pi(x, a, bt)
-                self._card(ty)
-                return (
-                    self._emit(OP_LAMBDA, bi, slot, self._card(a), self._card(bt)),
-                    ty,
-                )
+                slot, values, body, bt = self._binder(x, a, b, benv)
+                d = type_card(bt, self.sizes)
+
+                def lam() -> int:
+                    acc = 0
+                    pw = 1
+                    for v in values:
+                        env[slot] = v
+                        acc += body() * pw
+                        pw *= d
+                    return acc
+
+                return lam, Pi(x, a, bt)
             case App(fun=f, arg=u):
-                fi, ft = self._go(f, benv)
-                ui, _ = self._go(u, benv)
+                ff, ft = self._go(f, benv)
+                uf, _ = self._go(u, benv)
                 if not isinstance(ft, Pi):
                     raise OracleError("application of a non-function reached the oracle")
-                return self._emit(OP_APP, fi, ui, self._card(ft.codomain)), ft.codomain
+                c = type_card(ft.codomain, self.sizes)
+                return (lambda: ff() // c ** uf() % c), ft.codomain
             case _:
                 raise OracleError(f"not a term: {t!r}")
 
-    def referenced_symbol_slots(self, root: int) -> set[int]:
-        """Symbol slots (below the binder range) read by the program at root."""
-        nsym = len(self.slot_of)
-        seen: set[int] = set()
-        stack = [root]
-        visited = set()
-        while stack:
-            i = stack.pop()
-            if i in visited:
-                continue
-            visited.add(i)
-            op, a, b, c, d = self.nodes[i * 5 : i * 5 + 5]
-            if op == OP_VAR:
-                if a < nsym:
-                    seen.add(a)
-            elif op in (OP_IMPL, OP_EQ, OP_APP):
-                stack.append(a)
-                stack.append(b)
-            elif op in (OP_FORALL, OP_LAMBDA, OP_CHOICE):
-                stack.append(a)
-        return seen
-
 
 class CompiledTerms:
-    """A node array plus an environment, runnable on either backend."""
+    """The closures of one Compiler, run against its shared slot list."""
 
     def __init__(self, compiler: Compiler):
-        self.nodes_list = compiler.nodes
-        self.nslots = compiler.next_slot
-        self.use_compiled = (
-            active_backend() == "compiled" and compiler.max_card < _COMPILED_CARD_LIMIT
-        )
-        if self.use_compiled:
-            self.nodes = array("q", compiler.nodes)
-            self.env = array("q", [0] * max(self.nslots, 1))
-        else:
-            self.nodes = compiler.nodes
-            self.env = [0] * max(self.nslots, 1)
+        self.env = compiler.env
 
-    def set_slot(self, slot: int, value: int) -> None:
-        self.env[slot] = value
-
-    def run(self, root: int) -> int:
-        if self.use_compiled:
-            return _evalcore.run(self.nodes, root, self.env)
-        return _evalpure.run(self.nodes, root, self.env)
+    def run(self, root: Closure) -> int:
+        return root()
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +262,9 @@ def eval_term(model: FiniteModel, env: dict[str, tuple[Type, int]], t: Term) -> 
     root, _ = comp.compile(t)
     ct = CompiledTerms(comp)
     for n, v in model.consts.items():
-        ct.set_slot(comp.slot_of[n], v)
+        ct.env[comp.slot_of[n]] = v
     for n, (_, v) in env.items():
-        ct.set_slot(comp.slot_of[n], v)
+        ct.env[comp.slot_of[n]] = v
     return ct.run(root)
 
 
@@ -392,20 +352,20 @@ def countermodel(
             continue
 
         comp = Compiler(sizes, {n: ty for n, ty in consts})
-        axiom_roots = [comp.compile(a)[0] for a in axioms]
-        conj_root, _ = comp.compile(conjecture)
-        ct = CompiledTerms(comp)
-
         # An axiom is checked right after the highest-indexed constant it
         # mentions has been assigned.
-        scheduled: dict[int, list[int]] = {i: [] for i in range(len(consts))}
-        upfront: list[int] = []
-        for root in axiom_roots:
-            slots = comp.referenced_symbol_slots(root)
+        scheduled: dict[int, list[Closure]] = {i: [] for i in range(len(consts))}
+        upfront: list[Closure] = []
+        for axiom in axioms:
+            root, _ = comp.compile(axiom)
+            slots = {comp.slot_of[v] for v in free_vars(axiom)}
             if slots:
                 scheduled[max(slots)].append(root)
             else:
                 upfront.append(root)
+        conj_root, _ = comp.compile(conjecture)
+        ct = CompiledTerms(comp)
+        env = ct.env
 
         cards = [type_card(ty, sizes) for _, ty in consts]
         steps = 0
@@ -418,7 +378,7 @@ def countermodel(
             if i == len(consts):
                 return ct.run(conj_root) == 0
             for v in range(cards[i]):
-                ct.set_slot(i, v)
+                env[i] = v
                 if all(ct.run(r) != 0 for r in scheduled[i]):
                     if dfs(i + 1):
                         return True
@@ -427,10 +387,9 @@ def countermodel(
         try:
             if all(ct.run(r) != 0 for r in upfront):
                 if dfs(0):
-                    values = {n: ct.env[comp.slot_of[n]] for n, _ in consts}
                     model = FiniteModel(
                         sizes=sizes,
-                        consts={n: int(v) for n, v in values.items()},
+                        consts={n: env[comp.slot_of[n]] for n, _ in consts},
                         types={n: ty for n, ty in consts},
                     )
                     assignment = {
@@ -441,6 +400,10 @@ def countermodel(
             return SearchResult(
                 "exhausted", detail=f"wall-time budget exceeded at sizes {size_tuple}"
             )
+        finally:
+            # dfs refers to itself; breaking that cycle frees this size's
+            # closures now instead of at some later full garbage collection.
+            del dfs
 
     if exhausted_any:
         return SearchResult("exhausted", detail=detail)

@@ -16,7 +16,9 @@ conjunction of per-obligation discharge.
 
 from __future__ import annotations
 
+import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -72,18 +74,26 @@ def run_atp(problem: ThfProblem, cfg: ProverConfig) -> SzsStatus:
         else:
             cmd = f"{cfg.command} {path}"
         try:
-            proc = subprocess.run(
+            # A session of its own, so that a timeout can kill the prover's
+            # whole process group, not only a wrapper script around it.
+            proc = subprocess.Popen(
                 shlex.split(cmd),
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=cfg.time_limit,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            return SzsStatus("Timeout", time.monotonic() - start)
-        except (FileNotFoundError, PermissionError, OSError) as e:
+        except OSError as e:
             return SzsStatus("Error", time.monotonic() - start, f"spawn: {e}")
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=cfg.time_limit)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                return SzsStatus("Timeout", time.monotonic() - start)
         wall = time.monotonic() - start
-        output = proc.stdout + "\n" + proc.stderr
+        output = stdout + "\n" + stderr
         for line in output.splitlines():
             if "SZS status" in line:
                 words = line.split("SZS status", 1)[1].split()

@@ -38,6 +38,7 @@ from .syntax import (
     Theory,
     Type,
     Var,
+    free_vars,
 )
 
 
@@ -121,17 +122,11 @@ def _fmt_type(ty: Type, table: SymbolTable) -> str:
                 raise ThfError(f"dependent base type {n!r} reached THF emission")
             return table.mangle(n)
         case Pi(bound=x, domain=d, codomain=c):
-            if x in _type_free_vars(c):
+            if x in free_vars(c):
                 raise ThfError("dependent product reached THF emission")
             return f"({_fmt_type(d, table)} > {_fmt_type(c, table)})"
         case _:
             raise ThfError(f"not a type: {ty!r}")
-
-
-def _type_free_vars(ty: Type) -> tuple[str, ...]:
-    from .syntax import free_vars
-
-    return free_vars(ty)
 
 
 def _fmt_term(t: Term, table: SymbolTable, scope: dict[str, str]) -> str:

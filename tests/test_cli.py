@@ -163,3 +163,15 @@ def test_parse_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "syntax.dhol"
     bad.write_text("type : tp\n")
     assert main(["check", str(bad), "--eps1"]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "oracle"])
+def test_too_deep_input_exits_two(tmp_path, capsys, command):
+    deep = tmp_path / "deep.dhol"
+    deep.write_text(
+        "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"
+        "conjecture : p 496\n"
+    )
+    assert main([command, str(deep), "--eps1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "too deeply" in err

@@ -1,9 +1,9 @@
 import pytest
 
-from dholc import _evalpure
-from dholc.erasure import ErasureVariant, erase_theory
+from dholc.erasure import ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, check_theory
 from dholc.oracle import (
+    CompiledTerms,
     Compiler,
     FiniteModel,
     OracleError,
@@ -15,6 +15,7 @@ from dholc.oracle import (
 from dholc.parser import parse_theory
 from dholc.syntax import (
     App,
+    AxiomDecl,
     Base,
     BOOL,
     Choice,
@@ -22,8 +23,10 @@ from dholc.syntax import (
     Context,
     Eq,
     FALSE,
+    Falsum,
     Forall,
     Implies,
+    Lambda,
     Pi,
     Theory,
     Var,
@@ -78,8 +81,6 @@ def test_eval_choice_policy_first_satisfying():
     chosen = Choice("x", A, Eq(A, Var("x"), Var("c")))
     assert eval_term(m, {}, Eq(A, chosen, Var("c"))) == 1
     # without a witness it falls back to the first element of the carrier
-    from dholc.oracle import CompiledTerms
-
     compiler = Compiler({"a": 3}, {})
     root, _ = compiler.compile(Choice("x", A, FALSE))
     assert CompiledTerms(compiler).run(root) == 0
@@ -218,31 +219,71 @@ def test_model_tables_and_json():
 
 
 # ---------------------------------------------------------------------------
-# backend parity
+# closures vs a direct reference evaluator
 
 
-def test_backends_agree():
-    _evalcore = pytest.importorskip("dholc._evalcore")
+def reference_eval(t, sizes, env):
+    """Walks the term itself, with a name -> (type, value) dict for variables
+    and digit extraction by repeated division."""
+
+    def ev(t, env):  # -> (value, type)
+        match t:
+            case Var(name=n):
+                ty, v = env[n]
+                return v, ty
+            case Falsum():
+                return 0, BOOL
+            case Implies(lhs=l, rhs=r):
+                return (ev(r, env)[0] if ev(l, env)[0] else 1), BOOL
+            case Eq(lhs=l, rhs=r):
+                return int(ev(l, env)[0] == ev(r, env)[0]), BOOL
+            case Forall(bound=x, annot=a, body=b):
+                n = type_card(a, sizes)
+                return int(all(ev(b, {**env, x: (a, v)})[0] for v in range(n))), BOOL
+            case Choice(bound=x, annot=a, body=b):
+                n = type_card(a, sizes)
+                return next((v for v in range(n) if ev(b, {**env, x: (a, v)})[0]), 0), a
+            case Lambda(bound=x, annot=a, body=b):
+                table = [ev(b, {**env, x: (a, v)}) for v in range(type_card(a, sizes))]
+                cod = table[0][1]
+                c = type_card(cod, sizes)
+                return sum(v * c**i for i, (v, _) in enumerate(table)), Pi(x, a, cod)
+            case App(fun=f, arg=u):
+                fv, ft = ev(f, env)
+                c = type_card(ft.codomain, sizes)
+                for _ in range(ev(u, env)[0]):
+                    fv //= c
+                return fv % c, ft.codomain
+
+    return ev(t, env)[0]
+
+
+def test_closures_agree_with_reference_evaluator():
     import itertools
-    from array import array
+    import random
 
-    from genterms import THEORY
+    from genterms import THEORY, TermGen
 
     rep = check_theory(THEORY, None, Mode.STRONG_EPSILON)
     erased = erase_theory(rep.theory_elaborated, Context(), ErasureVariant.STRONG)
     sizes = {"nat": 2, "fin": 2}
     symbols = {d.name: d.ty for d in erased.hol_theory if isinstance(d, ConstDecl)}
+    gen = TermGen(5)
+    terms = [d.term for d in erased.hol_theory if isinstance(d, AxiomDecl)]
+    terms += [erase_term(gen.boolean([], 3), ErasureVariant.STRONG) for _ in range(40)]
     comp = Compiler(sizes, symbols)
-    roots = [
-        comp.compile(d.term)[0]
-        for d in erased.hol_theory
-        if d.__class__.__name__ == "AxiomDecl"
-    ]
-    nodes = array("q", comp.nodes)
+    roots = [comp.compile(t)[0] for t in terms]
+    ct = CompiledTerms(comp)
     cards = [type_card(ty, sizes) for ty in symbols.values()]
-    for assignment in itertools.islice(itertools.product(*(range(c) for c in cards)), 200):
-        env = list(assignment) + [0] * (comp.next_slot - len(cards))
-        for root in roots:
-            pure = _evalpure.run(comp.nodes, root, list(env))
-            compiled = _evalcore.run(nodes, root, array("q", env))
-            assert pure == compiled
+    rng = random.Random(5)
+    assignments = list(itertools.islice(itertools.product(*(range(c) for c in cards)), 200))
+    assignments += [tuple(rng.randrange(c) for c in cards) for _ in range(200)]
+    seen = set()
+    for assignment in assignments:
+        ct.env[: len(cards)] = assignment
+        env = {n: (ty, v) for (n, ty), v in zip(symbols.items(), assignment)}
+        for t, root in zip(terms, roots):
+            value = ct.run(root)
+            assert value == reference_eval(t, sizes, env)
+            seen.add(value)
+    assert seen == {0, 1}

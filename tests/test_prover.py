@@ -1,5 +1,8 @@
+import os
+import signal
 import stat
 import textwrap
+import time
 
 from dholc.erasure import ErasureVariant, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
@@ -43,10 +46,30 @@ def test_run_atp_spawn_failure():
     assert "spawn" in status.detail
 
 
+def _running(pid):
+    # a killed child that nobody has reaped yet is a zombie, not running
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def test_run_atp_timeout(tmp_path):
-    cmd = _fake_prover(tmp_path, "slow.sh", "sleep 5\n")
-    status = run_atp(_trivial_problem(), ProverConfig(command=cmd, time_limit=0.3))
+    # the prover behind a wrapper script must not outlive the timeout
+    pidfile = tmp_path / "child.pid"
+    cmd = _fake_prover(tmp_path, "wrapper.sh", f"sleep 30 &\necho $! > {pidfile}\nwait\n")
+    status = run_atp(_trivial_problem(), ProverConfig(command=cmd, time_limit=0.5))
     assert status.kind == "Timeout"
+    pid = int(pidfile.read_text())
+    deadline = time.monotonic() + 5
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not _running(pid)
+    finally:
+        if _running(pid):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_run_atp_file_placeholder(tmp_path):
