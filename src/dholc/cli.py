@@ -2,11 +2,13 @@
 
 Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
-errors or input nested too deeply to process, 64 usage errors.
-Diagnostics go to stderr, results to stdout and files.
+errors or input nested too deeply to process, 64 usage errors, 70 internal
+errors (a one-line diagnostic instead of a traceback).  Diagnostics go to
+stderr, results to stdout and files.
 
-The typing rule and the erasure are paired (--eps1 with --strong, --eps2 with
---weak); crossing them requires --force-variant.  Prover configuration
+The typing rule picks the erasure: --eps1 (the default) erases strongly,
+--eps2 weakly, and every written file is named after that variant.  Each
+subcommand accepts only the flags it reads.  Prover configuration
 precedence: command-line flags, then the config file, then the
 DHOL_PROVER_CMD environment variable.
 """
@@ -22,7 +24,7 @@ from typing import Optional
 
 from . import __version__
 from .corpus import write_corpus
-from .erasure import ErasureVariant, erase_theory
+from .erasure import erase_term, erase_theory
 from .kernel import CheckReport, Mode, check_theory
 from .oracle import SearchBudget, countermodel, merge_context
 from .parser import ParseError, parse_theory
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_OPEN = 1
 EXIT_STRUCTURAL = 2
 EXIT_USAGE = 64
+EXIT_INTERNAL = 70
 
 
 class _UsageError(Exception):
@@ -50,36 +53,38 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"dholc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, variant_flags=True):
-        sp.add_argument("input", type=Path, help="input .dhol theory")
-        mode = sp.add_mutually_exclusive_group()
-        mode.add_argument("--eps1", action="store_true", help="strong choice typing (default)")
-        mode.add_argument("--eps2", action="store_true", help="weak choice typing")
-        if variant_flags:
-            var = sp.add_mutually_exclusive_group()
-            var.add_argument("--strong", action="store_true", help="strong erasure")
-            var.add_argument("--weak", action="store_true", help="weak erasure")
-            sp.add_argument(
-                "--force-variant",
-                action="store_true",
-                help="allow pairing a typing rule with the other erasure",
-            )
+    def search_flags(sp):
         sp.add_argument("--config", type=Path, help="key=value config file")
-        sp.add_argument("--prover-cmd", help="external THF prover command ({file} placeholder)")
-        sp.add_argument("--prover-time", type=float, help="prover time limit in seconds")
         sp.add_argument("--budget-size", type=int, help="oracle carrier size bound")
         sp.add_argument("--budget-models", type=int, help="oracle interpretation-space bound")
         sp.add_argument("--budget-seconds", type=float, help="oracle wall-time bound")
+        sp.add_argument("--json-report", type=Path, help="write a machine-readable summary")
+
+    def prover_flags(sp):
+        sp.add_argument("--prover-cmd", help="external THF prover command ({file} placeholder)")
+        sp.add_argument("--prover-time", type=float, help="prover time limit in seconds")
         sp.add_argument("--no-oracle", action="store_true", help="skip the finite-model oracle")
         sp.add_argument("--jobs", type=int, default=1, help="concurrent obligation discharge")
-        sp.add_argument("--json-report", type=Path, help="write a machine-readable summary")
+
+    def output_flag(sp):
         sp.add_argument("-o", "--output-dir", type=Path, default=Path("."))
 
-    common(sub.add_parser("check", help="type-check; discharge typing obligations"))
-    common(sub.add_parser("prove", help="type-check and prove the conjecture"))
-    common(sub.add_parser("erase", help="translate to HOL and write a THF problem"))
-    common(sub.add_parser("emit", help="write every obligation as a THF problem"))
-    common(sub.add_parser("oracle", help="countermodel search for the conjecture"))
+    def subcommand(name, help, *flag_groups):
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("input", type=Path, help="input .dhol theory")
+        mode = sp.add_mutually_exclusive_group()
+        mode.add_argument("--eps1", action="store_true", help="strong typing and erasure (default)")
+        mode.add_argument("--eps2", action="store_true", help="weak typing and erasure")
+        for add in flag_groups:
+            add(sp)
+
+    subcommand("check", "type-check; discharge typing obligations", search_flags, prover_flags)
+    subcommand(
+        "prove", "type-check and prove the conjecture", search_flags, prover_flags, output_flag
+    )
+    subcommand("erase", "translate to HOL and write a THF problem", output_flag)
+    subcommand("emit", "write every obligation as a THF problem", output_flag)
+    subcommand("oracle", "countermodel search for the conjecture", search_flags)
 
     gc = sub.add_parser("gen-corpus", help="regenerate the problem corpus")
     gc.add_argument("-o", "--output-dir", type=Path, default=Path("corpus"))
@@ -105,20 +110,6 @@ def _resolve_mode(args) -> Mode:
     if getattr(args, "eps2", False):
         return Mode.WEAK_EPSILON
     return Mode.STRONG_EPSILON
-
-
-def _resolve_variant(args, mode: Mode) -> ErasureVariant:
-    chose_strong = getattr(args, "strong", False)
-    chose_weak = getattr(args, "weak", False)
-    default = ErasureVariant.STRONG if mode is Mode.STRONG_EPSILON else ErasureVariant.WEAK
-    if not (chose_strong or chose_weak):
-        return default
-    chosen = ErasureVariant.STRONG if chose_strong else ErasureVariant.WEAK
-    if chosen is not default and not args.force_variant:
-        raise _UsageError(
-            f"--{chosen.value} does not pair with --{mode.value}; pass --force-variant to insist"
-        )
-    return chosen
 
 
 def _resolve_prover(args) -> Optional[ProverConfig]:
@@ -199,7 +190,6 @@ def _discharge_and_report(
 
 def _cmd_check(args) -> int:
     mode = _resolve_mode(args)
-    _resolve_variant(args, mode)
     report = _check(args, mode)
     if report is None:
         return EXIT_STRUCTURAL
@@ -222,13 +212,12 @@ def _cmd_check(args) -> int:
 
 def _cmd_prove(args) -> int:
     mode = _resolve_mode(args)
-    variant = _resolve_variant(args, mode)
     report = _check(args, mode)
     if report is None:
         return EXIT_STRUCTURAL
     if not report.ok:
         return EXIT_STRUCTURAL
-    _write_erased(args, report, variant)
+    _write_erased(args, report)
     code, dis = _discharge_and_report(args, report, include_conjecture=True)
     print(f"prove: {'ok' if code == EXIT_OK else 'open'} ({args.input})")
     _write_json(
@@ -244,13 +233,12 @@ def _cmd_prove(args) -> int:
     return code
 
 
-def _write_erased(args, report: CheckReport, variant: ErasureVariant) -> Path:
+def _write_erased(args, report: CheckReport) -> Path:
+    variant = report.mode.variant
     erased = erase_theory(report.theory_elaborated, Context(), variant)
     stem = args.input.stem
     conjecture = None
     if report.conjecture_elaborated is not None:
-        from .erasure import erase_term
-
         conjecture = erase_term(report.conjecture_elaborated, variant)
     problem = emit_thf(erased, f"{stem}.{variant.value}", conjecture=conjecture)
     args.output_dir.mkdir(parents=True, exist_ok=True)
@@ -261,20 +249,19 @@ def _write_erased(args, report: CheckReport, variant: ErasureVariant) -> Path:
 
 def _cmd_erase(args) -> int:
     mode = _resolve_mode(args)
-    variant = _resolve_variant(args, mode)
     report = _check(args, mode)
     if report is None or not report.ok:
         return EXIT_STRUCTURAL
-    print(_write_erased(args, report, variant))
+    print(_write_erased(args, report))
     return EXIT_OK
 
 
 def _cmd_emit(args) -> int:
     mode = _resolve_mode(args)
-    variant = _resolve_variant(args, mode)
     report = _check(args, mode)
     if report is None or not report.ok:
         return EXIT_STRUCTURAL
+    variant = mode.variant
     args.output_dir.mkdir(parents=True, exist_ok=True)
     stem = args.input.stem
     for ob in report.obligations:
@@ -287,7 +274,6 @@ def _cmd_emit(args) -> int:
 
 def _cmd_oracle(args) -> int:
     mode = _resolve_mode(args)
-    _resolve_variant(args, mode)
     report = _check(args, mode)
     if report is None or not report.ok:
         return EXIT_STRUCTURAL
@@ -345,6 +331,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         # recursively, so very deep input exhausts the interpreter's stack.
         print("error: input nests too deeply (Python recursion limit reached)", file=sys.stderr)
         return EXIT_STRUCTURAL
+    except Exception as e:
+        # Exit 1 means "open obligations"; a crash must not read as a verdict.
+        detail = " ".join(f"{type(e).__name__}: {e}".split())
+        print(f"internal error: {detail}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

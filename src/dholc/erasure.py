@@ -180,7 +180,6 @@ class ErasedTheory:
     hol_theory: Theory
     hol_context: Context
     per_names: dict[str, str] = field(default_factory=dict)
-    provenance: dict[str, str] = field(default_factory=dict)
 
 
 def _arrow_chain(doms: list[Type], cod: Type) -> Type:
@@ -189,7 +188,7 @@ def _arrow_chain(doms: list[Type], cod: Type) -> Type:
     return cod
 
 
-def _erase_declaration(d, variant: ErasureVariant, out: list, per_names, provenance) -> None:
+def _erase_declaration(d, variant: ErasureVariant, out: list, per_names) -> None:
     match d:
         case BaseTypeDecl(name=a, telescope=tele):
             star = per_name(a)
@@ -211,15 +210,12 @@ def _erase_declaration(d, variant: ErasureVariant, out: list, per_names, provena
             label = f"{a}_star_collapse"
             out.append(AxiomDecl(label, axiom))
             per_names[a] = star
-            provenance.update({a: a, star: a, label: a})
         case ConstDecl(name=c, ty=ty):
             out.append(ConstDecl(c, erase_type(ty)))
             label = f"{c}_typed"
             out.append(AxiomDecl(label, per_apply(ty, variant, Var(c), Var(c))))
-            provenance.update({c: c, label: c})
         case AxiomDecl(label=lbl, term=t):
             out.append(AxiomDecl(lbl, erase_term(t, variant)))
-            provenance[lbl] = lbl
         case _:
             raise ErasureError(f"not a declaration: {d!r}")
 
@@ -229,14 +225,13 @@ def erase_theory(thy: Theory, ctx: Context, variant: ErasureVariant) -> ErasedTh
     and the collapsing axiom; typed constants get an erased type plus a
     PER-reflexivity axiom; axioms and assumptions are erased."""
     per_names: dict[str, str] = {}
-    provenance: dict[str, str] = {}
     thy_out: list = []
     for d in thy:
-        _erase_declaration(d, variant, thy_out, per_names, provenance)
+        _erase_declaration(d, variant, thy_out, per_names)
     ctx_out: list = []
     for d in ctx:
-        _erase_declaration(d, variant, ctx_out, per_names, provenance)
-    return ErasedTheory(Theory(tuple(thy_out)), Context(tuple(ctx_out)), per_names, provenance)
+        _erase_declaration(d, variant, ctx_out, per_names)
+    return ErasedTheory(Theory(tuple(thy_out)), Context(tuple(ctx_out)), per_names)
 
 
 def beta_normalize(t: Term) -> Term:

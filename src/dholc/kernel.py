@@ -10,6 +10,11 @@ obligation carrying an already-erased theory, context and conjecture:
   statement, under the weak rule inhabitation of the annotation;
 * the conjecture of a theory emits one final provability obligation.
 
+The mode picks the erasure (eps1 strong, eps2 weak).  Each declaration is
+erased once, when it is accepted; an obligation's theory is the erased prefix
+accepted so far, and only its local binder context and its conjecture are
+erased when it is emitted.
+
 Structural failures (unknown names, arity mismatches, head-type mismatches,
 non-boolean axiom bodies) are errors, not obligations.  In simple-HOL mode no
 obligation may arise at all: dependent base types and genuinely dependent
@@ -145,6 +150,8 @@ class _Checker:
     def __init__(self, mode: Mode, subject: str = "?"):
         self.mode = mode
         self.prefix: list = []  # declarations validated so far
+        self.erased: list = []  # their HOL translation, each erased once
+        self.names: dict[str, ConstDecl | BaseTypeDecl] = {}  # the prefix's signature
         self.obligations: list[Obligation] = []
         self._seen: set = set()
         self.subject = subject
@@ -157,13 +164,8 @@ class _Checker:
             # Simple-HOL input is its own obligation language; no translation.
             if kind is not ObligationKind.CONJECTURE:
                 raise KernelError("internal: typing obligation in simple-HOL mode", pos)
-            hol_theory = Theory(tuple(self.prefix))
-            hol_context = Context(ctx)
             conjecture = dhol_conjecture
         else:
-            erased = erase_theory(Theory(tuple(self.prefix)), Context(ctx), variant)
-            hol_theory = erased.hol_theory
-            hol_context = erased.hol_context
             conjecture = erase_term(dhol_conjecture, variant)
         key = (
             kind,
@@ -174,10 +176,15 @@ class _Checker:
         if key in self._seen:
             return
         self._seen.add(key)
+        if variant is None:
+            hol_context = Context(ctx)
+        else:
+            # The theory prefix is already erased; only the local binders are new.
+            hol_context = erase_theory(Theory(), Context(ctx), variant).hol_context
         ob = Obligation(
             id=f"ob{len(self.obligations) + 1:03d}",
             kind=kind,
-            hol_theory=hol_theory,
+            hol_theory=Theory(tuple(self.erased)),
             hol_context=hol_context,
             conjecture=conjecture,
             origin=Origin(rule=rule, subject=self.subject, pos=pos),
@@ -187,34 +194,24 @@ class _Checker:
     # -- lookups
 
     def lookup_base(self, name: str) -> Optional[BaseTypeDecl]:
-        for d in self.prefix:
-            if isinstance(d, BaseTypeDecl) and d.name == name:
-                return d
-        return None
+        d = self.names.get(name)
+        return d if isinstance(d, BaseTypeDecl) else None
 
     def lookup_var(self, ctx: tuple, name: str) -> Optional[Type]:
         for d in reversed(ctx):
             if isinstance(d, ConstDecl) and d.name == name:
                 return d.ty
-        for d in self.prefix:
-            if isinstance(d, ConstDecl) and d.name == name:
-                return d.ty
-        return None
-
-    def declared(self, name: str) -> bool:
-        return any(
-            isinstance(d, (ConstDecl, BaseTypeDecl)) and d.name == name for d in self.prefix
-        )
+        d = self.names.get(name)
+        return d.ty if isinstance(d, ConstDecl) else None
 
     def fresh_binder(self, ctx: tuple, x: str, body: Term) -> tuple[str, Term]:
         """Rename a binder that shadows a visible name.  Obligations flatten
         the context and theory into one signature (for the oracle and THF),
         so shadowing must be resolved here, deterministically."""
-        taken = {d.name for d in self.prefix if isinstance(d, (ConstDecl, BaseTypeDecl))}
-        taken |= {d.name for d in ctx if isinstance(d, ConstDecl)}
-        if x not in taken:
+        local = {d.name for d in ctx if isinstance(d, ConstDecl)}
+        if x not in self.names and x not in local:
             return x, body
-        x2 = fresh_name(x, taken | set(free_vars(body)))
+        x2 = fresh_name(x, self.names.keys() | local | set(free_vars(body)))
         return x2, subst(body, x, Var(x2))
 
     # -- well-formedness of types
@@ -363,7 +360,7 @@ class _Checker:
     def add_declaration(self, d) -> None:
         match d:
             case BaseTypeDecl(name=a, telescope=tele, pos=pos):
-                if self.declared(a):
+                if a in self.names:
                     raise KernelError(f"redeclaration of {a!r}", pos)
                 if self.mode is Mode.SIMPLE_HOL and tele:
                     raise KernelError(f"dependent base type {a!r} in simple-HOL mode", pos)
@@ -373,17 +370,23 @@ class _Checker:
                     ty2 = self.wf_type(ctx, ty)
                     elaborated.append((x, ty2))
                     ctx = ctx + (ConstDecl(x, ty2),)
-                self.prefix.append(BaseTypeDecl(a, tuple(elaborated), pos=pos))
+                d2 = BaseTypeDecl(a, tuple(elaborated), pos=pos)
+                self.names[a] = d2
             case ConstDecl(name=c, ty=ty, pos=pos):
-                if self.declared(c):
+                if c in self.names:
                     raise KernelError(f"redeclaration of {c!r}", pos)
-                ty2 = self.wf_type((), ty)
-                self.prefix.append(ConstDecl(c, ty2, pos=pos))
+                d2 = ConstDecl(c, self.wf_type((), ty), pos=pos)
+                self.names[c] = d2
             case AxiomDecl(label=lbl, term=t, pos=pos):
-                t2 = self.check_bool((), t)
-                self.prefix.append(AxiomDecl(lbl, t2, pos=pos))
+                d2 = AxiomDecl(lbl, self.check_bool((), t), pos=pos)
             case _:
                 raise KernelError(f"not a declaration: {d!r}")
+        self.prefix.append(d2)
+        variant = self.mode.variant
+        if variant is None:
+            self.erased.append(d2)
+        else:
+            self.erased.extend(erase_theory(Theory((d2,)), Context(), variant).hol_theory)
 
 
 def _decl_key(d) -> tuple:
@@ -412,6 +415,21 @@ def _type_head(A: Type) -> str:
 # Public operations
 
 
+def _checker_in(thy: Theory, ctx: Context, mode: Mode) -> tuple[_Checker, tuple]:
+    """A checker that has accepted ``thy``, and ``ctx`` elaborated under it."""
+    ck = _Checker(mode)
+    for d in thy:
+        ck.add_declaration(d)
+    cctx: tuple = ()
+    for d in ctx:
+        match d:
+            case ConstDecl(name=x, ty=ty, pos=pos):
+                cctx = cctx + (ConstDecl(x, ck.wf_type(cctx, ty), pos=pos),)
+            case AxiomDecl(label=lbl, term=a, pos=pos):
+                cctx = cctx + (AxiomDecl(lbl, ck.check_bool(cctx, a), pos=pos),)
+    return ck, cctx
+
+
 def infer_type(
     thy: Theory, ctx: Context, t: Term, mode: Mode
 ) -> tuple[Type, list[Obligation]]:
@@ -426,18 +444,7 @@ def infer_type_elaborated(
 ) -> tuple[Type, list[Obligation], Term]:
     """Like infer_type but also returns the elaborated term (equality nodes
     annotated with their types), as required by the erasure."""
-    ck = _Checker(mode)
-    for d in thy:
-        ck.add_declaration(d)
-    cctx: tuple = ()
-    for d in ctx:
-        match d:
-            case ConstDecl(name=x, ty=ty, pos=pos):
-                ty2 = ck.wf_type(cctx, ty)
-                cctx = cctx + (ConstDecl(x, ty2, pos=pos),)
-            case AxiomDecl(label=lbl, term=a, pos=pos):
-                a2 = ck.check_bool(cctx, a)
-                cctx = cctx + (AxiomDecl(lbl, a2, pos=pos),)
+    ck, cctx = _checker_in(thy, ctx, mode)
     ty, t2 = ck.infer(cctx, t)
     return ty, ck.obligations, t2
 
@@ -445,16 +452,7 @@ def infer_type_elaborated(
 def type_equal(thy: Theory, ctx: Context, A: Type, B: Type, mode: Mode) -> list[Obligation]:
     """Obligations whose provability establishes A ≡ B; empty when the types
     are alpha-equal; structural mismatch raises KernelError."""
-    ck = _Checker(mode)
-    for d in thy:
-        ck.add_declaration(d)
-    cctx: tuple = ()
-    for d in ctx:
-        match d:
-            case ConstDecl(name=x, ty=ty):
-                cctx = cctx + (ConstDecl(x, ck.wf_type(cctx, ty)),)
-            case AxiomDecl(label=lbl, term=a):
-                cctx = cctx + (AxiomDecl(lbl, ck.check_bool(cctx, a)),)
+    ck, cctx = _checker_in(thy, ctx, mode)
     A2 = ck.wf_type(cctx, A)
     B2 = ck.wf_type(cctx, B)
     n_before = len(ck.obligations)

@@ -1,11 +1,15 @@
+import argparse
 import json
 
 import pytest
 
-from dholc.cli import main
+from dholc import cli
+from dholc.cli import _build_parser, main
 from dholc.corpus import write_corpus
+from dholc.kernel import Mode, check_theory
+from dholc.parser import parse_theory
 from dholc.syntax import Choice
-from dholc.thf import parse_thf
+from dholc.thf import emit_thf, parse_thf
 
 
 @pytest.fixture(scope="module")
@@ -37,29 +41,58 @@ def test_structural_error_exits_two(tmp_path, capsys):
 
 
 def test_usage_error_exits_64(corpus_dir, capsys):
-    code = main(["check", str(corpus_dir / "choice_def1.dhol"), "--eps1", "--weak"])
+    code = main(["check", str(corpus_dir / "choice_def1.dhol"), "--eps1", "--eps2"])
     assert code == 64
-    assert "force-variant" in capsys.readouterr().err
+    assert "not allowed with" in capsys.readouterr().err
 
 
-def test_forced_variant_pairing_allowed(corpus_dir):
-    code = main(
-        [
-            "erase",
-            str(corpus_dir / "choice_def1.dhol"),
-            "--eps1",
-            "--weak",
-            "--force-variant",
-            "-o",
-            str(corpus_dir / "forced"),
-        ]
-    )
-    assert code == 0
+@pytest.mark.parametrize(
+    "argv",
+    [["erase", "--weak"], ["erase", "--eps1", "--strong"], ["emit", "--prover-cmd", "x"]],
+)
+def test_flags_a_subcommand_does_not_read_are_usage_errors(corpus_dir, capsys, argv):
+    command, *flags = argv
+    assert main([command, str(corpus_dir / "choice_def1.dhol"), *flags]) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: {
+            max(a.option_strings, key=len)
+            for a in sp._actions
+            if a.option_strings and a.dest != "help"
+        }
+        for name, sp in sub.choices.items()
+    }
+    mode = {"--eps1", "--eps2"}
+    budget = {"--config", "--budget-size", "--budget-models", "--budget-seconds", "--json-report"}
+    discharge = mode | budget | {"--prover-cmd", "--prover-time", "--no-oracle", "--jobs"}
+    assert options == {
+        "check": discharge,
+        "prove": discharge | {"--output-dir"},
+        "erase": mode | {"--output-dir"},
+        "emit": mode | {"--output-dir"},
+        "oracle": mode | budget,
+        "gen-corpus": {"--output-dir"},
+    }
+    assert sum(len(options[c]) for c in ("check", "prove", "erase", "emit", "oracle")) == 36
+
+
+def test_internal_error_exits_70(corpus_dir, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("kernel exploded\nsecond line")
+
+    monkeypatch.setattr(cli, "check_theory", broken)
+    assert main(["check", str(corpus_dir / "choice_def1.dhol")]) == 70
+    err = capsys.readouterr().err
+    assert err == "internal error: ValueError: kernel exploded second line\n"
 
 
 def test_erase_writes_deterministic_file(corpus_dir, tmp_path, capsys):
     out = tmp_path / "out"
-    argv = ["erase", str(corpus_dir / "choice_def1.dhol"), "--strong", "-o", str(out)]
+    argv = ["erase", str(corpus_dir / "choice_def1.dhol"), "--eps1", "-o", str(out)]
     assert main(argv) == 0
     first = (out / "choice_def1.strong.p").read_bytes()
     assert main(argv) == 0
@@ -72,6 +105,21 @@ def test_emit_writes_obligation_files(corpus_dir, tmp_path, capsys):
     assert code == 0
     files = sorted(p.name for p in out.iterdir())
     assert files == ["choice_def1.ob001.strong.p", "choice_def1.ob002.strong.p"]
+
+
+def test_emit_eps2_writes_weak_erasure(corpus_dir, tmp_path, capsys):
+    out = tmp_path / "obs"
+    problem = corpus_dir / "choice_def1.dhol"
+    assert main(["emit", str(problem), "--eps2", "-o", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "choice_def1.ob001.weak.p",
+        "choice_def1.ob002.weak.p",
+    ]
+    thy, conjecture = parse_theory(problem.read_text())
+    rep = check_theory(thy, conjecture, Mode.WEAK_EPSILON)
+    for ob in rep.obligations:
+        expected = emit_thf(ob, f"choice_def1.{ob.id}.weak").text
+        assert (out / f"choice_def1.{ob.id}.weak.p").read_text() == expected
 
 
 def _choice_rooted_diff(a, b):

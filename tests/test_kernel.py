@@ -1,5 +1,11 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
+from dholc import kernel
+from dholc.erasure import erase_theory
 from dholc.kernel import (
     KernelError,
     Mode,
@@ -35,6 +41,9 @@ from dholc.syntax import (
 )
 
 from genterms import THEORY
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from workloads import synth_theory  # noqa: E402
 
 E1 = Mode.STRONG_EPSILON
 E2 = Mode.WEAK_EPSILON
@@ -212,6 +221,46 @@ def test_shadowing_binder_renamed_in_obligations():
     names = [c.name for c in tuple(ob.hol_theory) + tuple(ob.hol_context) if isinstance(c, ConstDecl)]
     assert len(names) == len(set(names))
     assert discharge_one(ob).discharged  # the lambda's variable witnesses u
+
+
+def test_context_shadows_theory_in_lookups():
+    thy, _ = parse_theory("type u : tp\ntype w : tp\nconst c : u\n")
+    ctx = Context((ConstDecl("c", Base("w")),))
+    ty, _ = infer_type(thy, ctx, Var("c"), E1)
+    assert alpha_eq_type(ty, Base("w"))
+
+
+def test_each_declaration_erased_once(monkeypatch):
+    # Per obligation only the local binder context is erased; the theory
+    # prefix was erased declaration by declaration as it was accepted.
+    passed = []
+    real = kernel.erase_theory
+
+    def counting(thy, ctx, variant):
+        passed.append(len(thy) + len(ctx))
+        return real(thy, ctx, variant)
+
+    monkeypatch.setattr(kernel, "erase_theory", counting)
+    thy, conjecture = parse_theory(synth_theory(40, random.Random(0)))
+    for mode in (E1, E2):
+        passed.clear()
+        rep = check_theory(thy, conjecture, mode)
+        assert rep.ok and len(rep.obligations) == 41
+        accepted = sum(status == "ok" for _, status in rep.decl_status)
+        contexts = sum(len(ob.hol_context) for ob in rep.obligations)
+        assert sum(passed) <= accepted + contexts
+
+
+@pytest.mark.parametrize("mode", [E1, E2])
+def test_obligation_theories_are_prefixes_of_the_erased_theory(mode):
+    from dholc.corpus import gen_all
+
+    for e in gen_all():
+        rep = check_theory(e.theory, e.conjecture, mode)
+        full = tuple(erase_theory(rep.theory_elaborated, Context(), mode.variant).hol_theory)
+        for ob in rep.obligations:
+            hol = tuple(ob.hol_theory)
+            assert hol == full[: len(hol)], (e.name, ob.id)
 
 
 # ---------------------------------------------------------------------------
