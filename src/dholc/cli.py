@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--prover-cmd", help="external THF prover command ({file} placeholder)")
         sp.add_argument("--prover-time", type=float, help="prover time limit in seconds")
         sp.add_argument("--no-oracle", action="store_true", help="skip the finite-model oracle")
-        sp.add_argument("--jobs", type=int, default=1, help="concurrent obligation discharge")
+        sp.add_argument("--jobs", type=int, default=1, help="concurrent external prover runs")
 
     def output_flag(sp):
         sp.add_argument("-o", "--output-dir", type=Path, default=Path("."))

@@ -13,6 +13,11 @@ clauses connect the atoms:
   (if a witness exists, the chosen element is one);
 * equality atoms get reflexivity (alpha-equal sides) and symmetry links.
 
+The first two families are added in one forward pass over the atom list:
+atoms that the new formulas register are appended and visited in turn, so
+every atom is instantiated and scanned for choice subterms exactly once.
+The clauses are Tseitin-encoded and handed to a small DPLL search.
+
 Everything asserted is HOL_ε-valid, so an UNSAT answer is a real proof.
 Classical double negations are collapsed at formula positions so that
 differently sugared statements of the same fact meet in the same atom.
@@ -21,6 +26,7 @@ differently sugared statements of the same fact meet in the same atom.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .erasure import beta_normalize
 from .syntax import (
@@ -120,41 +126,35 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             break
         formulas.append(_abstract(dn_normalize(beta_normalize(t)), atoms))
 
-    # Saturate: instantiate universal atoms over the universe, add the choice
-    # schema for every choice subterm.  The universe never grows, so this
-    # terminates quickly; caps guard the pathological cases.
-    done_forall: set[int] = set()
+    # Saturate in one forward pass: instantiate each universal atom over the
+    # universe and add the choice schema for each choice subterm.  Atoms that
+    # these formulas register are appended to atoms.terms, and enumerate
+    # reaches them in turn.  The universe never grows, so this terminates
+    # quickly; caps guard the pathological cases.
     done_choice: set[str] = set()
-    changed = True
-    while changed and len(formulas) < MAX_FORMULAS and len(atoms.terms) < MAX_ATOMS:
-        changed = False
-        for idx in range(len(atoms.terms)):
-            a_term = atoms.terms[idx]
-            if isinstance(a_term, Forall) and idx not in done_forall:
-                done_forall.add(idx)
-                changed = True
-                for name, ty in universe:
-                    if not alpha_eq_type(ty, a_term.annot):
-                        continue
-                    inst = dn_normalize(beta_normalize(subst(a_term.body, a_term.bound, Var(name))))
-                    formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
-                    if len(formulas) >= MAX_FORMULAS:
-                        break
-            for sub in subterms(a_term):
-                if isinstance(sub, Choice):
-                    key = alpha_key(sub)
-                    if key in done_choice:
-                        continue
-                    done_choice.add(key)
-                    changed = True
-                    witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
-                    conclusion = subst(sub.body, sub.bound, sub)
-                    schema = Implies(witness, conclusion)
-                    formulas.append(_abstract(dn_normalize(beta_normalize(schema)), atoms))
-                    if len(formulas) >= MAX_FORMULAS:
-                        break
-            if len(formulas) >= MAX_FORMULAS:
-                break
+    for idx, a_term in enumerate(atoms.terms):
+        if len(formulas) >= MAX_FORMULAS or len(atoms.terms) >= MAX_ATOMS:
+            break
+        if isinstance(a_term, Forall):
+            for name, ty in universe:
+                if not alpha_eq_type(ty, a_term.annot):
+                    continue
+                inst = dn_normalize(beta_normalize(subst(a_term.body, a_term.bound, Var(name))))
+                formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
+                if len(formulas) >= MAX_FORMULAS:
+                    break
+        for sub in subterms(a_term):
+            if isinstance(sub, Choice):
+                key = alpha_key(sub)
+                if key in done_choice:
+                    continue
+                done_choice.add(key)
+                witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
+                conclusion = subst(sub.body, sub.bound, sub)
+                schema = Implies(witness, conclusion)
+                formulas.append(_abstract(dn_normalize(beta_normalize(schema)), atoms))
+                if len(formulas) >= MAX_FORMULAS:
+                    break
 
     # Equality atoms: reflexivity and symmetry only (no congruence).
     eq_keys: dict[str, int] = {}
@@ -178,11 +178,11 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
 
 
 def _unsat(formulas, natoms: int) -> bool:
-    clauses: list[list[int]] = []
-    nvars = natoms + 1  # var 0 unused; atoms are 1..natoms
+    # Variables: 1..natoms are the atoms, then the constant false, then the
+    # Tseitin variables; 0 is unused.
     false_var = natoms + 1
     nvars = false_var
-    clauses.append([-false_var])
+    clauses: list[list[int]] = [[-false_var]]
 
     def fresh() -> int:
         nonlocal nvars
@@ -210,41 +210,36 @@ def _unsat(formulas, natoms: int) -> bool:
 
 
 def _dpll_sat(clauses: list[list[int]], nvars: int) -> bool:
-    assign: dict[int, bool] = {}
+    # values[v] is None while variable v is unassigned; slot 0 is a
+    # placeholder that is never None.
+    values: list[Optional[bool]] = [False] + [None] * nvars
     nodes = 0
 
-    def value(lit: int):
-        v = assign.get(abs(lit))
-        if v is None:
-            return None
-        return v if lit > 0 else not v
-
     def propagate(trail: list[int]) -> bool:
-        while True:
-            unit = None
+        """Sweep the clauses, assigning the one open literal of each unit
+        clause, until a sweep assigns nothing.  False once a clause is
+        falsified."""
+        changed = True
+        while changed:
+            changed = False
             for cl in clauses:
-                unassigned = None
-                satisfied = False
+                unassigned = 0
                 count = 0
                 for lit in cl:
-                    val = value(lit)
-                    if val is True:
-                        satisfied = True
-                        break
+                    val = values[abs(lit)]
                     if val is None:
                         unassigned = lit
                         count += 1
-                if satisfied:
-                    continue
-                if count == 0:
-                    return False
-                if count == 1:
-                    unit = unassigned
-                    break
-            if unit is None:
-                return True
-            assign[abs(unit)] = unit > 0
-            trail.append(abs(unit))
+                    elif val == (lit > 0):
+                        break
+                else:
+                    if count == 0:
+                        return False
+                    if count == 1:
+                        values[abs(unassigned)] = unassigned > 0
+                        trail.append(abs(unassigned))
+                        changed = True
+        return True
 
     def solve() -> bool:
         nonlocal nodes
@@ -253,24 +248,17 @@ def _dpll_sat(clauses: list[list[int]], nvars: int) -> bool:
             # give up: treat as satisfiable, i.e. "not proved" (sound side)
             return True
         trail: list[int] = []
-        if not propagate(trail):
-            for v in trail:
-                del assign[v]
-            return False
-        var = None
-        for v in range(1, nvars + 1):
-            if v not in assign:
-                var = v
-                break
-        if var is None:
-            return True
-        for val in (True, False):
-            assign[var] = val
-            if solve():
+        if propagate(trail):
+            if None not in values:
                 return True
-            del assign[var]
+            var = values.index(None)
+            for val in (True, False):
+                values[var] = val
+                if solve():
+                    return True
+            values[var] = None
         for v in trail:
-            del assign[v]
+            values[v] = None
         return False
 
     return solve()

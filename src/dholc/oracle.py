@@ -19,8 +19,9 @@ reruns the axiom and conjecture closures.
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .syntax import (
@@ -76,9 +77,6 @@ class FiniteModel:
     sizes: dict[str, int]
     consts: dict[str, int]
     types: dict[str, Type]
-
-    def card(self, ty: Type) -> int:
-        return type_card(ty, self.sizes)
 
     def decode(self, name: str):
         return decode_value(self.types[name], self.consts[name], self.sizes)
@@ -276,7 +274,6 @@ def eval_term(model: FiniteModel, env: dict[str, tuple[Type, int]], t: Term) -> 
 class SearchResult:
     status: str  # "countermodel" | "none" | "exhausted"
     model: Optional[FiniteModel] = None
-    assignment: dict[str, int] = field(default_factory=dict)
     detail: str = ""
 
     @property
@@ -289,28 +286,15 @@ class _OutOfTime(Exception):
 
 
 def _size_tuples(nbases: int, max_size: int):
-    if nbases == 0:
-        yield ()
-        return
-    tuples = []
-
-    def rec(prefix):
-        if len(prefix) == nbases:
-            tuples.append(tuple(prefix))
-            return
-        for s in range(1, max_size + 1):
-            rec(prefix + [s])
-
-    rec([])
-    tuples.sort(key=lambda t: (sum(t), t))
-    yield from tuples
+    return sorted(
+        itertools.product(range(1, max_size + 1), repeat=nbases), key=lambda t: (sum(t), t)
+    )
 
 
 def countermodel(
     thy: Theory,
     conjecture: Term,
     budget: SearchBudget = SearchBudget(),
-    assignment_names: frozenset[str] = frozenset(),
 ) -> SearchResult:
     """Exhaustive search for a model of all axioms falsifying the conjecture,
     up to the budget.  Deterministic enumeration: carrier sizes ordered by
@@ -392,10 +376,7 @@ def countermodel(
                         consts={n: env[comp.slot_of[n]] for n, _ in consts},
                         types={n: ty for n, ty in consts},
                     )
-                    assignment = {
-                        n: model.consts[n] for n in model.consts if n in assignment_names
-                    }
-                    return SearchResult("countermodel", model, assignment)
+                    return SearchResult("countermodel", model)
         except _OutOfTime:
             return SearchResult(
                 "exhausted", detail=f"wall-time budget exceeded at sizes {size_tuple}"

@@ -33,25 +33,17 @@ from .oracle import SearchBudget, SearchResult, countermodel, merge_context
 from .syntax import AxiomDecl, Eq, Falsum, Implies, alpha_eq
 from .thf import ThfProblem, emit_thf
 
-KNOWN_SZS = ("Theorem", "CounterSatisfiable", "Timeout", "GaveUp", "Error")
-
-
 @dataclass(frozen=True)
 class SzsStatus:
     kind: str  # an SZS word, or Timeout / GaveUp / Error from the harness
     wall_time: float = 0.0
     detail: str = ""
 
-    @property
-    def is_error(self) -> bool:
-        return self.kind == "Error"
-
 
 @dataclass(frozen=True)
 class ProverConfig:
     command: str  # template; {file} is replaced by the problem path
     time_limit: float = 90.0
-    success_statuses: tuple[str, ...] = ("Theorem",)
 
     def __post_init__(self):
         if self.time_limit <= 0:
@@ -180,29 +172,28 @@ def discharge_one(
     budget: SearchBudget = DESK_BUDGET,
 ) -> ObligationVerdict:
     start = time.monotonic()
+
+    def verdict(status, method, detail="", counter_model=None) -> ObligationVerdict:
+        return ObligationVerdict(
+            ob.id, ob.kind.value, status, method, time.monotonic() - start, detail, counter_model
+        )
+
     reason = _local_discharge(ob)
     if reason is not None:
-        return ObligationVerdict(
-            ob.id, ob.kind.value, "discharged-local", "local", time.monotonic() - start, reason
-        )
+        return verdict("discharged-local", "local", reason)
     if prove_ground(ob.hol_theory, ob.hol_context, ob.conjecture):
-        return ObligationVerdict(
-            ob.id, ob.kind.value, "discharged-ground", "ground", time.monotonic() - start
-        )
+        return verdict("discharged-ground", "ground")
     oracle_note = ""
     oracle_result = None
     if oracle_fallback:
         merged = merge_context(ob.hol_theory, ob.hol_context)
         oracle_result = countermodel(merged, ob.conjecture, budget)
         if oracle_result.found:
-            return ObligationVerdict(
-                ob.id,
-                ob.kind.value,
+            return verdict(
                 "refuted-countermodel",
                 "oracle",
-                time.monotonic() - start,
                 f"countermodel at sizes {oracle_result.model.sizes}",
-                counter_model=oracle_result,
+                oracle_result,
             )
         if oracle_result.status == "none":
             # Bounded confirmation: evidence, not a proof.
@@ -212,38 +203,14 @@ def discharge_one(
     if cfg is not None:
         problem = emit_thf(ob, ob.id)
         szs = run_atp(problem, cfg)
-        if szs.kind in cfg.success_statuses:
-            return ObligationVerdict(
-                ob.id, ob.kind.value, "discharged-atp", "atp", time.monotonic() - start, szs.kind
-            )
+        if szs.kind == "Theorem":
+            return verdict("discharged-atp", "atp", szs.kind)
         if szs.kind == "CounterSatisfiable":
-            return ObligationVerdict(
-                ob.id,
-                ob.kind.value,
-                "refuted-atp",
-                "atp",
-                time.monotonic() - start,
-                oracle_note,
-                counter_model=oracle_result,
-            )
-        return ObligationVerdict(
-            ob.id,
-            ob.kind.value,
-            f"open-atp-{szs.kind.lower()}",
-            "atp",
-            time.monotonic() - start,
-            oracle_note or szs.detail[:200],
-            counter_model=oracle_result,
+            return verdict("refuted-atp", "atp", oracle_note, oracle_result)
+        return verdict(
+            f"open-atp-{szs.kind.lower()}", "atp", oracle_note or szs.detail[:200], oracle_result
         )
-    return ObligationVerdict(
-        ob.id,
-        ob.kind.value,
-        "open",
-        "oracle" if oracle_fallback else "none",
-        time.monotonic() - start,
-        oracle_note,
-        counter_model=oracle_result,
-    )
+    return verdict("open", "oracle" if oracle_fallback else "none", oracle_note, oracle_result)
 
 
 def discharge(
@@ -253,11 +220,13 @@ def discharge(
     budget: SearchBudget = DESK_BUDGET,
     jobs: int = 1,
 ) -> DischargeReport:
-    """Discharge a batch.  Obligations are independent values; with jobs > 1
-    they are dispatched to a thread pool, but the report always preserves the
-    input order and ids."""
+    """Discharge a batch; the report preserves the input order and ids.
+    Without an external prover every stage is CPU-bound Python, so the
+    obligations run one after another on the calling thread.  With one, up
+    to ``jobs`` obligations run in a thread pool, so that their prover runs
+    overlap."""
     report = DischargeReport()
-    if jobs > 1 and len(obligations) > 1:
+    if cfg is not None and jobs > 1 and len(obligations) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:

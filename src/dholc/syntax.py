@@ -204,10 +204,6 @@ class Context:
         return None
 
 
-EMPTY_THEORY = Theory()
-EMPTY_CONTEXT = Context()
-
-
 # ---------------------------------------------------------------------------
 # Derived connectives (sugar), expanded at construction
 

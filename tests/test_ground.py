@@ -2,6 +2,10 @@
 importantly what it must leave open (its instantiation universe excludes
 compound terms and function constants by design)."""
 
+import itertools
+import random
+
+from dholc import ground
 from dholc.ground import dn_normalize, prove_ground
 from dholc.syntax import (
     App,
@@ -141,3 +145,62 @@ def test_monotone_under_extra_axioms():
         AxiomDecl("extra2", Forall("y", A, Implies(FALSE, App(Var("p"), Var("y"))))),
     )
     assert prove_ground(bigger, Context(), goal)
+
+
+def test_saturation_reaches_atoms_it_creates():
+    thy = _thy(BaseTypeDecl("a"), ConstDecl("c", A), ConstDecl("r", Pi("_", A, P)))
+    c, x, y = Var("c"), Var("x"), Var("y")
+
+    def r(s, t):
+        return apply(Var("r"), s, t)
+
+    # instantiating x := c creates the atom ! y . r c y, which must itself be
+    # instantiated to reach r c c
+    nested = thy.extended(AxiomDecl("all", Forall("x", A, Forall("y", A, r(x, y)))))
+    assert prove_ground(nested, Context(), r(c, c))
+    # instantiating x := c in "pick" creates the atom r c (eps y . r c y),
+    # whose choice subterm needs its own schema
+    chosen = thy.extended(
+        ConstDecl("q", P),
+        AxiomDecl("total", Forall("x", A, exists("y", A, r(x, y)))),
+        AxiomDecl("pick", Forall("x", A, Implies(r(x, Choice("y", A, r(x, y))), App(Var("q"), x)))),
+    )
+    assert prove_ground(chosen, Context(), App(Var("q"), c))
+
+
+def _truth_table_sat(clauses, nvars):
+    for bits in itertools.product((False, True), repeat=nvars):
+        if all(any(bits[abs(lit) - 1] == (lit > 0) for lit in cl) for cl in clauses):
+            return True
+    return False
+
+
+def test_dpll_agrees_with_truth_table():
+    rng = random.Random(0)
+    cases = []
+    for case in range(400):
+        nvars = rng.randint(1, 8)
+        clauses = [
+            [rng.choice((1, -1)) * rng.randint(1, nvars) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 24))
+        ]
+        if case % 50 == 0:
+            clauses.insert(rng.randint(0, len(clauses)), [])
+        cases.append((clauses, nvars))
+    # satisfiable only with 1 false and 2 true, after both values of 2 have
+    # failed under 1 true: a failed branch must leave its variable unassigned
+    cases.append(([[-1, -2, 3], [-1, -2, -3], [-1, 2, 3], [-1, 2, -3], [1, 2]], 3))
+    outcomes = set()
+    for clauses, nvars in cases:
+        expected = _truth_table_sat(clauses, nvars)
+        assert ground._dpll_sat(clauses, nvars) == expected, clauses
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_dpll_node_cap_means_not_proved(monkeypatch):
+    # unsatisfiable, with no unit clause: the search must branch to see it
+    clauses = [[1, 2], [1, -2], [-1, 2], [-1, -2]]
+    assert not ground._dpll_sat(clauses, 2)
+    monkeypatch.setattr(ground, "MAX_DPLL_NODES", 1)
+    assert ground._dpll_sat(clauses, 2)

@@ -1,8 +1,10 @@
+import json
 import os
 import signal
 import stat
 import textwrap
 import time
+from pathlib import Path
 
 from dholc.erasure import ErasureVariant, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
@@ -141,13 +143,45 @@ def test_naive_reflexivity_refuted_with_countermodel():
     assert v.counter_model is not None and v.counter_model.model.sizes == {"a": 2}
 
 
-def test_batch_preserves_order_and_ids():
+def test_batch_preserves_order_and_ids(tmp_path):
+    # a configured prover is what puts the batch on a thread pool
     from dholc.corpus import gen_problem
 
+    cmd = _fake_prover(tmp_path, "slow.sh", "sleep 0.1\necho 'SZS status Theorem'\n")
+    e = gen_problem("choice_def1")
+    rep = check_theory(e.theory, e.conjecture, Mode.WEAK_EPSILON)
+    report = discharge(
+        rep.obligations, cfg=ProverConfig(command=cmd, time_limit=5), oracle_fallback=False, jobs=2
+    )
+    assert [v.obligation_id for v in report.verdicts] == [o.id for o in rep.obligations]
+    assert {v.status for v in report.verdicts} == {"discharged-atp"}
+
+
+def test_batch_without_prover_stays_on_the_calling_thread(monkeypatch):
+    import concurrent.futures
+    import threading
+
+    from dholc import prover
+    from dholc.corpus import gen_problem
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("thread pool started without an external prover")
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoPool)
+    threads = []
+    real = prover.discharge_one
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(prover, "discharge_one", recording)
     e = gen_problem("choice_def1")
     rep = check_theory(e.theory, e.conjecture, Mode.STRONG_EPSILON)
     report = discharge(rep.obligations, jobs=2)
-    assert [v.obligation_id for v in report.verdicts] == [o.id for o in rep.obligations]
+    assert len(report.verdicts) == len(rep.obligations) > 1
+    assert threads == [threading.get_ident()] * len(rep.obligations)
 
 
 def test_atp_integration_in_discharge(tmp_path):
@@ -165,15 +199,23 @@ def test_atp_integration_in_discharge(tmp_path):
 
 def test_sound_proofs_cross_validated_by_oracle():
     # whatever the bundled machinery proves must have no countermodel: the
-    # search may exhaust its budget, but it must never find one
+    # search may exhaust its budget, but it must never find one.  The same
+    # loop pins every corpus verdict, detail included, to the table in
+    # data/corpus_verdicts.json; a change to the ground prover, the oracle or
+    # discharge that moves one row must update the table on purpose.
     from dholc.corpus import gen_all
     from dholc.oracle import countermodel, merge_context
 
     checked = 0
+    rows = []
     for e in gen_all():
         for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
             rep = check_theory(e.theory, e.conjecture, mode)
             for ob, verdict in zip(rep.obligations, discharge(rep.obligations).verdicts):
+                rows.append(
+                    [e.name, mode.value, verdict.obligation_id, verdict.kind]
+                    + [verdict.status, verdict.method, verdict.detail]
+                )
                 if not verdict.discharged:
                     continue
                 merged = merge_context(ob.hol_theory, ob.hol_context)
@@ -183,6 +225,7 @@ def test_sound_proofs_cross_validated_by_oracle():
                 assert r.status != "countermodel", (e.name, mode.value, ob.id)
                 checked += 1
     assert checked > 10
+    assert rows == json.loads((Path(__file__).parent / "data" / "corpus_verdicts.json").read_text())
 
 
 def test_report_formats():
