@@ -120,11 +120,11 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
     universe = _universe(thy, ctx)
 
     atoms = _Atoms({}, [])
-    formulas = []
-    for t in assumptions + [neg(conjecture)]:
-        if len(formulas) >= MAX_FORMULAS:
-            break
-        formulas.append(_abstract(dn_normalize(beta_normalize(t)), atoms))
+    # The negated conjecture always goes in: the assumptions leave room for it.
+    formulas = [
+        _abstract(dn_normalize(beta_normalize(t)), atoms)
+        for t in assumptions[: MAX_FORMULAS - 1] + [neg(conjecture)]
+    ]
 
     # Saturate in one forward pass: instantiate each universal atom over the
     # universe and add the choice schema for each choice subterm.  Atoms that
@@ -169,6 +169,8 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             other = eq_keys.get(flipped)
             if other is not None and other != idx:
                 formulas.append(("impl", ("atom", idx), ("atom", other)))
+    # The formulas before this pass are within the cap; so are its own.
+    del formulas[MAX_FORMULAS:]
 
     return _unsat(formulas, len(atoms.terms))
 
@@ -241,8 +243,12 @@ def _dpll_sat(clauses: list[list[int]], nvars: int) -> bool:
                         changed = True
         return True
 
-    def solve() -> bool:
-        nonlocal nodes
+    # The search branches on the first unassigned variable, True before
+    # False.  Each frame of the explicit stack is one open branch:
+    # [variable, the variables its node's propagation assigned, whether the
+    # False branch has been entered].
+    stack: list[list] = []
+    while True:
         nodes += 1
         if nodes > MAX_DPLL_NODES:
             # give up: treat as satisfiable, i.e. "not proved" (sound side)
@@ -252,13 +258,21 @@ def _dpll_sat(clauses: list[list[int]], nvars: int) -> bool:
             if None not in values:
                 return True
             var = values.index(None)
-            for val in (True, False):
-                values[var] = val
-                if solve():
-                    return True
-            values[var] = None
+            values[var] = True
+            stack.append([var, trail, False])
+            continue
         for v in trail:
             values[v] = None
-        return False
-
-    return solve()
+        # Backtrack to the deepest branch whose False side is still untried.
+        while stack:
+            frame = stack[-1]
+            if not frame[2]:
+                frame[2] = True
+                values[frame[0]] = False
+                break
+            values[frame[0]] = None
+            for v in frame[1]:
+                values[v] = None
+            stack.pop()
+        else:
+            return False

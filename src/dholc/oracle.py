@@ -11,10 +11,14 @@ carrier; carriers are nonempty, so this is total, and it validates the HOL
 choice rule by construction: whenever a witness exists, the chosen element is
 one.
 
-Each term is compiled once into nested Python closures, one per subterm, that
-read and write a shared list of variable slots (closure generation, Feeley &
-Lapalme 1987); the countermodel search reassigns the constants' slots and
-reruns the axiom and conjecture closures.
+Each term is compiled once into nested Python closures that read and write a
+shared list of variable slots (closure generation, Feeley & Lapalme 1987).
+The closures are specialised to the node combinations erased obligations are
+made of (superoperators, Proebsting 1995): an application spine with a
+variable head is one digit lookup, and a ∀ over ⇒ is one loop.  The
+countermodel search reassigns the constants' slots depth first and, at each
+level, runs one conjunction of the axioms that level completes; a level's
+closures are compiled the first time the search reaches it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
+from math import prod
 from typing import Callable, Optional
 
 from .syntax import (
@@ -44,6 +49,7 @@ from .syntax import (
     Type,
     free_vars,
     is_simple_type,
+    spine,
     Var,
 )
 
@@ -139,101 +145,288 @@ def _show_value(ty: Type, decoded) -> str:
 # the current contents of its compiler's slot list.
 Closure = Callable[[], int]
 
+# The closure builders.  Each closure is made in a small function of its own,
+# so it captures only what it reads and Compiler._go keeps plain locals rather
+# than a cell for every variable that one of its branches would capture.
+
+
+def _false() -> int:
+    return 0
+
+
+def _read(env: list[int], slot: int) -> Closure:
+    return lambda: env[slot]
+
+
+def _implies(l: Closure, r: Closure) -> Closure:
+    return lambda: r() if l() else 1
+
+
+def _not(l: Closure) -> Closure:  # l ⇒ ⊥
+    return lambda: 0 if l() else 1
+
+
+def _eq(l: Closure, r: Closure) -> Closure:
+    return lambda: 1 if l() == r() else 0
+
+
+def _forall(env: list[int], slot: int, values: range, body: Closure) -> Closure:
+    def forall() -> int:
+        for v in values:
+            env[slot] = v
+            if not body():
+                return 0
+        return 1
+
+    return forall
+
+
+def _forall_implies(env: list[int], slot: int, values: range, l: Closure, r: Closure) -> Closure:
+    def forall() -> int:  # ∀x. l ⇒ r, with no call for the implication
+        for v in values:
+            env[slot] = v
+            if l() and not r():
+                return 0
+        return 1
+
+    return forall
+
+
+def _forall_not(env: list[int], slot: int, values: range, l: Closure) -> Closure:
+    def forall() -> int:  # ∀x. l ⇒ ⊥
+        for v in values:
+            env[slot] = v
+            if l():
+                return 0
+        return 1
+
+    return forall
+
+
+def _choice(env: list[int], slot: int, values: range, body: Closure) -> Closure:
+    def choice() -> int:
+        for v in values:
+            env[slot] = v
+            if body():
+                return v
+        return 0
+
+    return choice
+
+
+def _lam(env: list[int], slot: int, values: range, body: Closure, d: int) -> Closure:
+    def lam() -> int:
+        acc = 0
+        pw = 1
+        for v in values:
+            env[slot] = v
+            acc += body() * pw
+            pw *= d
+        return acc
+
+    return lam
+
+
+def _conjunction(roots: list[Closure]) -> Closure:
+    def conj() -> int:
+        for r in roots:
+            if not r():
+                return 0
+        return 1
+
+    return conj
+
+
+def _apply(f: Closure, u: Closure, c: int) -> Closure:
+    return lambda: f() // c ** u() % c
+
+
+# A spine h a1 … ak whose head h is a variable of type A1 > … > Ak > R is one
+# digit of env[h] in base c = |R|, at the mixed-radix index
+# i = ((a1·n2 + a2)·n3 + a3)…, where nj = |Aj|.  pw[i] is c**i.  The "s"
+# builders read variable arguments straight from their slots; the others call
+# one closure per argument.
+
+
+def _spine1s(env, h, s1, pw, c) -> Closure:
+    return lambda: env[h] // pw[env[s1]] % c
+
+
+def _spine2s(env, h, s1, s2, n2, pw, c) -> Closure:
+    return lambda: env[h] // pw[env[s1] * n2 + env[s2]] % c
+
+
+def _spine3s(env, h, s1, s2, s3, n2, n3, pw, c) -> Closure:
+    return lambda: env[h] // pw[(env[s1] * n2 + env[s2]) * n3 + env[s3]] % c
+
+
+def _spine1(env, h, a1, pw, c) -> Closure:
+    return lambda: env[h] // pw[a1()] % c
+
+
+def _spine2(env, h, a1, a2, n2, pw, c) -> Closure:
+    return lambda: env[h] // pw[a1() * n2 + a2()] % c
+
+
+def _spine3(env, h, a1, a2, a3, n2, n3, pw, c) -> Closure:
+    return lambda: env[h] // pw[(a1() * n2 + a2()) * n3 + a3()] % c
+
+
+def _spine(env, h, args, radices, pw, c) -> Closure:
+    def spine() -> int:
+        i = 0
+        for a, n in zip(args, radices):
+            i = i * n + a()
+        return env[h] // pw[i] % c
+
+    return spine
+
+
+_SLOT_SPINES = {1: _spine1s, 2: _spine2s, 3: _spine3s}
+_CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
+
+# A spine with at most this many digit positions reads its powers from a list;
+# a longer one computes c**i.  A constant's card is c to the number of its
+# digit positions, and the search's max_models check bounds that card, so with
+# c ≥ 2 and max_models below 2**64 every spine of a constant gets a list.  A
+# bound variable of a huge function type never makes compile build a huge one.
+_POWER_TABLE_MAX = 64
+
+
+class _Powers:
+    """c**i on demand, indexed like a power table."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: int):
+        self.c = c
+
+    def __getitem__(self, i: int) -> int:
+        return self.c**i
+
 
 class Compiler:
     """Compiles terms into nested Python closures over one shared slot list,
     ``env``.  Slots 0..n-1 hold the values of the named symbols (constants
     first, then extra assignment variables); binder slots are allocated after
-    them, one per binder occurrence, so no two closures write the same slot."""
+    them, one per binder occurrence, so no two closures write the same slot.
+
+    The closures specialise the shapes that dominate erased obligations
+    (Proebsting's superoperators, POPL 1995): an application spine with a
+    variable head is one closure that reads one digit of the head's value,
+    taking variable arguments straight from their slots; ``l ⇒ ⊥`` is a
+    negation; and ``∀x. l ⇒ r`` is one loop with no call for the implication.
+    Other applications, such as a λ-redex or an ε of function type applied to
+    an argument, stay one closure per ``App``."""
 
     def __init__(self, sizes: dict[str, int], symbols: dict[str, Type]):
         self.sizes = sizes
         self.symbol_types = dict(symbols)
         self.slot_of = {name: i for i, name in enumerate(symbols)}
         self.env: list[int] = [0] * len(symbols)
+        self._tables: dict[tuple[int, int], list[int]] = {}
 
     def compile(self, t: Term) -> tuple[Closure, Type]:
         """Returns (closure computing the term's value, simple type of the term)."""
         return self._go(t, {})
 
-    def _binder(self, x: str, a: Type, body: Term, benv: dict[str, tuple[int, Type]]):
+    def _lookup(self, n: str, benv: dict[str, tuple[int, Type]]) -> tuple[int, Type]:
+        if n in benv:
+            return benv[n]
+        if n in self.slot_of:
+            return self.slot_of[n], self.symbol_types[n]
+        raise OracleError(f"unbound symbol {n!r} in oracle term")
+
+    def _bind(self, x: str, a: Type, benv: dict[str, tuple[int, Type]]):
         slot = len(self.env)
         self.env.append(0)
-        fn, ty = self._go(body, {**benv, x: (slot, a)})
-        return slot, range(type_card(a, self.sizes)), fn, ty
+        return slot, range(type_card(a, self.sizes)), {**benv, x: (slot, a)}
+
+    def _bool(self, t: Term, benv: dict[str, tuple[int, Type]], what: str) -> Closure:
+        fn, ty = self._go(t, benv)
+        if not isinstance(ty, Bool):
+            raise OracleError(f"ill-typed {what} reached the oracle")
+        return fn
+
+    def _powers(self, c: int, digits: int):
+        if digits > _POWER_TABLE_MAX:
+            return _Powers(c)
+        table = self._tables.get((c, digits))
+        if table is None:
+            table = self._tables[c, digits] = [c**j for j in range(digits)]
+        return table
 
     def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[Closure, Type]:
-        env = self.env
         match t:
             case Var(name=n):
-                if n in benv:
-                    slot, ty = benv[n]
-                elif n in self.slot_of:
-                    slot, ty = self.slot_of[n], self.symbol_types[n]
-                else:
-                    raise OracleError(f"unbound symbol {n!r} in oracle term")
-                return (lambda: env[slot]), ty
+                slot, ty = self._lookup(n, benv)
+                return _read(self.env, slot), ty
             case Falsum():
-                return (lambda: 0), BOOL
+                return _false, BOOL
             case Implies(lhs=l, rhs=r):
-                lf, lt = self._go(l, benv)
-                rf, rt = self._go(r, benv)
-                if not isinstance(lt, Bool) or not isinstance(rt, Bool):
-                    raise OracleError("ill-typed implication reached the oracle")
-                return (lambda: rf() if lf() else 1), BOOL
+                lf = self._bool(l, benv, "implication")
+                if isinstance(r, Falsum):
+                    return _not(lf), BOOL
+                return _implies(lf, self._bool(r, benv, "implication")), BOOL
             case Eq(lhs=l, rhs=r):
                 lf, _ = self._go(l, benv)
                 rf, _ = self._go(r, benv)
-                return (lambda: 1 if lf() == rf() else 0), BOOL
+                return _eq(lf, rf), BOOL
             case Forall(bound=x, annot=a, body=b):
-                slot, values, body, bt = self._binder(x, a, b, benv)
-                if not isinstance(bt, Bool):
-                    raise OracleError("ill-typed quantifier body reached the oracle")
-
-                def forall() -> int:
-                    for v in values:
-                        env[slot] = v
-                        if not body():
-                            return 0
-                    return 1
-
-                return forall, BOOL
+                slot, values, inner = self._bind(x, a, benv)
+                if not isinstance(b, Implies):
+                    body = self._bool(b, inner, "quantifier body")
+                    return _forall(self.env, slot, values, body), BOOL
+                lf = self._bool(b.lhs, inner, "implication")
+                if isinstance(b.rhs, Falsum):
+                    return _forall_not(self.env, slot, values, lf), BOOL
+                rf = self._bool(b.rhs, inner, "implication")
+                return _forall_implies(self.env, slot, values, lf, rf), BOOL
             case Choice(bound=x, annot=a, body=b):
-                slot, values, body, bt = self._binder(x, a, b, benv)
-                if not isinstance(bt, Bool):
-                    raise OracleError("ill-typed choice body reached the oracle")
-
-                def choice() -> int:
-                    for v in values:
-                        env[slot] = v
-                        if body():
-                            return v
-                    return 0
-
-                return choice, a
+                slot, values, inner = self._bind(x, a, benv)
+                body = self._bool(b, inner, "choice body")
+                return _choice(self.env, slot, values, body), a
             case Lambda(bound=x, annot=a, body=b):
-                slot, values, body, bt = self._binder(x, a, b, benv)
-                d = type_card(bt, self.sizes)
-
-                def lam() -> int:
-                    acc = 0
-                    pw = 1
-                    for v in values:
-                        env[slot] = v
-                        acc += body() * pw
-                        pw *= d
-                    return acc
-
-                return lam, Pi(x, a, bt)
+                slot, values, inner = self._bind(x, a, benv)
+                body, bt = self._go(b, inner)
+                return _lam(self.env, slot, values, body, type_card(bt, self.sizes)), Pi(x, a, bt)
             case App(fun=f, arg=u):
+                head, args = spine(t)
+                if isinstance(head, Var):
+                    return self._spine(head.name, args, benv)
                 ff, ft = self._go(f, benv)
                 uf, _ = self._go(u, benv)
                 if not isinstance(ft, Pi):
                     raise OracleError("application of a non-function reached the oracle")
-                c = type_card(ft.codomain, self.sizes)
-                return (lambda: ff() // c ** uf() % c), ft.codomain
+                return _apply(ff, uf, type_card(ft.codomain, self.sizes)), ft.codomain
             case _:
                 raise OracleError(f"not a term: {t!r}")
+
+    def _spine(
+        self, name: str, args: list[Term], benv: dict[str, tuple[int, Type]]
+    ) -> tuple[Closure, Type]:
+        h, ty = self._lookup(name, benv)
+        radices: list[int] = []
+        getters: list = []  # a slot for a variable argument, else a closure
+        for u in args:
+            if not isinstance(ty, Pi):
+                raise OracleError("application of a non-function reached the oracle")
+            radices.append(type_card(ty.domain, self.sizes))
+            if isinstance(u, Var):
+                getters.append(self._lookup(u.name, benv)[0])
+            else:
+                getters.append(self._go(u, benv)[0])
+            ty = ty.codomain
+        c = type_card(ty, self.sizes)
+        pw = self._powers(c, prod(radices))
+        env = self.env
+        k = len(args)
+        if k in _SLOT_SPINES and all(type(g) is int for g in getters):
+            return _SLOT_SPINES[k](env, h, *getters, *radices[1:], pw, c), ty
+        calls = [_read(env, g) if type(g) is int else g for g in getters]
+        if k in _CALL_SPINES:
+            return _CALL_SPINES[k](env, h, *calls, *radices[1:], pw, c), ty
+        return _spine(env, h, calls, radices, pw, c), ty
 
 
 class CompiledTerms:
@@ -285,6 +478,17 @@ class _OutOfTime(Exception):
     pass
 
 
+_UNREACHED = object()  # a search level whose check is not compiled yet
+
+
+def _compile_check(comp: Compiler, terms: list[Term]) -> Optional[Closure]:
+    """One closure that is nonzero iff every term is; None for no terms."""
+    roots = [comp.compile(t)[0] for t in terms]
+    if len(roots) > 1:
+        return _conjunction(roots)
+    return roots[0] if roots else None
+
+
 def _size_tuples(nbases: int, max_size: int):
     return sorted(
         itertools.product(range(1, max_size + 1), repeat=nbases), key=lambda t: (sum(t), t)
@@ -301,7 +505,13 @@ def countermodel(
     (total, lexicographic), interpretations in canonical integer order,
     constants in declaration order with axioms checked as soon as all their
     symbols are assigned.  Budget exhaustion is reported distinctly from an
-    exhaustive "none up to bound"."""
+    exhaustive "none up to bound".
+
+    Each level of the search, the assignment of one constant, has one check:
+    the conjunction of the axioms whose last constant it is.  A level's check,
+    and the conjecture, are compiled when the search first reaches them at a
+    carrier size, so a level the search never reaches is never compiled, and
+    an ill-typed axiom there raises no OracleError."""
     bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
     for d in thy:
         if isinstance(d, BaseTypeDecl) and d.telescope:
@@ -312,12 +522,24 @@ def countermodel(
     for _, ty in consts:
         if not is_simple_type(ty):
             raise OracleError("non-simple constant type reached the oracle")
+    index = {n: i for i, (n, _) in enumerate(consts)}
+    nconsts = len(consts)
     axioms = [d.term for d in thy if isinstance(d, AxiomDecl)]
-    known = {n for n, _ in consts}
-    for t in axioms + [conjecture]:
-        for v in free_vars(t):
-            if v not in known:
+    free = [free_vars(t) for t in axioms + [conjecture]]
+    for symbols in free:
+        for v in symbols:
+            if v not in index:
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
+    # An axiom is checked right after the highest-indexed constant it mentions
+    # has been assigned, at that constant's level; one that mentions none is
+    # checked before the search.  The conjecture is the last level.
+    upfront: list[Term] = []
+    levels: list[list[Term]] = [[] for _ in range(nconsts)] + [[conjecture]]
+    for t, symbols in zip(axioms, free):
+        if symbols:
+            levels[max(index[v] for v in symbols)].append(t)
+        else:
+            upfront.append(t)
 
     deadline = time.monotonic() + budget.max_seconds
     exhausted_any = False
@@ -335,23 +557,13 @@ def countermodel(
             detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
             continue
 
-        comp = Compiler(sizes, {n: ty for n, ty in consts})
-        # An axiom is checked right after the highest-indexed constant it
-        # mentions has been assigned.
-        scheduled: dict[int, list[Closure]] = {i: [] for i in range(len(consts))}
-        upfront: list[Closure] = []
-        for axiom in axioms:
-            root, _ = comp.compile(axiom)
-            slots = {comp.slot_of[v] for v in free_vars(axiom)}
-            if slots:
-                scheduled[max(slots)].append(root)
-            else:
-                upfront.append(root)
-        conj_root, _ = comp.compile(conjecture)
+        comp = Compiler(sizes, dict(consts))
         ct = CompiledTerms(comp)
+        run = ct.run
         env = ct.env
-
         cards = [type_card(ty, sizes) for _, ty in consts]
+        # the compiled levels, each _UNREACHED until the search first gets there
+        checks: list = [_UNREACHED] * (nconsts + 1)
         steps = 0
 
         def dfs(i: int) -> bool:
@@ -359,17 +571,21 @@ def countermodel(
             steps += 1
             if steps % 1024 == 0 and time.monotonic() > deadline:
                 raise _OutOfTime
-            if i == len(consts):
-                return ct.run(conj_root) == 0
+            check = checks[i]
+            if check is _UNREACHED:
+                check = checks[i] = _compile_check(comp, levels[i])
+            if i == nconsts:
+                return run(check) == 0
             for v in range(cards[i]):
                 env[i] = v
-                if all(ct.run(r) != 0 for r in scheduled[i]):
+                if check is None or run(check):
                     if dfs(i + 1):
                         return True
             return False
 
         try:
-            if all(ct.run(r) != 0 for r in upfront):
+            check = _compile_check(comp, upfront)
+            if check is None or run(check):
                 if dfs(0):
                     model = FiniteModel(
                         sizes=sizes,

@@ -190,6 +190,9 @@ def test_dpll_agrees_with_truth_table():
     # satisfiable only with 1 false and 2 true, after both values of 2 have
     # failed under 1 true: a failed branch must leave its variable unassigned
     cases.append(([[-1, -2, 3], [-1, -2, -3], [-1, 2, 3], [-1, 2, -3], [1, 2]], 3))
+    # 1 true propagates 2 true, and then both values of 3 fail; 1 false must
+    # see 2 unassigned again, or the model 1 = 2 = false is missed
+    cases.append(([[-1, 2], [-2, 3, 4], [-2, 3, -4], [-2, -3, 4], [-2, -3, -4]], 4))
     outcomes = set()
     for clauses, nvars in cases:
         expected = _truth_table_sat(clauses, nvars)
@@ -204,3 +207,38 @@ def test_dpll_node_cap_means_not_proved(monkeypatch):
     assert not ground._dpll_sat(clauses, 2)
     monkeypatch.setattr(ground, "MAX_DPLL_NODES", 1)
     assert ground._dpll_sat(clauses, 2)
+
+
+def _many(n, axiom):
+    """n $o constants p_i and q_i, each pair with axiom(p_i, q_i)."""
+    decls = []
+    for i in range(n):
+        p, q = f"p{i}", f"q{i}"
+        decls += [ConstDecl(p, BOOL), ConstDecl(q, BOOL)]
+        decls.append(AxiomDecl(f"ax{i}", axiom(Var(p), Var(q))))
+    return Theory(tuple(decls))
+
+
+def test_negated_conjecture_survives_the_formula_cap():
+    # 700 assumptions fill MAX_FORMULAS; the negated conjecture must still be
+    # asserted, or p0 cannot be proved from the first of them
+    thy = _many(700, lambda p, q: p)
+    assert prove_ground(thy, Context(), Var("p0"))
+
+
+def test_equality_pass_respects_the_formula_cap(monkeypatch):
+    # every axiom is a reflexive equation, so each capped assumption's atom
+    # asks the equality pass for one more formula
+    seen = []
+    real = ground._unsat
+    monkeypatch.setattr(ground, "_unsat", lambda fs, n: seen.append(len(fs)) or real(fs, n))
+    thy = _many(700, lambda p, q: Eq(BOOL, p, p))
+    assert prove_ground(thy, Context(), Eq(BOOL, Var("p0"), Var("p0")))
+    assert seen == [ground.MAX_FORMULAS]
+
+
+def test_dpll_decisions_do_not_recurse():
+    # satisfiable; finding a model takes one decision per pair, more than
+    # Python's default recursion limit of frames
+    thy = _many(590, lambda p, q: Implies(neg(p), q))
+    assert not prove_ground(thy, Context(), FALSE)

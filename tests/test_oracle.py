@@ -1,5 +1,11 @@
+import json
+import random
+import time
+from pathlib import Path
+
 import pytest
 
+from dholc.corpus import gen_all
 from dholc.erasure import ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, check_theory
 from dholc.oracle import (
@@ -10,6 +16,7 @@ from dholc.oracle import (
     SearchBudget,
     countermodel,
     eval_term,
+    merge_context,
     type_card,
 )
 from dholc.parser import parse_theory
@@ -17,6 +24,7 @@ from dholc.syntax import (
     App,
     AxiomDecl,
     Base,
+    BaseTypeDecl,
     BOOL,
     Choice,
     ConstDecl,
@@ -260,7 +268,6 @@ def reference_eval(t, sizes, env):
 
 def test_closures_agree_with_reference_evaluator():
     import itertools
-    import random
 
     from genterms import THEORY, TermGen
 
@@ -287,3 +294,165 @@ def test_closures_agree_with_reference_evaluator():
             assert value == reference_eval(t, sizes, env)
             seen.add(value)
     assert seen == {0, 1}
+
+
+NAT, FIN = Base("nat"), Base("fin")
+
+
+def arrows(*tys):
+    """A1 > … > Ak > R"""
+    ty = tys[-1]
+    for a in reversed(tys[:-1]):
+        ty = Pi("_", a, ty)
+    return ty
+
+
+def test_specialised_closures_agree_with_reference_evaluator():
+    # |nat| = 2 and |fin| = 3, so a digit or radix taken from the wrong
+    # position changes the value
+    sizes = {"nat": 2, "fin": 3}
+    symbols = {
+        "n": NAT,
+        "m": FIN,
+        "p1": arrows(NAT, BOOL),
+        "r2": arrows(NAT, FIN, BOOL),
+        "g3": arrows(FIN, NAT, FIN, FIN),
+        "q4": arrows(NAT, FIN, NAT, FIN, BOOL),
+        "w5": arrows(FIN, NAT, FIN, NAT, FIN, BOOL),
+        "d2": arrows(NAT, FIN, NAT),
+        "k": arrows(FIN, NAT, FIN),
+        "h": arrows(arrows(NAT, FIN), NAT),
+        "e": arrows(arrows(FIN, NAT), FIN),
+    }
+    n, m, x, y, f = (Var(v) for v in ("n", "m", "x", "y", "f"))
+
+    def call(head, *args):
+        return apply(Var(head) if isinstance(head, str) else head, *args)
+
+    g = call("g3", m, n, m)
+    hk = call("h", call("k", m))  # a nat computed through a function argument
+    is_kg = Eq(FIN, call(f, x), call("k", g, x))
+    is_d2 = Eq(NAT, call(f, x, y), call("d2", x, y))
+    terms = [
+        # spines of arity 1-5 over constants, variable arguments
+        call("p1", n),
+        call("r2", n, m),
+        g,
+        call("q4", n, m, n, m),
+        call("w5", m, n, m, n, m),
+        # compound arguments, alone and mixed with variables
+        call("p1", Choice("x", NAT, call("p1", x))),
+        call("r2", n, g),
+        call("r2", hk, g),
+        call("g3", g, n, m),
+        call("g3", g, call("h", call("k", g)), g),
+        call("q4", n, g, n, call("k", m, n)),
+        call("w5", call("k", m, n), n, g, n, g),
+        # bound variables as arguments and as heads
+        Forall("x", NAT, Forall("y", FIN, Implies(call("r2", x, y), call("p1", x)))),
+        Lambda("y", FIN, Lambda("x", NAT, call("g3", y, x, y))),
+        Lambda("x", NAT, Lambda("y", FIN, call("q4", x, y, x, y))),
+        Forall("f", arrows(NAT, FIN, BOOL), Implies(call(f, n, m), call("r2", n, m))),
+        exists("f", arrows(NAT, NAT, NAT, BOOL), conj(call(f, n, n, n), neg(call(f, n, hk, n)))),
+        call(Choice("f", arrows(NAT, FIN, NAT), Forall("x", NAT, Forall("y", FIN, is_d2))), n, m),
+        # partial applications whose value is a function; function arguments
+        call("k", m),
+        call("g3", m),
+        call("g3", m, n),
+        Eq(arrows(NAT, FIN), call("k", m), Lambda("x", NAT, call("g3", m, x, m))),
+        call("h", call("k", g)),
+        call("h", Lambda("x", NAT, call("g3", m, x, m))),
+        Forall(
+            "f",
+            arrows(NAT, FIN, NAT),
+            Implies(Eq(FIN, call("e", call(f, n)), m), call("r2", n, call("e", call(f, hk)))),
+        ),
+        Forall("f", arrows(NAT, FIN), Implies(Eq(NAT, call("h", f), n), call("p1", call("h", f)))),
+        # a λ-redex and an ε of function type as heads
+        call(Lambda("x", NAT, Lambda("y", FIN, call("r2", x, y))), n, m),
+        call(Lambda("x", NAT, call("k", m, x)), hk),
+        call(Choice("f", arrows(NAT, FIN), Forall("x", NAT, is_kg)), n),
+        call(Choice("f", arrows(FIN, NAT, BOOL), Eq(BOOL, call(f, m, n), call("p1", n))), m, n),
+        # ∀ over ⇒, ⇒ ⊥, and both together
+        Forall("x", NAT, Implies(call("p1", x), call("r2", x, m))),
+        Forall("y", FIN, Implies(call("r2", n, y), Eq(FIN, y, m))),
+        Implies(call("p1", n), FALSE),
+        Forall("x", NAT, Implies(call("p1", x), FALSE)),
+        Forall("y", FIN, Implies(Implies(call("r2", n, y), FALSE), FALSE)),
+    ]
+    comp = Compiler(sizes, symbols)
+    roots = [comp.compile(t)[0] for t in terms]
+    ct = CompiledTerms(comp)
+    cards = [type_card(ty, sizes) for ty in symbols.values()]
+    rng = random.Random(7)
+    values = [set() for _ in terms]
+    for _ in range(150):
+        assignment = [rng.randrange(c) for c in cards]
+        ct.env[: len(cards)] = assignment
+        env = {s: (ty, v) for (s, ty), v in zip(symbols.items(), assignment)}
+        for i, (t, root) in enumerate(zip(terms, roots)):
+            value = ct.run(root)
+            assert value == reference_eval(t, sizes, env), t
+            values[i].add(value)
+    # every term takes more than one value, so each is really tested
+    assert all(len(v) > 1 for v in values), [i for i, v in enumerate(values) if len(v) < 2]
+
+
+def test_compile_builds_no_power_table_sized_by_a_bound_head():
+    # f's one argument has |a > a > a| = 3^9 values; powers of 2 tabulated
+    # for all of them would take most of a second to build
+    aaa = arrows(A, A, A)
+    t = Forall("f", arrows(aaa, BOOL), App(Var("f"), Lambda("x", A, Lambda("y", A, Var("x")))))
+    start = time.perf_counter()
+    Compiler({"a": 3}, {}).compile(t)
+    assert time.perf_counter() - start < 0.25
+
+
+def test_ill_typed_axiom_raises_once_the_search_reaches_its_level():
+    bad = AxiomDecl("bad", App(Var("d"), Var("d")))  # d : a is no function
+    reached = Theory((BaseTypeDecl("a"), ConstDecl("c", A), ConstDecl("d", A), bad))
+    with pytest.raises(OracleError):
+        countermodel(reached, FALSE, SearchBudget(max_size=2))
+    # no value of c passes its axiom, so d's level is never reached or compiled
+    never = Theory(
+        (
+            BaseTypeDecl("a"),
+            ConstDecl("c", A),
+            ConstDecl("d", A),
+            AxiomDecl("no_c", neg(Eq(A, Var("c"), Var("c")))),
+            bad,
+        )
+    )
+    assert countermodel(never, FALSE, SearchBudget(max_size=2)).status == "none"
+
+
+# ---------------------------------------------------------------------------
+# pinned search results
+
+ORACLE_RESULTS = Path(__file__).parent / "data" / "oracle_results.json"
+DEEP_BUDGET = SearchBudget(max_size=2, max_models=20_000_000, max_seconds=600.0)
+
+
+def oracle_deep_results():
+    """[problem, mode, obligation, status, detail, model or None] for one
+    obligation per corpus problem except choice_def1: the index-th problem
+    gives obligation index mod its count, in eps1 for indices 0, 1, 4, 5, …
+    and eps2 for the others (the oracle_deep benchmark's mix)."""
+    rows = []
+    for index, entry in enumerate(gen_all()):
+        if entry.name == "choice_def1":
+            continue
+        mode = (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON)[(index // 2) % 2]
+        rep = check_theory(entry.theory, entry.conjecture, mode)
+        ob = rep.obligations[index % len(rep.obligations)]
+        r = countermodel(merge_context(ob.hol_theory, ob.hol_context), ob.conjecture, DEEP_BUDGET)
+        model = r.model.to_json_dict() if r.found else None
+        rows.append([entry.name, mode.value, ob.id, r.status, r.detail, model])
+    return rows
+
+
+def test_oracle_results_are_pinned():
+    # the enumeration order fixes the first countermodel; a change to the
+    # evaluator or the search must leave every row as it is
+    rows = json.loads(json.dumps(oracle_deep_results()))
+    assert rows == json.loads(ORACLE_RESULTS.read_text())
