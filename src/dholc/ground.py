@@ -16,11 +16,19 @@ clauses connect the atoms:
 The first two families are added in one forward pass over the atom list:
 atoms that the new formulas register are appended and visited in turn, so
 every atom is instantiated and scanned for choice subterms exactly once.
-The clauses are Tseitin-encoded and handed to a small DPLL search.
+The clauses are Tseitin-encoded and handed to a small DPLL search, whose
+unit propagation watches two literals per clause (Eén & Sörensson, SAT 2003).
 
 Everything asserted is HOL_ε-valid, so an UNSAT answer is a real proof.
 Classical double negations are collapsed at formula positions so that
 differently sugared statements of the same fact meet in the same atom.
+
+Input formulas and choice schemas are beta- and double-negation-normalised
+before abstraction; instances are not normalised again.  Every atom is a
+subterm of a normal formula, and substituting a constant for a bound
+variable creates neither a beta-redex (the constant is no lambda) nor a
+double negation (the connective spine is unchanged), so an instance of a
+normal body is normal already.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import Optional
 
 from .erasure import beta_normalize
 from .syntax import (
+    App,
     AxiomDecl,
     Base,
     Bool,
@@ -40,6 +49,8 @@ from .syntax import (
     Falsum,
     Forall,
     Implies,
+    Lambda,
+    Pi,
     Term,
     Theory,
     Type,
@@ -49,7 +60,6 @@ from .syntax import (
     alpha_key,
     neg,
     subst,
-    subterms,
 )
 
 MAX_FORMULAS = 600
@@ -112,6 +122,40 @@ def _universe(thy: Theory, ctx: Context) -> list[tuple[str, Type]]:
     return out
 
 
+def _choices(t: Term) -> list[Choice]:
+    """The choice subterms of t in pre-order, those inside type annotations
+    included: the choices of ``syntax.subterms(t)``, in one walk with an
+    explicit stack instead of nested generators."""
+    out: list[Choice] = []
+    stack: list = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        t = pop()
+        cls = type(t)
+        if cls is App:
+            push(t.arg)
+            push(t.fun)
+        elif cls is Implies:
+            push(t.rhs)
+            push(t.lhs)
+        elif cls is Forall or cls is Choice or cls is Lambda:
+            if cls is Choice:
+                out.append(t)
+            push(t.body)
+            push(t.annot)
+        elif cls is Eq:
+            push(t.rhs)
+            push(t.lhs)
+            if t.ty is not None:
+                push(t.ty)
+        elif cls is Base:
+            stack.extend(reversed(t.args))
+        elif cls is Pi:
+            push(t.codomain)
+            push(t.domain)
+    return out
+
+
 def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
     """True iff the negated conjecture plus axioms/assumptions is found
     propositionally unsatisfiable; a sound, incomplete HOL_ε proof."""
@@ -139,28 +183,25 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             for name, ty in universe:
                 if not alpha_eq_type(ty, a_term.annot):
                     continue
-                inst = dn_normalize(beta_normalize(subst(a_term.body, a_term.bound, Var(name))))
+                # Already normal: see the module docstring.
+                inst = subst(a_term.body, a_term.bound, Var(name))
                 formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
                 if len(formulas) >= MAX_FORMULAS:
                     break
-        for sub in subterms(a_term):
-            if isinstance(sub, Choice):
-                key = alpha_key(sub)
-                if key in done_choice:
-                    continue
-                done_choice.add(key)
-                witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
-                conclusion = subst(sub.body, sub.bound, sub)
-                schema = Implies(witness, conclusion)
-                formulas.append(_abstract(dn_normalize(beta_normalize(schema)), atoms))
-                if len(formulas) >= MAX_FORMULAS:
-                    break
+        for sub in _choices(a_term):
+            key = alpha_key(sub)
+            if key in done_choice:
+                continue
+            done_choice.add(key)
+            witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
+            conclusion = subst(sub.body, sub.bound, sub)
+            schema = Implies(witness, conclusion)
+            formulas.append(_abstract(dn_normalize(beta_normalize(schema)), atoms))
+            if len(formulas) >= MAX_FORMULAS:
+                break
 
     # Equality atoms: reflexivity and symmetry only (no congruence).
-    eq_keys: dict[str, int] = {}
-    for idx, t in enumerate(atoms.terms):
-        if isinstance(t, Eq):
-            eq_keys[alpha_key(t)] = idx
+    eq_keys = {key: idx for key, idx in atoms.by_key.items() if isinstance(atoms.terms[idx], Eq)}
     for idx, t in enumerate(atoms.terms):
         if isinstance(t, Eq):
             if alpha_eq(t.lhs, t.rhs):
@@ -208,71 +249,106 @@ def _unsat(formulas, natoms: int) -> bool:
     for pf in formulas:
         clauses.append([encode(pf)])
 
-    return not _dpll_sat(clauses, nvars)
+    return not _dpll_sat(clauses, nvars)[0]
 
 
-def _dpll_sat(clauses: list[list[int]], nvars: int) -> bool:
-    # values[v] is None while variable v is unassigned; slot 0 is a
-    # placeholder that is never None.
-    values: list[Optional[bool]] = [False] + [None] * nvars
-    nodes = 0
+def _dpll_sat(clauses: list[list[int]], nvars: int) -> tuple[bool, int]:
+    """(satisfiable, search nodes visited) for a CNF over variables
+    1..nvars.  Giving up after MAX_DPLL_NODES nodes answers satisfiable,
+    i.e. "not proved", the sound side.
+
+    Each node runs unit propagation to its fixpoint, or to a falsified
+    clause, with two watched literal positions per clause (Eén & Sörensson,
+    SAT 2003).  A clause is unit once all of its literal occurrences but one
+    are false, so a repeated literal counts once per occurrence."""
+    # value[lit] for a literal -nvars..nvars: None while unassigned, else
+    # whether the literal is true.  A negative literal indexes from the end
+    # of the list, so the two literals of a variable never share a slot.
+    value: list[Optional[bool]] = [None] * (2 * nvars + 1)
+    # watches[lit]: the clauses with lit at watched position 0 or 1, once per
+    # such position.  The search reorders the literals of its own copies.
+    watches: list[list[list[int]]] = [[] for _ in value]
+    # A node's trail lists the literals it made true, in order: its decision
+    # first, then what propagation derived.  The root's trail starts with
+    # the unit clauses.
+    trail: list[int] = []
+    root_ok = True
+    for cl in clauses:
+        if len(cl) > 1:
+            cl = list(cl)
+            watches[cl[0]].append(cl)
+            watches[cl[1]].append(cl)
+        elif not cl or value[cl[0]] is False:
+            root_ok = False
+        elif value[cl[0]] is None:
+            value[cl[0]] = True
+            value[-cl[0]] = False
+            trail.append(cl[0])
 
     def propagate(trail: list[int]) -> bool:
-        """Sweep the clauses, assigning the one open literal of each unit
-        clause, until a sweep assigns nothing.  False once a clause is
+        """Visit the clauses watching the negation of each trail literal,
+        appending the literals that become unit.  False once a clause is
         falsified."""
-        changed = True
-        while changed:
-            changed = False
-            for cl in clauses:
-                unassigned = 0
-                count = 0
-                for lit in cl:
-                    val = values[abs(lit)]
-                    if val is None:
-                        unassigned = lit
-                        count += 1
-                    elif val == (lit > 0):
+        i = 0
+        while i < len(trail):
+            false_lit = -trail[i]
+            i += 1
+            ws = watches[false_lit]
+            watches[false_lit] = keep = []
+            for j, cl in enumerate(ws):
+                if cl[0] == false_lit:
+                    cl[0] = cl[1]
+                    cl[1] = false_lit
+                first = cl[0]
+                if value[first]:
+                    keep.append(cl)
+                    continue
+                for k in range(2, len(cl)):
+                    lit = cl[k]
+                    if value[lit] is not False:
+                        cl[1] = lit
+                        cl[k] = false_lit
+                        watches[lit].append(cl)
                         break
                 else:
-                    if count == 0:
+                    keep.append(cl)
+                    if value[first] is None:
+                        value[first] = True
+                        value[-first] = False
+                        trail.append(first)
+                    else:
+                        keep.extend(ws[j + 1 :])
                         return False
-                    if count == 1:
-                        values[abs(unassigned)] = unassigned > 0
-                        trail.append(abs(unassigned))
-                        changed = True
         return True
 
     # The search branches on the first unassigned variable, True before
     # False.  Each frame of the explicit stack is one open branch:
-    # [variable, the variables its node's propagation assigned, whether the
-    # False branch has been entered].
+    # [variable, the trail of the node that branched, whether the False
+    # branch has been entered].
     stack: list[list] = []
+    nodes = 0
     while True:
+        if nodes >= MAX_DPLL_NODES:
+            return True, nodes
         nodes += 1
-        if nodes > MAX_DPLL_NODES:
-            # give up: treat as satisfiable, i.e. "not proved" (sound side)
-            return True
-        trail: list[int] = []
-        if propagate(trail):
-            if None not in values:
-                return True
-            var = values.index(None)
-            values[var] = True
+        if root_ok and propagate(trail):
+            try:
+                var = value.index(None, 1, nvars + 1)
+            except ValueError:
+                return True, nodes
             stack.append([var, trail, False])
-            continue
-        for v in trail:
-            values[v] = None
-        # Backtrack to the deepest branch whose False side is still untried.
-        while stack:
-            frame = stack[-1]
-            if not frame[2]:
-                frame[2] = True
-                values[frame[0]] = False
-                break
-            values[frame[0]] = None
-            for v in frame[1]:
-                values[v] = None
-            stack.pop()
+            lit = var
         else:
-            return False
+            for lit in trail:
+                value[lit] = value[-lit] = None
+            # Backtrack to the deepest branch whose False side is untried.
+            while stack and stack[-1][2]:
+                for lit in stack.pop()[1]:
+                    value[lit] = value[-lit] = None
+            if not stack:
+                return False, nodes
+            stack[-1][2] = True
+            lit = -stack[-1][0]
+        value[lit] = True
+        value[-lit] = False
+        trail = [lit]

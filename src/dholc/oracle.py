@@ -51,6 +51,7 @@ from .syntax import (
     is_simple_type,
     spine,
     Var,
+    alpha_eq_type,
 )
 
 
@@ -293,6 +294,13 @@ _CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
 _POWER_TABLE_MAX = 64
 
 
+def _check_argument(domain: Type, ty: Type) -> None:
+    """An argument's type must be its function's domain: a digit index
+    computed from an argument of another type reads the wrong digit, or none."""
+    if ty != domain and not alpha_eq_type(ty, domain):
+        raise OracleError("ill-typed application argument reached the oracle")
+
+
 class _Powers:
     """c**i on demand, indexed like a power table."""
 
@@ -395,9 +403,10 @@ class Compiler:
                 if isinstance(head, Var):
                     return self._spine(head.name, args, benv)
                 ff, ft = self._go(f, benv)
-                uf, _ = self._go(u, benv)
+                uf, ut = self._go(u, benv)
                 if not isinstance(ft, Pi):
                     raise OracleError("application of a non-function reached the oracle")
+                _check_argument(ft.domain, ut)
                 return _apply(ff, uf, type_card(ft.codomain, self.sizes)), ft.codomain
             case _:
                 raise OracleError(f"not a term: {t!r}")
@@ -413,9 +422,11 @@ class Compiler:
                 raise OracleError("application of a non-function reached the oracle")
             radices.append(type_card(ty.domain, self.sizes))
             if isinstance(u, Var):
-                getters.append(self._lookup(u.name, benv)[0])
+                getter, uty = self._lookup(u.name, benv)
             else:
-                getters.append(self._go(u, benv)[0])
+                getter, uty = self._go(u, benv)
+            _check_argument(ty.domain, uty)
+            getters.append(getter)
             ty = ty.codomain
         c = type_card(ty, self.sizes)
         pw = self._powers(c, prod(radices))
@@ -449,6 +460,9 @@ def eval_term(model: FiniteModel, env: dict[str, tuple[Type, int]], t: Term) -> 
     symbols = dict(model.types)
     for n, (ty, _) in env.items():
         symbols[n] = ty
+    for n, v in list(model.consts.items()) + [(n, v) for n, (_, v) in env.items()]:
+        if not 0 <= v < type_card(symbols[n], model.sizes):
+            raise OracleError(f"value {v} of {n!r} is outside its type")
     comp = Compiler(model.sizes, symbols)
     root, _ = comp.compile(t)
     ct = CompiledTerms(comp)

@@ -238,11 +238,6 @@ def apply(fun: Term, *args: Term) -> Term:
     return fun
 
 
-def arrow(domain: Type, codomain: Type, bound: str = "_") -> Pi:
-    """Non-dependent function type: Pi whose bound name is unused."""
-    return Pi(bound, domain, codomain)
-
-
 # ---------------------------------------------------------------------------
 # Free variables
 
@@ -435,50 +430,69 @@ def alpha_key(t: Term | Type) -> str:
     return "".join(parts)
 
 
+_BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E("}
+
+
 def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
-    match t:
-        case Var(name=n):
-            parts.append(f"b{env[n]};" if n in env else f"v{n};")
-        case Lambda() | Forall() | Choice():
-            parts.append({Lambda: "L(", Forall: "A(", Choice: "E("}[type(t)])
-            _alpha_key(t.annot, env, depth, parts)
-            _alpha_key(t.body, {**env, t.bound: depth}, depth + 1, parts)
-            parts.append(")")
-        case App():
-            parts.append("@(")
-            _alpha_key(t.fun, env, depth, parts)
-            _alpha_key(t.arg, env, depth, parts)
-            parts.append(")")
-        case Falsum():
-            parts.append("F;")
-        case Implies():
-            parts.append("I(")
-            _alpha_key(t.lhs, env, depth, parts)
-            _alpha_key(t.rhs, env, depth, parts)
-            parts.append(")")
-        case Eq():
-            parts.append("=(")
-            if t.ty is not None:
-                _alpha_key(t.ty, env, depth, parts)
-            else:
-                parts.append("?;")
-            _alpha_key(t.lhs, env, depth, parts)
-            _alpha_key(t.rhs, env, depth, parts)
-            parts.append(")")
-        case Bool():
-            parts.append("o;")
-        case Base():
-            parts.append(f"B{t.name}(")
-            for a in t.args:
-                _alpha_key(a, env, depth, parts)
-            parts.append(")")
-        case Pi():
-            parts.append("P(")
-            _alpha_key(t.domain, env, depth, parts)
-            _alpha_key(t.codomain, {**env, t.bound: depth}, depth + 1, parts)
-            parts.append(")")
-        case _:
-            raise TypeError(f"not a term or type: {t!r}")
+    # env maps each bound name in scope to its binder's depth.  A binder
+    # shadows an outer one of the same name in place and restores it after
+    # its body, so the walk copies no dict.  Dispatch is on the exact class,
+    # which is about twice as fast as a match over class patterns here.
+    cls = type(t)
+    if cls is Var:
+        n = t.name
+        parts.append(f"b{env[n]};" if n in env else f"v{n};")
+    elif cls is App:
+        parts.append("@(")
+        _alpha_key(t.fun, env, depth, parts)
+        _alpha_key(t.arg, env, depth, parts)
+        parts.append(")")
+    elif cls is Implies:
+        parts.append("I(")
+        _alpha_key(t.lhs, env, depth, parts)
+        _alpha_key(t.rhs, env, depth, parts)
+        parts.append(")")
+    elif cls in _BINDER_TAGS:
+        parts.append(_BINDER_TAGS[cls])
+        _alpha_key(t.annot, env, depth, parts)
+        _alpha_key_bound(t.bound, t.body, env, depth, parts)
+        parts.append(")")
+    elif cls is Falsum:
+        parts.append("F;")
+    elif cls is Eq:
+        parts.append("=(")
+        if t.ty is not None:
+            _alpha_key(t.ty, env, depth, parts)
+        else:
+            parts.append("?;")
+        _alpha_key(t.lhs, env, depth, parts)
+        _alpha_key(t.rhs, env, depth, parts)
+        parts.append(")")
+    elif cls is Bool:
+        parts.append("o;")
+    elif cls is Base:
+        parts.append(f"B{t.name}(")
+        for a in t.args:
+            _alpha_key(a, env, depth, parts)
+        parts.append(")")
+    elif cls is Pi:
+        parts.append("P(")
+        _alpha_key(t.domain, env, depth, parts)
+        _alpha_key_bound(t.bound, t.codomain, env, depth, parts)
+        parts.append(")")
+    else:
+        raise TypeError(f"not a term or type: {t!r}")
+
+
+def _alpha_key_bound(x: str, body, env: dict[str, int], depth: int, parts: list[str]) -> None:
+    """The key of ``body`` under a binder of ``x`` at ``depth``."""
+    outer = env.get(x, -1)
+    env[x] = depth
+    _alpha_key(body, env, depth + 1, parts)
+    if outer < 0:
+        del env[x]
+    else:
+        env[x] = outer
 
 
 # ---------------------------------------------------------------------------

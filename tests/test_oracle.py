@@ -128,6 +128,37 @@ def test_eval_ill_typed_guard():
         eval_term(m, {}, App(FALSE, FALSE))
 
 
+def test_eval_ill_typed_argument_is_an_oracle_error():
+    # p b with p : a > $o and b : $o; at |a| = 1 the digit index of b = 1
+    # ran past p's power table, at |a| = 2 it read a digit silently
+    p, b = Var("p"), Var("b")
+    for size in (1, 2):
+        m = model_a(size, p=(Pi("_", A, BOOL), 1), b=(BOOL, 1))
+        with pytest.raises(OracleError, match="ill-typed application argument"):
+            eval_term(m, {}, App(p, b))
+    # the same through a head that is not a variable: (^x : a . x) b
+    with pytest.raises(OracleError, match="ill-typed application argument"):
+        eval_term(model_a(2, b=(BOOL, 1)), {}, App(Lambda("x", A, Var("x")), b))
+    # a function-typed argument whose type differs only in its bound name is fine
+    f = Var("f")
+    m = model_a(2, h=(Pi("_", Pi("y", A, A), BOOL), 0b0010), f=(Pi("z", A, A), 1))
+    assert eval_term(m, {}, App(Var("h"), f)) == 1
+
+
+def test_eval_value_outside_its_carrier_is_an_oracle_error():
+    # c = 5 with |a| = 2 indexed past p's power table
+    m = model_a(2, p=(Pi("_", A, BOOL), 1), c=(A, 5))
+    with pytest.raises(OracleError, match="value 5 of 'c'"):
+        eval_term(m, {}, App(Var("p"), Var("c")))
+    with pytest.raises(OracleError, match="value -1 of 'x'"):
+        eval_term(model_a(2), {"x": (A, -1)}, Eq(A, Var("x"), Var("x")))
+    with pytest.raises(OracleError, match="value 2 of 'q'"):
+        eval_term(model_a(2), {"q": (BOOL, 2)}, Var("q"))
+    # the largest value of each type is still in range
+    m = model_a(2, p=(Pi("_", A, BOOL), 3), c=(A, 1))
+    assert eval_term(m, {"q": (BOOL, 1)}, App(Var("p"), Var("c"))) == 1
+
+
 def test_type_card():
     sizes = {"a": 3}
     assert type_card(BOOL, sizes) == 2

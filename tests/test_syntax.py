@@ -15,6 +15,7 @@ from dholc.syntax import (
     Pi,
     Var,
     alpha_eq,
+    alpha_key,
     apply,
     free_vars,
     print_term,
@@ -53,6 +54,30 @@ def test_subst_into_annotation():
     assert out.annot == FIN(numeral(2))
     # independent oracle: rename every binder globally fresh, then replace
     assert alpha_eq(out, naive_subst(t, "x", numeral(2)))
+
+
+def test_alpha_key_restores_a_shadowed_binder():
+    # the inner eps x shadows the outer ^ x only inside its body: the last
+    # q x is the outer x again (b0), and Pi binders number like term binders
+    x, y = Var("x"), Var("y")
+    inner = Choice("x", FIN(y), Eq(FIN(y), x, App(x, y)))
+    t = Lambda(
+        "x",
+        Pi("n", NAT, FIN(Var("n"))),
+        Forall("y", NAT, Implies(Eq(FIN(y), App(x, y), inner), App(Var("q"), x))),
+    )
+    assert alpha_key(t) == (
+        "L(P(Bnat()Bfin(b0;))A(Bnat()I(=(Bfin(b1;)@(b0;b1;)"
+        "E(Bfin(b1;)=(Bfin(b1;)b2;@(b2;b1;))))@(vq;b0;))))"
+    )
+    renamed = Lambda(
+        "z",
+        Pi("m", NAT, FIN(Var("m"))),
+        Forall("y", NAT, Implies(Eq(FIN(y), App(Var("z"), y), inner), App(Var("q"), Var("z")))),
+    )
+    assert alpha_key(renamed) == alpha_key(t)
+    # the key of a binder's body leaves no binding behind for what follows
+    assert alpha_key(Implies(Forall("x", BOOL, x), x)) == "I(A(o;b0;)vx;)"
 
 
 def naive_subst(t, x, u):
