@@ -17,8 +17,14 @@ The closures are specialised to the node combinations erased obligations are
 made of (superoperators, Proebsting 1995): an application spine with a
 variable head is one digit lookup, and a ∀ over ⇒ is one loop.  The
 countermodel search reassigns the constants' slots depth first and, at each
-level, runs one conjunction of the axioms that level completes; a level's
-closures are compiled the first time the search reaches it.
+level, checks the axioms that level completes; a level's closures are
+compiled the first time the search reaches it.  An axiom's value depends only
+on the constants it mentions, yet the DFS revisits each assignment of them
+once for every assignment of the constants in between.  So each axiom is
+memoised, per carrier sizes, on the values of the earlier constants it reads
+and evaluated only on the first visit (MACE-style finders likewise avoid
+re-evaluating clauses; Claessen & Sörensson 2003).  The search's deadline is
+also checked inside binder loops over many values.
 """
 
 from __future__ import annotations
@@ -27,7 +33,8 @@ import itertools
 import time
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App,
@@ -171,7 +178,7 @@ def _eq(l: Closure, r: Closure) -> Closure:
     return lambda: 1 if l() == r() else 0
 
 
-def _forall(env: list[int], slot: int, values: range, body: Closure) -> Closure:
+def _forall(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
     def forall() -> int:
         for v in values:
             env[slot] = v
@@ -182,7 +189,9 @@ def _forall(env: list[int], slot: int, values: range, body: Closure) -> Closure:
     return forall
 
 
-def _forall_implies(env: list[int], slot: int, values: range, l: Closure, r: Closure) -> Closure:
+def _forall_implies(
+    env: list[int], slot: int, values: Iterable[int], l: Closure, r: Closure
+) -> Closure:
     def forall() -> int:  # ∀x. l ⇒ r, with no call for the implication
         for v in values:
             env[slot] = v
@@ -193,7 +202,7 @@ def _forall_implies(env: list[int], slot: int, values: range, l: Closure, r: Clo
     return forall
 
 
-def _forall_not(env: list[int], slot: int, values: range, l: Closure) -> Closure:
+def _forall_not(env: list[int], slot: int, values: Iterable[int], l: Closure) -> Closure:
     def forall() -> int:  # ∀x. l ⇒ ⊥
         for v in values:
             env[slot] = v
@@ -204,7 +213,7 @@ def _forall_not(env: list[int], slot: int, values: range, l: Closure) -> Closure
     return forall
 
 
-def _choice(env: list[int], slot: int, values: range, body: Closure) -> Closure:
+def _choice(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
     def choice() -> int:
         for v in values:
             env[slot] = v
@@ -215,7 +224,7 @@ def _choice(env: list[int], slot: int, values: range, body: Closure) -> Closure:
     return choice
 
 
-def _lam(env: list[int], slot: int, values: range, body: Closure, d: int) -> Closure:
+def _lam(env: list[int], slot: int, values: Iterable[int], body: Closure, d: int) -> Closure:
     def lam() -> int:
         acc = 0
         pw = 1
@@ -226,16 +235,6 @@ def _lam(env: list[int], slot: int, values: range, body: Closure, d: int) -> Clo
         return acc
 
     return lam
-
-
-def _conjunction(roots: list[Closure]) -> Closure:
-    def conj() -> int:
-        for r in roots:
-            if not r():
-                return 0
-        return 1
-
-    return conj
 
 
 def _apply(f: Closure, u: Closure, c: int) -> Closure:
@@ -294,6 +293,34 @@ _CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
 _POWER_TABLE_MAX = 64
 
 
+# A binder over more than this many values checks the search's deadline at
+# each value, so that one evaluation cannot overrun max_seconds by looping
+# over a huge function space.  Smaller ranges stay plain ranges: the erased
+# obligations of the corpus bind at most 2 values at the sizes searched.
+_CLOCKED_RANGE_MIN = 16
+
+
+class _OutOfTime(Exception):
+    pass
+
+
+class _ClockedRange:
+    """range(n) for one binder, raising _OutOfTime once the deadline passes."""
+
+    __slots__ = ("n", "deadline")
+
+    def __init__(self, n: int, deadline: float):
+        self.n = n
+        self.deadline = deadline
+
+    def __iter__(self):
+        clock, deadline = time.monotonic, self.deadline
+        for v in range(self.n):
+            if clock() > deadline:
+                raise _OutOfTime
+            yield v
+
+
 def _check_argument(domain: Type, ty: Type) -> None:
     """An argument's type must be its function's domain: a digit index
     computed from an argument of another type reads the wrong digit, or none."""
@@ -325,10 +352,17 @@ class Compiler:
     taking variable arguments straight from their slots; ``l ⇒ ⊥`` is a
     negation; and ``∀x. l ⇒ r`` is one loop with no call for the implication.
     Other applications, such as a λ-redex or an ε of function type applied to
-    an argument, stay one closure per ``App``."""
+    an argument, stay one closure per ``App``.
 
-    def __init__(self, sizes: dict[str, int], symbols: dict[str, Type]):
+    With a ``deadline`` (a ``time.monotonic`` value), a binder over more than
+    _CLOCKED_RANGE_MIN values raises _OutOfTime from inside the closure once
+    the deadline has passed."""
+
+    def __init__(
+        self, sizes: dict[str, int], symbols: dict[str, Type], deadline: Optional[float] = None
+    ):
         self.sizes = sizes
+        self.deadline = deadline
         self.symbol_types = dict(symbols)
         self.slot_of = {name: i for i, name in enumerate(symbols)}
         self.env: list[int] = [0] * len(symbols)
@@ -348,7 +382,12 @@ class Compiler:
     def _bind(self, x: str, a: Type, benv: dict[str, tuple[int, Type]]):
         slot = len(self.env)
         self.env.append(0)
-        return slot, range(type_card(a, self.sizes)), {**benv, x: (slot, a)}
+        n = type_card(a, self.sizes)
+        if self.deadline is None or n <= _CLOCKED_RANGE_MIN:
+            values = range(n)
+        else:
+            values = _ClockedRange(n, self.deadline)
+        return slot, values, {**benv, x: (slot, a)}
 
     def _bool(self, t: Term, benv: dict[str, tuple[int, Type]], what: str) -> Closure:
         fn, ty = self._go(t, benv)
@@ -488,19 +527,44 @@ class SearchResult:
         return self.status == "countermodel"
 
 
-class _OutOfTime(Exception):
-    pass
+_UNREACHED = object()  # a search level whose checks are not compiled yet
+
+# Memo rows one carrier-size tuple may store, in bytes.  Each row is charged
+# its length plus _ROW_OVERHEAD for its object header, key and dict entry.
+# Past the cap, new rows are still filled and used, but not kept.
+MEMO_MAX_BYTES = 32 << 20
+_ROW_OVERHEAD = 160
+_UNKNOWN = 2  # a memo entry not evaluated yet; known ones hold 0 or 1
 
 
-_UNREACHED = object()  # a search level whose check is not compiled yet
+class _Rows:
+    """The memo rows of one carrier-size tuple and the bytes charged for them."""
+
+    __slots__ = ("stored",)
+
+    def __init__(self):
+        self.stored = 0
+
+    def new(self, memo: dict, key, width: int) -> bytearray:
+        """A row of ``width`` unknown entries, kept in ``memo`` under ``key``
+        while the rows kept so far leave room for it."""
+        row = bytearray((_UNKNOWN,)) * width
+        cost = width + _ROW_OVERHEAD
+        if self.stored + cost <= MEMO_MAX_BYTES:
+            memo[key] = row
+            self.stored += cost
+        return row
 
 
-def _compile_check(comp: Compiler, terms: list[Term]) -> Optional[Closure]:
-    """One closure that is nonzero iff every term is; None for no terms."""
-    roots = [comp.compile(t)[0] for t in terms]
-    if len(roots) > 1:
-        return _conjunction(roots)
-    return roots[0] if roots else None
+def _no_slots(env: list[int]) -> tuple:
+    return ()
+
+
+def _compile_bool(comp: Compiler, t: Term) -> Closure:
+    fn, ty = comp.compile(t)
+    if not isinstance(ty, Bool):
+        raise OracleError("non-boolean axiom or conjecture reached the oracle")
+    return fn
 
 
 def _size_tuples(nbases: int, max_size: int):
@@ -521,11 +585,22 @@ def countermodel(
     symbols are assigned.  Budget exhaustion is reported distinctly from an
     exhaustive "none up to bound".
 
-    Each level of the search, the assignment of one constant, has one check:
-    the conjunction of the axioms whose last constant it is.  A level's check,
-    and the conjecture, are compiled when the search first reaches them at a
-    carrier size, so a level the search never reaches is never compiled, and
-    an ill-typed axiom there raises no OracleError."""
+    Each level of the search, the assignment of one constant, checks the
+    axioms whose last constant it is, in declaration order; the conjecture is
+    the last level.  A level's checks are compiled when the search first
+    reaches them at a carrier size, so a level the search never reaches is
+    never compiled, and an ill-typed axiom there raises no OracleError.
+
+    Each check has a memo for the current carrier sizes, keyed by the values
+    of the earlier constants it reads.  An entry is a row with one result per
+    value of the level's own constant, unknown until that value is first
+    tried under that key, so an axiom is evaluated at most once per (values
+    read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
+    and nothing outlives the call.
+
+    The deadline is checked every 1024 search nodes and, through the
+    Compiler, at every value of a binder over more than _CLOCKED_RANGE_MIN
+    values, so a single long evaluation ends as "exhausted" too."""
     bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
     for d in thy:
         if isinstance(d, BaseTypeDecl) and d.telescope:
@@ -545,15 +620,18 @@ def countermodel(
             if v not in index:
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
     # An axiom is checked right after the highest-indexed constant it mentions
-    # has been assigned, at that constant's level; one that mentions none is
-    # checked before the search.  The conjecture is the last level.
+    # has been assigned, at that constant's level, and is memoised on the
+    # others; one that mentions none is checked before the search.  The
+    # conjecture is the last level, memoised on every constant it mentions.
     upfront: list[Term] = []
-    levels: list[list[Term]] = [[] for _ in range(nconsts)] + [[conjecture]]
+    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
     for t, symbols in zip(axioms, free):
-        if symbols:
-            levels[max(index[v] for v in symbols)].append(t)
+        slots = sorted(index[v] for v in symbols)
+        if slots:
+            levels[slots[-1]].append((t, tuple(slots[:-1])))
         else:
             upfront.append(t)
+    levels.append([(conjecture, tuple(sorted(index[v] for v in free[-1])))])
 
     deadline = time.monotonic() + budget.max_seconds
     exhausted_any = False
@@ -571,49 +649,71 @@ def countermodel(
             detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
             continue
 
-        comp = Compiler(sizes, dict(consts))
+        comp = Compiler(sizes, dict(consts), deadline)
         ct = CompiledTerms(comp)
         run = ct.run
         env = ct.env
-        cards = [type_card(ty, sizes) for _, ty in consts]
-        # the compiled levels, each _UNREACHED until the search first gets there
+        # the values of each level's constant; the conjecture's level has one
+        cards = [type_card(ty, sizes) for _, ty in consts] + [1]
+        # per level, (closure, key of the earlier slots it reads, memo) for
+        # each check, or _UNREACHED until the search first gets there
         checks: list = [_UNREACHED] * (nconsts + 1)
         steps = 0
+        new_row = _Rows().new
 
         def dfs(i: int) -> bool:
             nonlocal steps
             steps += 1
             if steps % 1024 == 0 and time.monotonic() > deadline:
                 raise _OutOfTime
-            check = checks[i]
-            if check is _UNREACHED:
-                check = checks[i] = _compile_check(comp, levels[i])
+            level = checks[i]
+            if level is _UNREACHED:
+                level = checks[i] = [
+                    (_compile_bool(comp, t), itemgetter(*reads) if reads else _no_slots, {})
+                    for t, reads in levels[i]
+                ]
+            width = cards[i]
+            rows = []
+            for root, key, memo in level:
+                k = key(env)
+                row = memo.get(k)
+                if row is None:
+                    row = new_row(memo, k, width)
+                rows.append((root, row))
             if i == nconsts:
-                return run(check) == 0
-            for v in range(cards[i]):
+                root, row = rows[0]
+                if row[0] == _UNKNOWN:
+                    row[0] = run(root)
+                return row[0] == 0
+            for v in range(width):
                 env[i] = v
-                if check is None or run(check):
+                for root, row in rows:
+                    r = row[v]
+                    if r == _UNKNOWN:
+                        r = row[v] = run(root)
+                    if not r:
+                        break
+                else:
                     if dfs(i + 1):
                         return True
             return False
 
         try:
-            check = _compile_check(comp, upfront)
-            if check is None or run(check):
-                if dfs(0):
-                    model = FiniteModel(
-                        sizes=sizes,
-                        consts={n: env[comp.slot_of[n]] for n, _ in consts},
-                        types={n: ty for n, ty in consts},
-                    )
-                    return SearchResult("countermodel", model)
+            roots = [_compile_bool(comp, t) for t in upfront]
+            if all(run(root) for root in roots) and dfs(0):
+                model = FiniteModel(
+                    sizes=sizes,
+                    consts={n: env[comp.slot_of[n]] for n, _ in consts},
+                    types={n: ty for n, ty in consts},
+                )
+                return SearchResult("countermodel", model)
         except _OutOfTime:
             return SearchResult(
                 "exhausted", detail=f"wall-time budget exceeded at sizes {size_tuple}"
             )
         finally:
             # dfs refers to itself; breaking that cycle frees this size's
-            # closures now instead of at some later full garbage collection.
+            # closures and memos now instead of at some later full collection.
             del dfs
 
     if exhausted_any:

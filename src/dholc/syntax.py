@@ -12,6 +12,7 @@ from equality and hashing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -303,7 +304,7 @@ def subst_many(t: Term, mapping: dict[str, Term]) -> Term:
     mapping = {x: u for x, u in mapping.items() if not (isinstance(u, Var) and u.name == x)}
     if not mapping:
         return t
-    return _subst(t, mapping)
+    return _subst(t, mapping, [])
 
 
 def subst(t: Term, x: str, u: Term) -> Term:
@@ -319,52 +320,86 @@ def subst_type_many(A: Type, mapping: dict[str, Term]) -> Type:
     mapping = {x: u for x, u in mapping.items() if not (isinstance(u, Var) and u.name == x)}
     if not mapping:
         return A
-    return _subst(A, mapping)
+    return _subst(A, mapping, [])
 
 
-def _subst(t, mapping: dict[str, Term]):
+# _subst returns the node itself when nothing under it changed.  ``mapping``
+# may hold variables that are not free in the node.  ``reach`` is empty until
+# the walk first needs it, then holds one set: every free variable of the
+# images.  A binder outside that set cannot capture one, so only a binder
+# inside it pays for the free variables of its body.
+
+
+def _subst(t, mapping: dict[str, Term], reach: list[set[str]]):
     match t:
         case Var(name=n):
             return mapping.get(n, t)
         case Lambda() | Forall() | Choice():
-            annot = _subst(t.annot, mapping)
-            x, b = _subst_binder(t.bound, t.body, mapping)
+            annot = _subst(t.annot, mapping, reach)
+            x, b = _subst_binder(t.bound, t.body, mapping, reach)
+            if annot is t.annot and b is t.body and x == t.bound:
+                return t
             return type(t)(x, annot, b, pos=t.pos)
         case App(fun=f, arg=a):
-            return App(_subst(f, mapping), _subst(a, mapping), pos=t.pos)
+            f2, a2 = _subst(f, mapping, reach), _subst(a, mapping, reach)
+            if f2 is f and a2 is a:
+                return t
+            return App(f2, a2, pos=t.pos)
         case Falsum():
             return t
         case Implies(lhs=l, rhs=r):
-            return Implies(_subst(l, mapping), _subst(r, mapping), pos=t.pos)
+            l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
+            if l2 is l and r2 is r:
+                return t
+            return Implies(l2, r2, pos=t.pos)
         case Eq(ty=ty, lhs=l, rhs=r):
-            nty = _subst(ty, mapping) if ty is not None else None
-            return Eq(nty, _subst(l, mapping), _subst(r, mapping), pos=t.pos)
+            ty2 = _subst(ty, mapping, reach) if ty is not None else None
+            l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
+            if ty2 is ty and l2 is l and r2 is r:
+                return t
+            return Eq(ty2, l2, r2, pos=t.pos)
         case Bool():
             return t
         case Base(name=n, args=args):
-            return Base(n, tuple(_subst(a, mapping) for a in args), pos=t.pos)
+            args2 = [_subst(a, mapping, reach) for a in args]
+            if all(map(operator.is_, args2, args)):
+                return t
+            return Base(n, tuple(args2), pos=t.pos)
         case Pi(bound=x, domain=d, codomain=c):
-            nd = _subst(d, mapping)
-            x2, c2 = _subst_binder(x, c, mapping)
-            return Pi(x2, nd, c2, pos=t.pos)
+            d2 = _subst(d, mapping, reach)
+            x2, c2 = _subst_binder(x, c, mapping, reach)
+            if d2 is d and c2 is c and x2 == x:
+                return t
+            return Pi(x2, d2, c2, pos=t.pos)
         case _:
             raise TypeError(f"not a term or type: {t!r}")
 
 
-def _subst_binder(x: str, body, mapping: dict[str, Term]):
-    body_fv = set(free_vars(body))
-    inner = {y: u for y, u in mapping.items() if y != x and y in body_fv}
+def _subst_binder(x: str, body, mapping: dict[str, Term], reach: list[set[str]]):
+    inner = {y: u for y, u in mapping.items() if y != x} if x in mapping else mapping
     if not inner:
         return x, body
-    # Rename the binder only when it would capture a free variable of an image.
-    if any(x in free_vars(u) for u in inner.values()):
+    if not reach:
+        # mapping only shrinks in the body of a binder that got here first,
+        # so this one sees every image of the walk
+        reach.append({v for u in mapping.values() for v in free_vars(u)})
+    if x not in reach[0]:
+        return x, _subst(body, inner, reach)
+    # x may capture a free variable of an image: keep only the variables free
+    # in the body, and rename the binder if one of their images mentions x.
+    body_fv = set(free_vars(body))
+    inner = {y: u for y, u in inner.items() if y in body_fv}
+    if not inner:
+        return x, body
+    image_fv = [free_vars(u) for u in inner.values()]
+    if any(x in fv for fv in image_fv):
         avoid = body_fv | {x}
-        for u in inner.values():
-            avoid.update(free_vars(u))
+        for fv in image_fv:
+            avoid.update(fv)
         x2 = fresh_name(x, avoid)
         inner[x] = Var(x2)
-        return x2, _subst(body, inner)
-    return x, _subst(body, inner)
+        return x2, _subst(body, inner, [reach[0] | {x2}])
+    return x, _subst(body, inner, reach)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import itertools
 import json
 import random
 import time
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -8,12 +10,14 @@ import pytest
 from dholc.corpus import gen_all
 from dholc.erasure import ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, check_theory
+from dholc import oracle
 from dholc.oracle import (
     CompiledTerms,
     Compiler,
     FiniteModel,
     OracleError,
     SearchBudget,
+    SearchResult,
     countermodel,
     eval_term,
     merge_context,
@@ -42,6 +46,7 @@ from dholc.syntax import (
     conj,
     disj,
     exists,
+    free_vars,
     neg,
     top,
 )
@@ -455,6 +460,254 @@ def test_ill_typed_axiom_raises_once_the_search_reaches_its_level():
         )
     )
     assert countermodel(never, FALSE, SearchBudget(max_size=2)).status == "none"
+
+
+# ---------------------------------------------------------------------------
+# the memoised search against a search that re-runs every check
+
+
+def reference_countermodel(thy, conjecture, budget):
+    """countermodel without memo, deadline or lazy compiling: the same DFS,
+    running every axiom of a level at every node."""
+    bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
+    consts = [(d.name, d.ty) for d in thy if isinstance(d, ConstDecl)]
+    index = {n: i for i, (n, _) in enumerate(consts)}
+    upfront, levels = [], [[] for _ in consts] + [[conjecture]]
+    for d in thy:
+        if isinstance(d, AxiomDecl):
+            fv = free_vars(d.term)
+            (levels[max(index[v] for v in fv)] if fv else upfront).append(d.term)
+    detail = ""
+    size_tuples = itertools.product(range(1, budget.max_size + 1), repeat=len(bases))
+    for size_tuple in sorted(size_tuples, key=lambda t: (sum(t), t)):
+        sizes = dict(zip(bases, size_tuple))
+        cards = [type_card(ty, sizes) for _, ty in consts]
+        if prod(cards) > budget.max_models:
+            detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
+            continue
+        comp = Compiler(sizes, dict(consts))
+        env = comp.env
+        checks = [[comp.compile(t)[0] for t in level] for level in [upfront] + levels]
+
+        def dfs(i):
+            if i == len(consts):
+                return checks[-1][0]() == 0
+            for v in range(cards[i]):
+                env[i] = v
+                if all(c() for c in checks[i + 1]) and dfs(i + 1):
+                    return True
+            return False
+
+        if all(c() for c in checks[0]) and dfs(0):
+            model = FiniteModel(sizes, {n: env[i] for n, i in index.items()}, dict(consts))
+            return SearchResult("countermodel", model)
+    if detail:
+        return SearchResult("exhausted", detail=detail)
+    return SearchResult("none", detail=f"exhaustive up to carrier size {budget.max_size}")
+
+
+def memo_cases():
+    """(theory, conjecture, budget): hand-made searches, then seeded ones over
+    the erased genterms theory with generated axioms and conjectures."""
+    c, d, u, f, p, q = (Var(n) for n in "cdufpq")
+    x, y = Var("x"), Var("y")
+    a, aa, ab = BaseTypeDecl("a"), arrows(A, A), arrows(A, BOOL)
+    # an unconstrained u between c and d; d's axiom reads only d
+    cud = Theory(
+        (
+            a,
+            ConstDecl("c", A),
+            ConstDecl("u", aa),
+            ConstDecl("d", ab),
+            AxiomDecl("d_some", exists("x", A, App(d, x))),
+        )
+    )
+    # f's axioms read c or d, the conjecture reads f and d only
+    cfd = Theory(
+        (
+            a,
+            ConstDecl("c", A),
+            ConstDecl("f", aa),
+            ConstDecl("d", A),
+            AxiomDecl("f_const", Forall("x", A, Eq(A, App(f, x), c))),
+            AxiomDecl("f_moves", neg(Eq(A, App(f, d), d))),
+        )
+    )
+    cd = Theory((a, ConstDecl("c", A), ConstDecl("d", A), AxiomDecl("c_d", neg(Eq(A, c, d)))))
+    # upfront axioms, one true at every size and one only at size 1
+    upfront = Theory(
+        (
+            a,
+            ConstDecl("c", A),
+            AxiomDecl("refl", Forall("x", A, Eq(A, x, x))),
+            AxiomDecl("one", Forall("x", A, Forall("y", A, Eq(A, x, y)))),
+        )
+    )
+    # two axioms at q's level, one reading c; one at p's reading q; and an
+    # upfront one that only sizes from 2 satisfy
+    cpq = Theory(
+        (
+            a,
+            ConstDecl("c", A),
+            ConstDecl("q", ab),
+            ConstDecl("p", ab),
+            AxiomDecl("q_some", exists("y", A, App(q, y))),
+            AxiomDecl("q_c", neg(App(q, c))),
+            AxiomDecl("q_two", exists("x", A, exists("y", A, neg(Eq(A, x, y))))),
+            AxiomDecl("p_q", Forall("x", A, Implies(App(q, x), App(p, x)))),
+        )
+    )
+    naive = Choice("x", A, top())
+    cases = [
+        (cud, Eq(A, c, c)),
+        (cud, neg(conj(App(d, c), App(d, App(u, c))))),
+        (cfd, Eq(A, App(f, App(f, d)), App(f, d))),
+        (cd, exists("x", A, neg(conj(neg(Eq(A, x, c)), neg(Eq(A, x, d)))))),
+        (upfront, FALSE),
+        (cpq, neg(Eq(ab, p, q))),
+        (erased_counterexample(), apply(Var("a*"), FALSE, naive, naive)),
+    ]
+    cases = [(thy, conj_, SearchBudget(max_size=3)) for thy, conj_ in cases]
+    from genterms import THEORY, TermGen
+
+    rep = check_theory(THEORY, None, Mode.STRONG_EPSILON)
+    budget = SearchBudget(max_size=2, max_models=20_000)  # skips {nat: 2, fin: 2}
+    for seed in range(20):
+        variant = (ErasureVariant.STRONG, ErasureVariant.WEAK)[seed % 2]
+        base = erase_theory(rep.theory_elaborated, Context(), variant).hol_theory
+        gen = TermGen(seed)
+        extra = [
+            AxiomDecl(f"gen{k}", erase_term(gen.boolean([], 2), variant))
+            for k in range(random.Random(seed).randrange(3))
+        ]
+        thy = Theory(tuple(base) + tuple(extra))
+        conjecture = erase_term(gen.boolean([], 3), variant)
+        cases.append((thy, conjecture, budget))
+        # a valid conjecture: the search visits every model of the axioms
+        cases.append((thy, Implies(conjecture, conjecture), budget))
+    return cases
+
+
+def test_memoised_search_matches_the_unmemoised_search():
+    statuses = []
+    for thy, conjecture, budget in memo_cases():
+        got = countermodel(thy, conjecture, budget)
+        want = reference_countermodel(thy, conjecture, budget)
+        assert (got.status, got.detail) == (want.status, want.detail)
+        if want.found:
+            assert (got.model.sizes, got.model.consts) == (want.model.sizes, want.model.consts)
+        statuses.append(want.status)
+    assert set(statuses) == {"countermodel", "none", "exhausted"}
+
+
+def test_each_check_runs_once_per_values_it_reads(monkeypatch):
+    # u, between c and d, is read by no check: d's axiom reads only d, and
+    # the conjecture only c, so neither may run again for another u
+    thy = Theory(
+        (
+            BaseTypeDecl("a"),
+            ConstDecl("c", A),
+            ConstDecl("u", arrows(A, A)),
+            ConstDecl("d", arrows(A, BOOL)),
+            AxiomDecl("c_refl", Eq(A, Var("c"), Var("c"))),
+            AxiomDecl("d_some", exists("x", A, App(Var("d"), Var("x")))),
+        )
+    )
+    order = ["c", "u", "d"]
+    reads = {}  # closure -> the constants of its term
+    runs = []  # (closure, the values of those constants) per run
+    compile_, run_ = Compiler.compile, CompiledTerms.run
+
+    def compile(self, t):
+        root, ty = compile_(self, t)
+        reads[root] = [order.index(n) for n in free_vars(t)]
+        return root, ty
+
+    def run(self, root):
+        runs.append((root, tuple(self.env[i] for i in reads[root])))
+        return run_(self, root)
+
+    monkeypatch.setattr(Compiler, "compile", compile)
+    monkeypatch.setattr(CompiledTerms, "run", run)
+    r = countermodel(thy, Eq(A, Var("c"), Var("c")), SearchBudget(max_size=2))
+    assert r.status == "none"
+    assert len(runs) == len(set(runs))
+    # per size: c_refl and the conjecture once per c, d_some once per d;
+    # without the memo, d_some ran once per (c, u, d): 1 + 32 times
+    assert len(runs) == (1 + 2 + 1) + (2 + 4 + 2)
+
+
+def test_memo_rows_past_the_cap_are_used_but_not_kept(monkeypatch):
+    class Rows(oracle._Rows):
+        made = []
+
+        def __init__(self):
+            super().__init__()
+            self.dropped = 0
+            Rows.made.append(self)
+
+        def new(self, memo, key, width):
+            row = super().new(memo, key, width)
+            self.dropped += key not in memo
+            assert self.stored <= oracle.MEMO_MAX_BYTES
+            return row
+
+    monkeypatch.setattr(oracle, "_Rows", Rows)
+    cases = memo_cases()
+    want = [countermodel(*case) for case in cases]
+    assert all(rows.dropped == 0 for rows in Rows.made)
+    Rows.made.clear()
+    monkeypatch.setattr(oracle, "MEMO_MAX_BYTES", 3 * oracle._ROW_OVERHEAD)
+    got = [countermodel(*case) for case in cases]
+    assert [(r.status, r.detail) for r in got] == [(r.status, r.detail) for r in want]
+    for g, w in zip(got, want):
+        if w.found:
+            assert (g.model.sizes, g.model.consts) == (w.model.sizes, w.model.consts)
+    assert all(rows.stored <= oracle.MEMO_MAX_BYTES for rows in Rows.made)
+    assert sum(rows.dropped for rows in Rows.made) > 100
+
+
+def budget_overrun_cases():
+    # ∀f : a > a > $o at |a| = 5 ranges over 2^25 values in one evaluation;
+    # erased, the same conjecture is one evaluation of a nested ∀ at |a| = 4
+    thy = Theory((BaseTypeDecl("a"),))
+    conjecture = Forall("f", arrows(A, A, BOOL), Eq(arrows(A, A, BOOL), Var("f"), Var("f")))
+    (ob,) = check_theory(thy, conjecture, Mode.STRONG_EPSILON).obligations
+    erased = merge_context(ob.hol_theory, ob.hol_context)
+    assert any(getattr(d, "label", "") == "a_star_collapse" for d in erased)
+    return [
+        (thy, conjecture, SearchBudget(max_size=5, max_seconds=1.0)),
+        (erased, ob.conjecture, SearchBudget(max_size=4, max_seconds=1.0)),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_max_seconds_holds_inside_one_evaluation(case):
+    thy, conjecture, budget = budget_overrun_cases()[case]
+    start = time.monotonic()
+    r = countermodel(thy, conjecture, budget)
+    assert time.monotonic() - start < budget.max_seconds + 0.5
+    assert r.status == "exhausted"
+    assert r.detail.startswith("wall-time budget exceeded")
+
+
+def test_only_binders_over_many_values_look_at_the_clock():
+    comp = Compiler({"a": 2}, {}, deadline=time.monotonic() - 1)
+
+    def binder_values(ty):
+        root, _ = comp.compile(Forall("p", ty, top()))
+        cells = [cell.cell_contents for cell in root.__closure__]
+        (values,) = [v for v in cells if isinstance(v, (range, oracle._ClockedRange))]
+        return values
+
+    # 16 values stay a plain range; 256 check the deadline, here already past
+    assert binder_values(arrows(A, A, BOOL)) == range(16)
+    clocked = binder_values(arrows(A, A, A, BOOL))
+    assert isinstance(clocked, oracle._ClockedRange) and clocked.n == 256
+    with pytest.raises(oracle._OutOfTime):
+        next(iter(clocked))
+    clocked.deadline = time.monotonic() + 60
+    assert list(clocked) == list(range(256))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 from hypothesis import given, settings, strategies as st
 
+from dholc import syntax
 from dholc.syntax import (
     App,
     Base,
@@ -44,6 +45,22 @@ def test_subst_variable():
 def test_subst_shadowed_binder():
     t = Lambda("x", BOOL, Var("x"))
     assert subst(t, "x", Var("y")) == t
+
+
+def test_subst_renames_a_binder_that_would_capture_a_renamed_one():
+    # y := x renames the outer x to x_1; the inner binder x_1 must then be
+    # renamed too, or it captures the image of x
+    g, x, y = Var("g"), Var("x"), Var("y")
+    t = Lambda("x", NAT, Lambda("x_1", NAT, apply(g, x, y)))
+    out = subst(t, "y", x)
+    assert out == Lambda("x_1", NAT, Lambda("x_1_1", NAT, apply(g, Var("x_1"), x)))
+    assert alpha_eq(out, naive_subst(t, "y", x))
+    # the first binder, ^x, drops x from the mapping; the later ^z must still
+    # see that the image of x mentions z
+    z = Var("z")
+    t = App(Lambda("x", NAT, apply(g, x, y)), Lambda("z", NAT, x))
+    out = syntax.subst_many(t, {"x": z, "y": Var("0")})
+    assert out == App(Lambda("x", NAT, apply(g, x, Var("0"))), Lambda("z_1", NAT, z))
 
 
 def test_subst_into_annotation():
@@ -158,6 +175,43 @@ def test_subst_idempotent_when_var_not_free_in_image(seed):
     assert "v" not in free_vars(u)
     once = subst(t, "v", u)
     assert alpha_eq(subst(once, "v", u), once)
+
+
+def test_subst_under_nested_binders_computes_no_body_free_vars(monkeypatch):
+    # ∀x1 … ∀x200. q v x1: a substitution for v that cannot be captured needs
+    # only its image's free variables, not those of each binder's body
+    t = App(App(Var("q"), Var("v")), Var("x1"))
+    for i in range(200, 0, -1):
+        t = Forall(f"x{i}", NAT, t)
+    calls = 0
+    real = syntax.free_vars
+
+    def counting(u):
+        nonlocal calls
+        calls += 1
+        return real(u)
+
+    def binders_and_body(t):
+        names = []
+        while isinstance(t, Forall):
+            names.append(t.bound)
+            t = t.body
+        return names, t
+
+    monkeypatch.setattr(syntax, "free_vars", counting)
+    out = subst(t, "v", numeral(1))
+    assert calls == 1
+    names = [f"x{i}" for i in range(1, 201)]
+    assert binders_and_body(out) == (names, App(App(Var("q"), numeral(1)), Var("x1")))
+    # a variable that is not free leaves the term itself
+    assert subst(t, "w", numeral(1)) is t
+    # an image that mentions x150: only the binder that could capture it
+    # looks at its body (and at the image again), and it is renamed
+    calls = 0
+    out = subst(t, "v", Var("x150"))
+    assert calls <= 3
+    names[149] = "x150_1"
+    assert binders_and_body(out) == (names, App(App(Var("q"), Var("x150")), Var("x1")))
 
 
 # ---------------------------------------------------------------------------
