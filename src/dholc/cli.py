@@ -2,8 +2,9 @@
 
 Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
-errors or input nested too deeply to process, 64 usage errors, 70 internal
-errors (a one-line diagnostic instead of a traceback).  Diagnostics go to
+errors or input nested too deeply to process, 64 usage errors (a bad flag, or
+a budget, prover time limit, --jobs value or config file that is rejected),
+70 internal errors (a one-line diagnostic instead of a traceback).  Diagnostics go to
 stderr, results to stdout and files.
 
 The typing rule picks the erasure: --eps1 (the default) erases strongly,
@@ -45,6 +46,7 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        self.print_usage(sys.stderr)
         raise _UsageError(message)
 
 
@@ -92,10 +94,14 @@ def _build_parser() -> _Parser:
 
 
 def _read_config(path: Optional[Path]) -> dict[str, str]:
-    if path is None or not path.exists():
+    if path is None:
         return {}
+    try:
+        text = path.read_text()
+    except OSError as e:
+        raise _UsageError(f"cannot read config file {str(path)!r}: {e.strerror}") from None
     out = {}
-    for line in path.read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -112,35 +118,34 @@ def _resolve_mode(args) -> Mode:
     return Mode.STRONG_EPSILON
 
 
-def _resolve_prover(args) -> Optional[ProverConfig]:
-    cfg = _read_config(getattr(args, "config", None))
-    cmd = getattr(args, "prover_cmd", None) or cfg.get("prover_cmd") or os.environ.get(
-        "DHOL_PROVER_CMD"
-    )
-    if not cmd:
-        return None
-    limit = getattr(args, "prover_time", None)
-    if limit is None:
-        limit = float(cfg.get("time_limit", 90.0))
-    return ProverConfig(command=cmd, time_limit=limit)
-
-
-def _resolve_budget(args) -> SearchBudget:
-    cfg = _read_config(getattr(args, "config", None))
+def _resolve_settings(args) -> None:
+    """Read the config file once and set ``args.budget`` and, for the
+    commands that discharge, ``args.prover``; flags win over the file.  A
+    value that the budget or the prover configuration rejects is a usage
+    error."""
+    cfg = _read_config(args.config)
 
     def pick(flag, key, fallback, cast):
-        v = getattr(args, flag, None)
+        v = getattr(args, flag)
         if v is not None:
             return v
-        if key in cfg:
-            return cast(cfg[key])
-        return fallback
+        return cast(cfg[key]) if key in cfg else fallback
 
-    return SearchBudget(
-        max_size=pick("budget_size", "budget_size", DESK_BUDGET.max_size, int),
-        max_models=pick("budget_models", "budget_models", DESK_BUDGET.max_models, int),
-        max_seconds=pick("budget_seconds", "budget_seconds", DESK_BUDGET.max_seconds, float),
-    )
+    try:
+        args.budget = SearchBudget(
+            max_size=pick("budget_size", "budget_size", DESK_BUDGET.max_size, int),
+            max_models=pick("budget_models", "budget_models", DESK_BUDGET.max_models, int),
+            max_seconds=pick("budget_seconds", "budget_seconds", DESK_BUDGET.max_seconds, float),
+        )
+        if hasattr(args, "prover_cmd"):
+            cmd = args.prover_cmd or cfg.get("prover_cmd") or os.environ.get("DHOL_PROVER_CMD")
+            # built without a command too, so that a bad limit is always reported
+            prover = ProverConfig(cmd or "", pick("prover_time", "time_limit", 90.0, float))
+            args.prover = prover if cmd else None
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
+    if getattr(args, "jobs", 1) < 1:
+        raise _UsageError("--jobs must be at least 1")
 
 
 def _load(args) -> tuple:
@@ -178,9 +183,9 @@ def _discharge_and_report(
     obligations = report.obligations if include_conjecture else report.typing_obligations
     dis = discharge(
         obligations,
-        cfg=_resolve_prover(args),
+        cfg=args.prover,
         oracle_fallback=not args.no_oracle,
-        budget=_resolve_budget(args),
+        budget=args.budget,
         jobs=args.jobs,
     )
     print(dis.to_text())
@@ -282,7 +287,7 @@ def _cmd_oracle(args) -> int:
         print("error: no conjecture to search against", file=sys.stderr)
         return EXIT_STRUCTURAL
     merged = merge_context(ob.hol_theory, ob.hol_context)
-    result = countermodel(merged, ob.conjecture, _resolve_budget(args))
+    result = countermodel(merged, ob.conjecture, args.budget)
     print(f"oracle: {result.status}" + (f" ({result.detail})" if result.detail else ""))
     if result.found:
         print(result.model.describe())
@@ -309,6 +314,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(args, "config"):
+            _resolve_settings(args)
         if args.command == "check":
             return _cmd_check(args)
         if args.command == "prove":
@@ -324,7 +331,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         raise _UsageError(f"unknown command {args.command!r}")
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return EXIT_USAGE
     except RecursionError:
         # Numerals expand to nested applications, and every layer walks terms

@@ -49,7 +49,6 @@ from .syntax import (
     fresh_name,
     neg,
     subst,
-    subst_type,
 )
 
 
@@ -94,7 +93,7 @@ def per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term) -> Term:
             avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(d))
             avoid |= set(free_vars(c)) - {x}
             x1 = fresh_name(base, avoid)
-            c1 = subst_type(c, x, Var(x1)) if x1 != x else c
+            c1 = subst(c, x, Var(x1)) if x1 != x else c
             y = fresh_name(f"{base}_2", avoid | {x1} | set(free_vars(c1)))
             ed = erase_type(d)
             inner = Implies(
@@ -234,9 +233,9 @@ def erase_theory(thy: Theory, ctx: Context, variant: ErasureVariant) -> ErasedTh
     return ErasedTheory(Theory(tuple(thy_out)), Context(tuple(ctx_out)), per_names)
 
 
-def beta_normalize(t: Term) -> Term:
+def beta_normalize(t: Term | Type) -> Term | Type:
     """Full beta-normalization (terminates on well-typed terms); also
-    normalizes terms embedded in type annotations."""
+    normalizes terms embedded in types and type annotations."""
     match t:
         case Var() | Falsum():
             return t
@@ -250,27 +249,22 @@ def beta_normalize(t: Term) -> Term:
             return Implies(beta_normalize(l), beta_normalize(r))
         case Eq(ty=ty, lhs=l, rhs=r):
             return Eq(
-                _beta_type(ty) if ty is not None else None,
+                beta_normalize(ty) if ty is not None else None,
                 beta_normalize(l),
                 beta_normalize(r),
             )
         case Lambda(bound=x, annot=a, body=b):
-            return Lambda(x, _beta_type(a), beta_normalize(b))
+            return Lambda(x, beta_normalize(a), beta_normalize(b))
         case Forall(bound=x, annot=a, body=b):
-            return Forall(x, _beta_type(a), beta_normalize(b))
+            return Forall(x, beta_normalize(a), beta_normalize(b))
         case Choice(bound=x, annot=a, body=b):
-            return Choice(x, _beta_type(a), beta_normalize(b))
-        case _:
-            raise ErasureError(f"not a term: {t!r}")
-
-
-def _beta_type(A: Type) -> Type:
-    match A:
+            return Choice(x, beta_normalize(a), beta_normalize(b))
+        # types last, so that term nodes pay no extra pattern test
         case Bool():
-            return A
+            return t
         case Base(name=n, args=args):
             return Base(n, tuple(beta_normalize(a) for a in args))
         case Pi(bound=x, domain=d, codomain=c):
-            return Pi(x, _beta_type(d), _beta_type(c))
+            return Pi(x, beta_normalize(d), beta_normalize(c))
         case _:
-            raise ErasureError(f"not a type: {A!r}")
+            raise ErasureError(f"not a term or type: {t!r}")

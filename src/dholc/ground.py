@@ -56,7 +56,6 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
-    alpha_eq_type,
     alpha_key,
     neg,
     subst,
@@ -181,7 +180,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             break
         if isinstance(a_term, Forall):
             for name, ty in universe:
-                if not alpha_eq_type(ty, a_term.annot):
+                if not alpha_eq(ty, a_term.annot):
                     continue
                 # Already normal: see the module docstring.
                 inst = subst(a_term.body, a_term.bound, Var(name))

@@ -51,15 +51,13 @@ from .syntax import (
     Type,
     Var,
     alpha_eq,
-    alpha_eq_type,
     alpha_key,
     free_vars,
     fresh_name,
     is_simple_type,
     neg,
     subst,
-    subst_type,
-    subst_type_many,
+    subst_many,
 )
 
 
@@ -233,7 +231,7 @@ class _Checker:
                 sigma: dict[str, Term] = {}
                 elaborated = []
                 for (x, ty), t in zip(decl.telescope, args):
-                    expected = subst_type_many(ty, sigma)
+                    expected = subst_many(ty, sigma)
                     t2 = self.check(ctx, t, expected)
                     sigma[x] = t2
                     elaborated.append(t2)
@@ -250,7 +248,7 @@ class _Checker:
     # -- type equality up to provable equations
 
     def type_equal(self, ctx: tuple, A: Type, B: Type, pos=None) -> None:
-        if alpha_eq_type(A, B):
+        if alpha_eq(A, B):
             return
         match (A, B):
             case (Base(name=a, args=args1), Base(name=b, args=args2)):
@@ -263,7 +261,7 @@ class _Checker:
                     raise KernelError(f"unknown base type {a!r}", pos)
                 sigma: dict[str, Term] = {}
                 for (x, ty), t1, t2 in zip(decl.telescope, args1, args2):
-                    expected = subst_type_many(ty, sigma)
+                    expected = subst_many(ty, sigma)
                     if not alpha_eq(t1, t2):
                         self.emit(
                             ObligationKind.TYPE_EQ,
@@ -276,8 +274,8 @@ class _Checker:
             case (Pi(bound=x1, domain=d1, codomain=c1), Pi(bound=x2, domain=d2, codomain=c2)):
                 self.type_equal(ctx, d1, d2, pos)
                 z = fresh_name(x1, set(free_vars(c1)) | set(free_vars(c2)) | {x1, x2})
-                c1r = subst_type(c1, x1, Var(z))
-                c2r = subst_type(c2, x2, Var(z))
+                c1r = subst(c1, x1, Var(z))
+                c2r = subst(c2, x2, Var(z))
                 self.type_equal(ctx + (ConstDecl(z, d1),), c1r, c2r, pos)
             case (Bool(), Bool()):
                 return
@@ -305,7 +303,7 @@ class _Checker:
                 if not isinstance(fty, Pi):
                     raise KernelError("application of a non-function", pos)
                 u2 = self.check(ctx, u, fty.domain)
-                return subst_type(fty.codomain, fty.bound, u2), App(f2, u2, pos=pos)
+                return subst(fty.codomain, fty.bound, u2), App(f2, u2, pos=pos)
             case Falsum():
                 return BOOL, t
             case Implies(lhs=l, rhs=r, pos=pos):

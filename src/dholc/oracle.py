@@ -24,7 +24,7 @@ once for every assignment of the constants in between.  So each axiom is
 memoised, per carrier sizes, on the values of the earlier constants it reads
 and evaluated only on the first visit (MACE-style finders likewise avoid
 re-evaluating clauses; Claessen & Sörensson 2003).  The search's deadline is
-also checked inside binder loops over many values.
+also checked inside binder loops and search levels over many values.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from .syntax import (
     is_simple_type,
     spine,
     Var,
-    alpha_eq_type,
+    alpha_eq,
 )
 
 
@@ -84,6 +84,10 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_size < 1:
             raise ValueError("max carrier size must be at least 1")
+        if self.max_models < 1:
+            raise ValueError("max model count must be at least 1")
+        if not self.max_seconds > 0:  # NaN too: it would disable the deadline
+            raise ValueError("max seconds must be positive")
 
 
 @dataclass
@@ -321,10 +325,24 @@ class _ClockedRange:
             yield v
 
 
+# A search level over more values than this looks at the clock once per this
+# many values, so a level that rejects almost every value still stops in time.
+_LEVEL_CLOCK_EVERY = 1024
+
+
+def _clocked_values(n: int, deadline: float):
+    """range(n) for one search level, raising _OutOfTime at the start of each
+    run of _LEVEL_CLOCK_EVERY values once the deadline has passed."""
+    for start in range(0, n, _LEVEL_CLOCK_EVERY):
+        if time.monotonic() > deadline:
+            raise _OutOfTime
+        yield from range(start, min(start + _LEVEL_CLOCK_EVERY, n))
+
+
 def _check_argument(domain: Type, ty: Type) -> None:
     """An argument's type must be its function's domain: a digit index
     computed from an argument of another type reads the wrong digit, or none."""
-    if ty != domain and not alpha_eq_type(ty, domain):
+    if ty != domain and not alpha_eq(ty, domain):
         raise OracleError("ill-typed application argument reached the oracle")
 
 
@@ -598,9 +616,11 @@ def countermodel(
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
     and nothing outlives the call.
 
-    The deadline is checked every 1024 search nodes and, through the
-    Compiler, at every value of a binder over more than _CLOCKED_RANGE_MIN
-    values, so a single long evaluation ends as "exhausted" too."""
+    The deadline is checked every 1024 search nodes, every
+    _LEVEL_CLOCK_EVERY values of a level with more values than that, and,
+    through the Compiler, at every value of a binder over more than
+    _CLOCKED_RANGE_MIN values, so a single long evaluation or a level that
+    rejects almost every value ends as "exhausted" too."""
     bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
     for d in thy:
         if isinstance(d, BaseTypeDecl) and d.telescope:
@@ -685,7 +705,8 @@ def countermodel(
                 if row[0] == _UNKNOWN:
                     row[0] = run(root)
                 return row[0] == 0
-            for v in range(width):
+            clocked = width > _LEVEL_CLOCK_EVERY
+            for v in _clocked_values(width, deadline) if clocked else range(width):
                 env[i] = v
                 for root, row in rows:
                     r = row[v]
@@ -726,54 +747,3 @@ def merge_context(thy: Theory, ctx) -> Theory:
     constants to solve for, assumptions become axioms."""
     return Theory(tuple(thy.decls) + tuple(ctx.decls))
 
-
-def restrict_signature(thy: Theory, terms: list[Term]) -> Theory:
-    """Drop axioms and constants irrelevant to ``terms``.
-
-    The truth value of a formula depends only on the symbols it mentions, so
-    validity checking over the restricted signature is equivalent and the
-    interpretation space collapses.  Base types referenced by the kept
-    constants' types or by binder annotations are retained."""
-    wanted = set()
-    for t in terms:
-        wanted.update(free_vars(t))
-    consts = [d for d in thy if isinstance(d, ConstDecl) and d.name in wanted]
-    bases: set[str] = set()
-
-    def collect_bases(ty: Type) -> None:
-        match ty:
-            case Base(name=n):
-                bases.add(n)
-            case Pi(domain=d, codomain=c):
-                collect_bases(d)
-                collect_bases(c)
-            case _:
-                pass
-
-    for d in consts:
-        collect_bases(d.ty)
-    for t in terms:
-        for sub in _annotations(t):
-            collect_bases(sub)
-    base_decls = [d for d in thy if isinstance(d, BaseTypeDecl) and d.name in bases]
-    return Theory(tuple(base_decls) + tuple(consts))
-
-
-def _annotations(t: Term):
-    match t:
-        case Lambda(annot=a, body=b) | Forall(annot=a, body=b) | Choice(annot=a, body=b):
-            yield a
-            yield from _annotations(b)
-        case App(fun=f, arg=a):
-            yield from _annotations(f)
-            yield from _annotations(a)
-        case Implies(lhs=l, rhs=r):
-            yield from _annotations(l)
-            yield from _annotations(r)
-        case Eq(ty=ty, lhs=l, rhs=r):
-            if ty is not None:
-                yield ty
-            yield from _annotations(l)
-            yield from _annotations(r)
-        case _:
-            return

@@ -186,10 +186,7 @@ class _Parser:
                 break
             if t.kind == "KEYWORD" and t.text == "pi":
                 self.next()
-                x = self.expect_name()
-                self.expect_sym(":")
-                ty = self.parse_type()
-                self.expect_sym(".")
+                x, ty = self._binder_head()
                 telescope.append((x.text, ty))
                 self.scope.bound.append(x.text)
             else:
@@ -219,6 +216,14 @@ class _Parser:
 
     # -- types
 
+    def _binder_head(self) -> tuple[_Tok, Type]:
+        """``x : A .`` after a binder keyword; x is not in scope yet."""
+        x = self.expect_name()
+        self.expect_sym(":")
+        ty = self.parse_type()
+        self.expect_sym(".")
+        return x, ty
+
     def parse_type(self) -> Type:
         lhs = self.parse_type1()
         t = self.peek()
@@ -240,10 +245,7 @@ class _Parser:
             return ty
         if t.kind == "KEYWORD" and t.text == "pi":
             self.next()
-            x = self.expect_name()
-            self.expect_sym(":")
-            dom = self.parse_type()
-            self.expect_sym(".")
+            x, dom = self._binder_head()
             self.scope.bound.append(x.text)
             cod = self.parse_type()
             self.scope.bound.pop()
@@ -351,10 +353,7 @@ class _Parser:
             t.kind == "KEYWORD" and t.text == "eps"
         ):
             self.next()
-            x = self.expect_name()
-            self.expect_sym(":")
-            ty = self.parse_type()
-            self.expect_sym(".")
+            x, ty = self._binder_head()
             self.scope.bound.append(x.text)
             body = self.parse_term()
             self.scope.bound.pop()
@@ -384,32 +383,25 @@ def parse_theory(text: str) -> tuple[Theory, Optional[Term]]:
 
 def parse_term(text: str, thy: Optional[Theory] = None, bound: dict[str, Type] | None = None) -> Term:
     """Parse a single term against an existing theory (mainly for tests)."""
-    p = _Parser(text)
-    if thy is not None:
-        for d in thy:
-            if isinstance(d, BaseTypeDecl):
-                p.scope.base_arity[d.name] = d.arity
-            elif isinstance(d, ConstDecl):
-                p.scope.consts.add(d.name)
-    if bound:
-        p.scope.bound.extend(bound)
-    t = p.parse_term()
-    if p.peek().kind != "EOF":
-        tok = p.peek()
-        raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return t
+    return _parse_in_scope(text, thy, bound, _Parser.parse_term)
 
 
 def parse_type(text: str, thy: Optional[Theory] = None) -> Type:
+    return _parse_in_scope(text, thy, None, _Parser.parse_type)
+
+
+def _parse_in_scope(text: str, thy: Optional[Theory], bound, parse):
+    """Run ``parse`` with the names of ``thy`` and ``bound`` in scope, and
+    require it to consume all of ``text``."""
     p = _Parser(text)
-    if thy is not None:
-        for d in thy:
-            if isinstance(d, BaseTypeDecl):
-                p.scope.base_arity[d.name] = d.arity
-            elif isinstance(d, ConstDecl):
-                p.scope.consts.add(d.name)
-    ty = p.parse_type()
-    if p.peek().kind != "EOF":
-        tok = p.peek()
+    for d in thy or ():
+        if isinstance(d, BaseTypeDecl):
+            p.scope.base_arity[d.name] = d.arity
+        elif isinstance(d, ConstDecl):
+            p.scope.consts.add(d.name)
+    p.scope.bound.extend(bound or ())
+    out = parse(p)
+    tok = p.peek()
+    if tok.kind != "EOF":
         raise ParseError(f"trailing input {tok.text!r}", tok.pos)
-    return ty
+    return out

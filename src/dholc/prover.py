@@ -46,7 +46,7 @@ class ProverConfig:
     time_limit: float = 90.0
 
     def __post_init__(self):
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:  # NaN too
             raise ValueError("prover time limit must be positive")
 
 

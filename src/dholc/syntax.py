@@ -1,8 +1,10 @@
 """Abstract syntax for DHOL/HOL terms, types, declarations and theories.
 
 Terms and types are immutable trees.  Types embed terms (arguments of applied
-base types), so substitution, free variables and alpha-equivalence are defined
-mutually on both.  Derived connectives (negation, truth, conjunction,
+base types), so every operation on terms also walks types: substitution, free
+variables, alpha-equivalence, equality-annotation stripping and the subterm
+walk each have one entry point that takes a term or a type, and so does
+``erasure.beta_normalize``.  Derived connectives (negation, truth, conjunction,
 disjunction, existentials, disequality) are construction-time sugar: the trees
 only ever store the core nodes.
 
@@ -163,7 +165,7 @@ class Theory:
         return len(self.decls)
 
     def extended(self, *decls: Declaration) -> "Theory":
-        return Theory(self.decls + decls)
+        return type(self)(self.decls + decls)
 
     def base_type(self, name: str) -> Optional[BaseTypeDecl]:
         for d in self.decls:
@@ -179,30 +181,13 @@ class Theory:
 
 
 @dataclass(frozen=True, slots=True)
-class Context:
+class Context(Theory):
     """Like a theory but may not declare base types."""
-
-    decls: tuple[Declaration, ...] = ()
 
     def __post_init__(self):
         for d in self.decls:
             if isinstance(d, BaseTypeDecl):
                 raise ValueError("contexts may not declare base types")
-
-    def __iter__(self) -> Iterator[Declaration]:
-        return iter(self.decls)
-
-    def __len__(self) -> int:
-        return len(self.decls)
-
-    def extended(self, *decls: Declaration) -> "Context":
-        return Context(self.decls + decls)
-
-    def const(self, name: str) -> Optional[ConstDecl]:
-        for d in self.decls:
-            if isinstance(d, ConstDecl) and d.name == name:
-                return d
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -300,27 +285,17 @@ def fresh_name(base: str, avoid) -> str:
 # Substitution (capture-avoiding, simultaneous)
 
 
-def subst_many(t: Term, mapping: dict[str, Term]) -> Term:
+def subst_many(t: Term | Type, mapping: dict[str, Term]) -> Term | Type:
+    """Capture-avoiding simultaneous substitution in a term or a type."""
     mapping = {x: u for x, u in mapping.items() if not (isinstance(u, Var) and u.name == x)}
     if not mapping:
         return t
     return _subst(t, mapping, [])
 
 
-def subst(t: Term, x: str, u: Term) -> Term:
+def subst(t: Term | Type, x: str, u: Term) -> Term | Type:
     """Capture-avoiding substitution of u for free x, total."""
     return subst_many(t, {x: u})
-
-
-def subst_type(A: Type, x: str, u: Term) -> Type:
-    return subst_type_many(A, {x: u})
-
-
-def subst_type_many(A: Type, mapping: dict[str, Term]) -> Type:
-    mapping = {x: u for x, u in mapping.items() if not (isinstance(u, Var) and u.name == x)}
-    if not mapping:
-        return A
-    return _subst(A, mapping, [])
 
 
 # _subst returns the node itself when nothing under it changed.  ``mapping``
@@ -406,17 +381,12 @@ def _subst_binder(x: str, body, mapping: dict[str, Term], reach: list[set[str]])
 # Alpha-equivalence
 
 
-def alpha_eq(t: Term | None, u: Term | None) -> bool:
-    """Equality up to consistent renaming of bound variables."""
+def alpha_eq(t: Term | Type | None, u: Term | Type | None) -> bool:
+    """Equality of terms or types up to consistent renaming of bound
+    variables."""
     if t is None or u is None:
         return t is u
     return _alpha(t, u, {}, {}, 0)
-
-
-def alpha_eq_type(A: Type | None, B: Type | None) -> bool:
-    if A is None or B is None:
-        return A is B
-    return _alpha(A, B, {}, {}, 0)
 
 
 def _alpha(t, u, lm: dict, rm: dict, depth: int) -> bool:
@@ -534,34 +504,26 @@ def _alpha_key_bound(x: str, body, env: dict[str, int], depth: int, parts: list[
 # Structural helpers
 
 
-def strip_eq_types(t: Term) -> Term:
+def strip_eq_types(t: Term | Type) -> Term | Type:
     """Drop the type annotations of equality nodes (the parser's view; the
     kernel restores them during elaboration)."""
     match t:
-        case Var() | Falsum():
+        case Var() | Falsum() | Bool():
             return t
         case Lambda() | Forall() | Choice():
-            return type(t)(t.bound, _strip_eq_types_ty(t.annot), strip_eq_types(t.body))
+            return type(t)(t.bound, strip_eq_types(t.annot), strip_eq_types(t.body))
         case App(fun=f, arg=a):
             return App(strip_eq_types(f), strip_eq_types(a))
         case Implies(lhs=l, rhs=r):
             return Implies(strip_eq_types(l), strip_eq_types(r))
         case Eq(lhs=l, rhs=r):
             return Eq(None, strip_eq_types(l), strip_eq_types(r))
-        case _:
-            raise TypeError(f"not a term: {t!r}")
-
-
-def _strip_eq_types_ty(A: Type) -> Type:
-    match A:
-        case Bool():
-            return A
         case Base(name=n, args=args):
             return Base(n, tuple(strip_eq_types(a) for a in args))
         case Pi(bound=x, domain=d, codomain=c):
-            return Pi(x, _strip_eq_types_ty(d), _strip_eq_types_ty(c))
+            return Pi(x, strip_eq_types(d), strip_eq_types(c))
         case _:
-            raise TypeError(f"not a type: {A!r}")
+            raise TypeError(f"not a term or type: {t!r}")
 
 
 def is_simple_type(A: Type) -> bool:
@@ -588,12 +550,14 @@ def spine(t: Term) -> tuple[Term, list[Term]]:
     return t, args
 
 
-def subterms(t: Term) -> Iterator[Term]:
-    """All subterms, pre-order, including terms embedded in type annotations."""
-    yield t
+def subterms(t: Term | Type) -> Iterator[Term]:
+    """All subterms, pre-order, including terms embedded in type annotations.
+    A type yields only the terms embedded in it, never itself."""
+    if isinstance(t, Term):
+        yield t
     match t:
         case Lambda() | Forall() | Choice():
-            yield from _type_subterms(t.annot)
+            yield from subterms(t.annot)
             yield from subterms(t.body)
         case App():
             yield from subterms(t.fun)
@@ -603,21 +567,15 @@ def subterms(t: Term) -> Iterator[Term]:
             yield from subterms(t.rhs)
         case Eq():
             if t.ty is not None:
-                yield from _type_subterms(t.ty)
+                yield from subterms(t.ty)
             yield from subterms(t.lhs)
             yield from subterms(t.rhs)
-        case _:
-            pass
-
-
-def _type_subterms(A: Type) -> Iterator[Term]:
-    match A:
         case Base(args=args):
             for a in args:
                 yield from subterms(a)
         case Pi(domain=d, codomain=c):
-            yield from _type_subterms(d)
-            yield from _type_subterms(c)
+            yield from subterms(d)
+            yield from subterms(c)
         case _:
             pass
 

@@ -63,15 +63,9 @@ class SymbolTable:
         s = re.sub(r"[^A-Za-z0-9_]", "_", s)
         if not s or not s[0].isalpha():
             s = "c" + s
-        s = s[0].lower() + s[1:]
-        candidate = s
-        k = 1
-        while candidate in self.used:
-            k += 1
-            candidate = f"{s}_{k}"
+        candidate = self.reserve(s[0].lower() + s[1:])
         self.fwd[name] = candidate
         self.back[candidate] = name
-        self.used.add(candidate)
         return candidate
 
     def reserve(self, raw: str) -> str:

@@ -24,12 +24,13 @@ from dholc.syntax import (
     Term,
     Type,
     Var,
-    alpha_eq_type,
+    alpha_eq,
     apply,
     conj,
     disj,
     exists,
     neg,
+    subst,
     top,
 )
 
@@ -73,7 +74,7 @@ class TermGen:
         return Pi(k, NAT, FIN(Var(k)))
 
     def nat(self, env, depth: int) -> Term:
-        candidates = [v for v, ty in env if alpha_eq_type(ty, NAT)]
+        candidates = [v for v, ty in env if alpha_eq(ty, NAT)]
         roll = self.rng.random()
         if candidates and roll < 0.4:
             return Var(self.rng.choice(candidates))
@@ -85,7 +86,7 @@ class TermGen:
         return Choice(x, NAT, self.boolean(env + [(x, NAT)], depth - 1))
 
     def of_type(self, env, ty: Type, depth: int) -> Term:
-        candidates = [v for v, t in env if alpha_eq_type(t, ty)]
+        candidates = [v for v, t in env if alpha_eq(t, ty)]
         if candidates and self.rng.random() < 0.45:
             return Var(self.rng.choice(candidates))
         match ty:
@@ -105,9 +106,7 @@ class TermGen:
             case Pi(bound=x, domain=d, codomain=c):
                 if depth > 0 and self.rng.random() < 0.7:
                     x2 = self._fresh()
-                    from dholc.syntax import subst_type
-
-                    c2 = subst_type(c, x, Var(x2))
+                    c2 = subst(c, x, Var(x2))
                     return Lambda(x2, d, self.of_type(env + [(x2, d)], c2, depth - 1))
                 x2 = self._fresh()
                 return Choice(x2, ty, self.boolean(env + [(x2, ty)], 0))
@@ -121,7 +120,7 @@ class TermGen:
                 return FALSE
             if roll < 0.5:
                 return top()
-            candidates = [v for v, ty in env if alpha_eq_type(ty, BOOL)]
+            candidates = [v for v, ty in env if alpha_eq(ty, BOOL)]
             if candidates and roll < 0.7:
                 return Var(self.rng.choice(candidates))
             return App(Var("q"), self.nat(env, 0))

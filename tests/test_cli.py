@@ -56,6 +56,32 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(corpus_dir, capsys, a
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("check", ["--budget-size", "0"], "max carrier size must be at least 1"),
+        ("oracle", ["--budget-models", "0"], "max model count must be at least 1"),
+        ("check", ["--budget-seconds", "nan"], "max seconds must be positive"),
+        ("prove", ["--budget-seconds", "-1"], "max seconds must be positive"),
+        ("check", ["--prover-time", "0"], "prover time limit must be positive"),
+        ("prove", ["--prover-cmd", "x", "--prover-time", "nan"], "prover time limit must be positive"),
+        ("check", ["--jobs", "0"], "--jobs must be at least 1"),
+        ("oracle", ["--config", "{tmp}/missing.conf"], "cannot read config file"),
+        ("check", ["--config", "{tmp}/bad.conf"], "max carrier size must be at least 1"),
+        ("check", ["--config", "{tmp}/junk.conf"], "invalid literal for int()"),
+    ],
+)
+def test_bad_settings_are_one_line_usage_errors(corpus_dir, tmp_path, capsys, command, flags, message):
+    (tmp_path / "bad.conf").write_text("budget_size = 0\n")
+    (tmp_path / "junk.conf").write_text("budget_models = many\n")
+    flags = [f.format(tmp=tmp_path) for f in flags]
+    assert main([command, str(corpus_dir / "choice_def1.dhol"), *flags]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads():
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {

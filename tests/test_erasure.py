@@ -30,7 +30,6 @@ from dholc.syntax import (
     Pi,
     Var,
     alpha_eq,
-    alpha_eq_type,
     apply,
     conj,
     disj,
@@ -61,7 +60,7 @@ def numeral(n):
 def test_erase_type_examples():
     assert erase_type(FIN(numeral(1))) == Base("fin")
     out = erase_type(Pi("n", NAT, FIN(Var("n"))))
-    assert alpha_eq_type(out, Pi("n", NAT, Base("fin")))
+    assert alpha_eq(out, Pi("n", NAT, Base("fin")))
     assert "n" not in free_vars(out.codomain)
     assert erase_type(BOOL) == BOOL
 
@@ -184,7 +183,7 @@ def test_erase_theory_counterexample():
     decls = list(er.hol_theory)
     assert decls[0] == BaseTypeDecl("a")
     assert decls[1].name == "a*"
-    assert alpha_eq_type(decls[1].ty, Pi("_", BOOL, Pi("_", Base("a"), Pi("_", Base("a"), BOOL))))
+    assert alpha_eq(decls[1].ty, Pi("_", BOOL, Pi("_", Base("a"), Pi("_", Base("a"), BOOL))))
     collapse = decls[2]
     assert isinstance(collapse, AxiomDecl)
     expected_collapse = Forall(

@@ -32,7 +32,6 @@ from dholc.syntax import (
     Pi,
     Var,
     alpha_eq,
-    alpha_eq_type,
     alpha_key,
     apply,
     free_vars,
@@ -64,7 +63,7 @@ def numeral(n):
 def test_infer_lambda_identity():
     t = parse_term("^ x : $o . x", THEORY)
     ty, obs = infer_type(THEORY, Context(), t, E1)
-    assert alpha_eq_type(ty, Pi("x", BOOL, BOOL))
+    assert alpha_eq(ty, Pi("x", BOOL, BOOL))
     assert obs == []
 
 
@@ -78,7 +77,7 @@ def test_infer_choice_weak_inhabitation():
     thy, _ = parse_theory(COUNTEREXAMPLE_SRC)
     t = parse_term("eps x : a $false . $true", thy)
     ty, obs = infer_type(thy, Context(), t, E2)
-    assert alpha_eq_type(ty, parse_type("a $false", thy))
+    assert alpha_eq(ty, parse_type("a $false", thy))
     assert [o.kind for o in obs] == [ObligationKind.TYPE_INHABITED]
     # the witness c makes this obligation dischargeable (see prover tests)
 
@@ -227,7 +226,7 @@ def test_context_shadows_theory_in_lookups():
     thy, _ = parse_theory("type u : tp\ntype w : tp\nconst c : u\n")
     ctx = Context((ConstDecl("c", Base("w")),))
     ty, _ = infer_type(thy, ctx, Var("c"), E1)
-    assert alpha_eq_type(ty, Base("w"))
+    assert alpha_eq(ty, Base("w"))
 
 
 def test_each_declaration_erased_once(monkeypatch):
@@ -284,7 +283,7 @@ def simple_type_of(thy, env, t):
         case App(fun=f, arg=a):
             fty = simple_type_of(thy, env, f)
             aty = simple_type_of(thy, env, a)
-            if not isinstance(fty, Pi) or not alpha_eq_type(fty.domain, aty):
+            if not isinstance(fty, Pi) or not alpha_eq(fty.domain, aty):
                 raise ValueError("bad application")
             return fty.codomain
         case Falsum():
@@ -297,7 +296,7 @@ def simple_type_of(thy, env, t):
                 raise ValueError("bad implication")
             return BOOL
         case Eq(lhs=l, rhs=r):
-            if not alpha_eq_type(simple_type_of(thy, env, l), simple_type_of(thy, env, r)):
+            if not alpha_eq(simple_type_of(thy, env, l), simple_type_of(thy, env, r)):
                 raise ValueError("bad equality")
             return BOOL
         case Forall(bound=x, annot=a, body=b):
@@ -336,7 +335,7 @@ def test_hol_conservativity():
         ty, obs, elaborated = infer_type_elaborated(thy, Context(), t, HOL)
         assert obs == []
         # agrees with the independent simple checker
-        assert alpha_eq_type(ty, simple_type_of(thy, {}, elaborated))
+        assert alpha_eq(ty, simple_type_of(thy, {}, elaborated))
     rep = check_theory(thy, parse_term("h d", thy), HOL)
     assert rep.ok
     assert [o.kind for o in rep.obligations] == [ObligationKind.CONJECTURE]

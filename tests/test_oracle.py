@@ -691,6 +691,27 @@ def test_max_seconds_holds_inside_one_evaluation(case):
     assert r.detail.startswith("wall-time budget exceeded")
 
 
+def test_max_seconds_holds_in_a_level_that_rejects_every_value():
+    # h ranges over 2^24 values at |a| = 3, and the axiom rejects each one
+    # without the search ever descending
+    H = arrows(arrows(A, BOOL), A, BOOL)
+    thy = Theory(
+        (BaseTypeDecl("a"), ConstDecl("h", H), AxiomDecl("ax", neg(Eq(H, Var("h"), Var("h")))))
+    )
+    budget = SearchBudget(max_size=3, max_models=20_000_000, max_seconds=1.0)
+    start = time.monotonic()
+    r = countermodel(thy, FALSE, budget)
+    assert time.monotonic() - start < 2.0
+    assert (r.status, r.detail) == ("exhausted", "wall-time budget exceeded at sizes (3,)")
+
+
+def test_clocked_level_values_are_the_range():
+    assert list(oracle._clocked_values(2500, time.monotonic() + 60)) == list(range(2500))
+    late = oracle._clocked_values(2500, time.monotonic() - 1)
+    with pytest.raises(oracle._OutOfTime):
+        next(late)
+
+
 def test_only_binders_over_many_values_look_at_the_clock():
     comp = Compiler({"a": 2}, {}, deadline=time.monotonic() - 1)
 

@@ -15,7 +15,6 @@ from dholc.syntax import (
     Pi,
     Var,
     alpha_eq,
-    alpha_eq_type,
     print_term,
     print_theory,
     print_type,
@@ -30,7 +29,7 @@ def test_parse_choice_binder():
     two = App(Var("s"), App(Var("s"), Var("0")))
     assert isinstance(t, Choice)
     assert t.bound == "x"
-    assert alpha_eq_type(t.annot, Base("fin", (two,)))
+    assert alpha_eq(t.annot, Base("fin", (two,)))
     assert alpha_eq(t.body, App(Var("p"), Var("x")))
 
 
@@ -62,7 +61,7 @@ def test_parse_theory_and_conjecture():
         ConstDecl,
     ]
     fin = thy.base_type("fin")
-    assert fin.arity == 1 and alpha_eq_type(fin.telescope[0][1], Base("nat"))
+    assert fin.arity == 1 and alpha_eq(fin.telescope[0][1], Base("nat"))
 
 
 def test_parse_types():

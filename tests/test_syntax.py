@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +249,76 @@ def test_alpha_equivalence_relation_and_subst_respect(seed):
     assert alpha_eq(t, t)
     assert alpha_eq(t, t_renamed) and alpha_eq(t_renamed, t)
     assert alpha_eq(subst(t, "v", u), subst(t_renamed, "v", u))
+
+
+def rebind(t, names, rng, shadows):
+    """``t`` with every binder renamed to a name drawn from ``names``, its
+    bound occurrences following.  A drawn name already bound outside, or free
+    inside, shadows or captures, so the result may or may not be
+    alpha-equivalent to ``t``.  Each binder that shadows appends to
+    ``shadows``."""
+
+    def binder(x, env):
+        x2 = rng.choice(names)
+        if x2 in env.values():
+            shadows.append(x2)
+        return x2, {**env, x: x2}
+
+    def go(t, env):
+        match t:
+            case Var(name=n):
+                return Var(env.get(n, n))
+            case Lambda() | Forall() | Choice():
+                x, inner = binder(t.bound, env)
+                return type(t)(x, go(t.annot, env), go(t.body, inner))
+            case App():
+                return App(go(t.fun, env), go(t.arg, env))
+            case Implies():
+                return Implies(go(t.lhs, env), go(t.rhs, env))
+            case Eq():
+                ty = go(t.ty, env) if t.ty is not None else None
+                return Eq(ty, go(t.lhs, env), go(t.rhs, env))
+            case Base():
+                return Base(t.name, tuple(go(a, env) for a in t.args))
+            case Pi():
+                x, inner = binder(t.bound, env)
+                return Pi(x, go(t.domain, env), go(t.codomain, inner))
+            case _:
+                return t
+
+    return go(t, {})
+
+
+def test_alpha_eq_agrees_with_alpha_key():
+    # Ground atoms and kernel dedup compare alpha_key strings; the local stage
+    # calls alpha_eq.  Both must draw the same line, on terms and on types.
+    x, y = Var("x"), Var("y")
+    pairs = [
+        (Lambda("x", BOOL, Lambda("x", BOOL, x)), Lambda("y", BOOL, Lambda("z", BOOL, Var("z")))),
+        (Lambda("x", BOOL, Lambda("x", BOOL, x)), Lambda("x", BOOL, Lambda("y", BOOL, x))),
+        (Pi("x", NAT, Pi("x", NAT, FIN(x))), Pi("y", NAT, Pi("x", NAT, FIN(y)))),
+        (Pi("x", NAT, Pi("x", NAT, FIN(x))), Pi("y", NAT, Pi("z", NAT, FIN(Var("z"))))),
+    ]
+    shadows: list[str] = []
+    for seed in range(150):
+        gen, rng = TermGen(seed), random.Random(seed)
+        t = gen.boolean([("v", NAT)], 3)
+        n = gen.nat([("v", NAT)], 2)
+        ty = Pi("v", NAT, Pi("w", FIN(n), FIN(gen.nat([("v", NAT)], 2))))
+        for a in (t, ty):
+            pairs.append((a, naive_subst(a, "__none__", Var("__none__"))))
+            pairs.extend((a, rebind(a, ["x", "y", "v"], rng, shadows)) for _ in range(3))
+            pairs.append((a, subst(a, "v", n)))
+        pairs.append((t, gen.boolean([("v", NAT)], 3)))
+        pairs.append((ty, gen.annot_type([], 2)))
+    verdicts = []
+    for a, b in pairs:
+        same = alpha_eq(a, b)
+        assert same == (alpha_key(a) == alpha_key(b)), (a, b)
+        assert alpha_eq(b, a) == same
+        verdicts.append(same)
+    assert verdicts.count(True) > 300 and verdicts.count(False) > 300
+    assert len(shadows) > 100
 
 
 # ---------------------------------------------------------------------------
