@@ -100,6 +100,8 @@ def _read_config(path: Optional[Path]) -> dict[str, str]:
         text = path.read_text()
     except OSError as e:
         raise _UsageError(f"cannot read config file {str(path)!r}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise _UsageError(f"cannot read config file {str(path)!r}: not UTF-8 text") from None
     out = {}
     for line in text.splitlines():
         line = line.strip()

@@ -325,18 +325,9 @@ class _ClockedRange:
             yield v
 
 
-# A search level over more values than this looks at the clock once per this
-# many values, so a level that rejects almost every value still stops in time.
+# A search level looks at the clock before each run of this many values after
+# the first, so a level that rejects almost every value still stops in time.
 _LEVEL_CLOCK_EVERY = 1024
-
-
-def _clocked_values(n: int, deadline: float):
-    """range(n) for one search level, raising _OutOfTime at the start of each
-    run of _LEVEL_CLOCK_EVERY values once the deadline has passed."""
-    for start in range(0, n, _LEVEL_CLOCK_EVERY):
-        if time.monotonic() > deadline:
-            raise _OutOfTime
-        yield from range(start, min(start + _LEVEL_CLOCK_EVERY, n))
 
 
 def _check_argument(domain: Type, ty: Type) -> None:
@@ -616,8 +607,8 @@ def countermodel(
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
     and nothing outlives the call.
 
-    The deadline is checked every 1024 search nodes, every
-    _LEVEL_CLOCK_EVERY values of a level with more values than that, and,
+    The deadline is checked every 1024 search nodes, before each run of
+    _LEVEL_CLOCK_EVERY values of a level after the first, and,
     through the Compiler, at every value of a binder over more than
     _CLOCKED_RANGE_MIN values, so a single long evaluation or a level that
     rejects almost every value ends as "exhausted" too."""
@@ -705,18 +696,20 @@ def countermodel(
                 if row[0] == _UNKNOWN:
                     row[0] = run(root)
                 return row[0] == 0
-            clocked = width > _LEVEL_CLOCK_EVERY
-            for v in _clocked_values(width, deadline) if clocked else range(width):
-                env[i] = v
-                for root, row in rows:
-                    r = row[v]
-                    if r == _UNKNOWN:
-                        r = row[v] = run(root)
-                    if not r:
-                        break
-                else:
-                    if dfs(i + 1):
-                        return True
+            for start in range(0, width, _LEVEL_CLOCK_EVERY):
+                if start and time.monotonic() > deadline:
+                    raise _OutOfTime
+                for v in range(start, min(start + _LEVEL_CLOCK_EVERY, width)):
+                    env[i] = v
+                    for root, row in rows:
+                        r = row[v]
+                        if r == _UNKNOWN:
+                            r = row[v] = run(root)
+                        if not r:
+                            break
+                    else:
+                        if dfs(i + 1):
+                            return True
             return False
 
         try:

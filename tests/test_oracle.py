@@ -705,13 +705,6 @@ def test_max_seconds_holds_in_a_level_that_rejects_every_value():
     assert (r.status, r.detail) == ("exhausted", "wall-time budget exceeded at sizes (3,)")
 
 
-def test_clocked_level_values_are_the_range():
-    assert list(oracle._clocked_values(2500, time.monotonic() + 60)) == list(range(2500))
-    late = oracle._clocked_values(2500, time.monotonic() - 1)
-    with pytest.raises(oracle._OutOfTime):
-        next(late)
-
-
 def test_only_binders_over_many_values_look_at_the_clock():
     comp = Compiler({"a": 2}, {}, deadline=time.monotonic() - 1)
 
