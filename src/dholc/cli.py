@@ -25,7 +25,7 @@ from typing import Optional
 
 from . import __version__
 from .corpus import write_corpus
-from .erasure import erase_term, erase_theory
+from .erasure import ErasedTheory
 from .kernel import CheckReport, Mode, check_theory
 from .oracle import SearchBudget, countermodel, merge_context
 from .parser import ParseError, parse_theory
@@ -241,12 +241,13 @@ def _cmd_prove(args) -> int:
 
 
 def _write_erased(args, report: CheckReport) -> Path:
+    # the kernel has erased every declaration, and the conjecture for its
+    # obligation, already
     variant = report.mode.variant
-    erased = erase_theory(report.theory_elaborated, Context(), variant)
     stem = args.input.stem
-    conjecture = None
-    if report.conjecture_elaborated is not None:
-        conjecture = erase_term(report.conjecture_elaborated, variant)
+    ob = report.conjecture_obligation
+    conjecture = ob.conjecture if ob is not None else None
+    erased = ErasedTheory(report.hol_theory, Context())
     problem = emit_thf(erased, f"{stem}.{variant.value}", conjecture=conjecture)
     args.output_dir.mkdir(parents=True, exist_ok=True)
     out = args.output_dir / f"{stem}.{variant.value}.p"

@@ -126,6 +126,7 @@ class CheckReport:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     theory_elaborated: Theory = Theory()
     conjecture_elaborated: Optional[Term] = None
+    hol_theory: Theory = Theory()  # theory_elaborated erased, each declaration once
 
     @property
     def ok(self) -> bool:
@@ -493,5 +494,6 @@ def check_theory(thy: Theory, conjecture: Optional[Term], mode: Mode) -> CheckRe
         except KernelError as e:
             report.diagnostics.append(Diagnostic(e.msg, "conjecture", e.pos))
     report.theory_elaborated = Theory(tuple(ck.prefix))
+    report.hol_theory = Theory(tuple(ck.erased))
     report.obligations = ck.obligations
     return report

@@ -15,21 +15,22 @@ Each term is compiled once into nested Python closures that read and write a
 shared list of variable slots (closure generation, Feeley & Lapalme 1987).
 The closures are specialised to the node combinations erased obligations are
 made of (superoperators, Proebsting 1995): an application spine with a
-variable head is one digit lookup, and a ∀ over ⇒ is one loop.  The
-countermodel search reassigns the constants' slots depth first and, at each
-level, checks the axioms that level completes; a level's closures are
-compiled the first time the search reaches it.  An axiom's value depends only
-on the constants it mentions, yet the DFS revisits each assignment of them
-once for every assignment of the constants in between.  So each axiom is
-memoised, per carrier sizes, on the values of the earlier constants it reads
-and evaluated only on the first visit (MACE-style finders likewise avoid
-re-evaluating clauses; Claessen & Sörensson 2003).  The search's deadline is
-also checked inside binder loops and search levels over many values.
+variable head is one digit lookup, and a ∀ over ⇒ is one loop.  A
+countermodel is a model of the axioms and the negated conjecture, so the
+search runs one kind of check: it reassigns the constants' slots depth first
+and, at each level, runs the checks that level completes, the axioms and then
+¬conjecture.  A check's value depends only on the constants it mentions, yet
+the DFS revisits each assignment of them once for every assignment of the
+constants in between.  So each check is memoised, per carrier sizes, on the
+values of the earlier constants it reads, and compiled and evaluated only when
+a memo miss first needs it (MACE-style finders likewise search for a model of
+the clauses and the negated goal; Claessen & Sörensson 2003).  The deadline is
+also checked per carrier-size tuple, per run of a level's values and inside
+binder loops over many values.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
 from math import prod
@@ -56,6 +57,7 @@ from .syntax import (
     Type,
     free_vars,
     is_simple_type,
+    neg,
     spine,
     Var,
     alpha_eq,
@@ -325,8 +327,8 @@ class _ClockedRange:
             yield v
 
 
-# A search level looks at the clock before each run of this many values after
-# the first, so a level that rejects almost every value still stops in time.
+# A search level looks at the clock before each run of this many values, so a
+# level that rejects almost every value still stops in time.
 _LEVEL_CLOCK_EVERY = 1024
 
 
@@ -536,8 +538,6 @@ class SearchResult:
         return self.status == "countermodel"
 
 
-_UNREACHED = object()  # a search level whose checks are not compiled yet
-
 # Memo rows one carrier-size tuple may store, in bytes.  Each row is charged
 # its length plus _ROW_OVERHEAD for its object header, key and dict entry.
 # Past the cap, new rows are still filled and used, but not kept.
@@ -576,10 +576,47 @@ def _compile_bool(comp: Compiler, t: Term) -> Closure:
     return fn
 
 
+class _Check:
+    """One check at one carrier-size tuple: its term, the key of the earlier
+    slots it reads, its memo, and its closure once first needed."""
+
+    __slots__ = ("term", "key", "memo", "root")
+
+    def __init__(self, term: Term, reads: tuple[int, ...]):
+        self.term = term
+        self.key = itemgetter(*reads) if reads else _no_slots
+        self.memo: dict = {}
+        self.root: Optional[Closure] = None
+
+
+def _first_sizes(n: int, total: int, max_size: int) -> list[int]:
+    """The lexicographically first n sizes in 1..max_size that sum to total."""
+    sizes = []
+    for after in range(n - 1, -1, -1):
+        first = max(1, total - after * max_size)
+        sizes.append(first)
+        total -= first
+    return sizes
+
+
 def _size_tuples(nbases: int, max_size: int):
-    return sorted(
-        itertools.product(range(1, max_size + 1), repeat=nbases), key=lambda t: (sum(t), t)
-    )
+    """Every tuple of nbases sizes in 1..max_size, ordered by (total,
+    lexicographic) and made one at a time: there can be too many to list."""
+    for total in range(nbases, nbases * max_size + 1):
+        sizes = _first_sizes(nbases, total, max_size)
+        while True:
+            yield tuple(sizes)
+            # the last position that can grow by one while the ones after it,
+            # which sum to rest, can still give that one up
+            rest = 0
+            for i in range(nbases - 1, -1, -1):
+                if sizes[i] < max_size and rest > nbases - 1 - i:
+                    break
+                rest += sizes[i]
+            else:
+                break
+            sizes[i] += 1
+            sizes[i + 1 :] = _first_sizes(nbases - 1 - i, rest - 1, max_size)
 
 
 def countermodel(
@@ -587,31 +624,31 @@ def countermodel(
     conjecture: Term,
     budget: SearchBudget = SearchBudget(),
 ) -> SearchResult:
-    """Exhaustive search for a model of all axioms falsifying the conjecture,
-    up to the budget.  Deterministic enumeration: carrier sizes ordered by
-    (total, lexicographic), interpretations in canonical integer order,
-    constants in declaration order with axioms checked as soon as all their
-    symbols are assigned.  Budget exhaustion is reported distinctly from an
-    exhaustive "none up to bound".
+    """Exhaustive search for a model of the axioms and the negated
+    conjecture, up to the budget.  Deterministic enumeration: carrier sizes
+    ordered by (total, lexicographic), interpretations in canonical integer
+    order, constants in declaration order.  Budget exhaustion is reported
+    distinctly from an exhaustive "none up to bound".
 
-    Each level of the search, the assignment of one constant, checks the
-    axioms whose last constant it is, in declaration order; the conjecture is
-    the last level.  A level's checks are compiled when the search first
-    reaches them at a carrier size, so a level the search never reaches is
-    never compiled, and an ill-typed axiom there raises no OracleError.
+    The checks are the axioms in declaration order, then ¬conjecture.  Each
+    level of the search, the assignment of one constant, runs the checks
+    whose last constant it is, and an assignment of every constant that
+    passes them all is the countermodel.
 
     Each check has a memo for the current carrier sizes, keyed by the values
     of the earlier constants it reads.  An entry is a row with one result per
     value of the level's own constant, unknown until that value is first
-    tried under that key, so an axiom is evaluated at most once per (values
+    tried under that key, so a check is evaluated at most once per (values
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
-    and nothing outlives the call.
+    and nothing outlives the call.  A check is compiled when it is first
+    evaluated at a carrier size, so an ill-typed axiom that the search never
+    evaluates raises no OracleError.
 
-    The deadline is checked every 1024 search nodes, before each run of
-    _LEVEL_CLOCK_EVERY values of a level after the first, and,
-    through the Compiler, at every value of a binder over more than
-    _CLOCKED_RANGE_MIN values, so a single long evaluation or a level that
-    rejects almost every value ends as "exhausted" too."""
+    The deadline is checked before each carrier-size tuple, before each run
+    of _LEVEL_CLOCK_EVERY values of a level, and, through the Compiler, at
+    every value of a binder over more than _CLOCKED_RANGE_MIN values, so no
+    long evaluation, level or run of size tuples overruns it by much: the
+    search ends as "exhausted"."""
     bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
     for d in thy:
         if isinstance(d, BaseTypeDecl) and d.telescope:
@@ -624,31 +661,27 @@ def countermodel(
             raise OracleError("non-simple constant type reached the oracle")
     index = {n: i for i, (n, _) in enumerate(consts)}
     nconsts = len(consts)
-    axioms = [d.term for d in thy if isinstance(d, AxiomDecl)]
-    free = [free_vars(t) for t in axioms + [conjecture]]
-    for symbols in free:
+    # A check runs right after the highest-indexed constant it mentions has
+    # been assigned, at that constant's level, and is memoised on the others.
+    upfront: list[Term] = []
+    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
+    for t in [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
+        symbols = free_vars(t)
         for v in symbols:
             if v not in index:
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
-    # An axiom is checked right after the highest-indexed constant it mentions
-    # has been assigned, at that constant's level, and is memoised on the
-    # others; one that mentions none is checked before the search.  The
-    # conjecture is the last level, memoised on every constant it mentions.
-    upfront: list[Term] = []
-    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
-    for t, symbols in zip(axioms, free):
         slots = sorted(index[v] for v in symbols)
         if slots:
             levels[slots[-1]].append((t, tuple(slots[:-1])))
         else:
             upfront.append(t)
-    levels.append([(conjecture, tuple(sorted(index[v] for v in free[-1])))])
 
     deadline = time.monotonic() + budget.max_seconds
-    exhausted_any = False
     detail = ""
 
     for size_tuple in _size_tuples(len(bases), budget.max_size):
+        if time.monotonic() > deadline:
+            return _out_of_time(size_tuple)
         sizes = dict(zip(bases, size_tuple))
         space = 1
         for _, ty in consts:
@@ -656,7 +689,6 @@ def countermodel(
             if space > budget.max_models:
                 break
         if space > budget.max_models:
-            exhausted_any = True
             detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
             continue
 
@@ -664,47 +696,32 @@ def countermodel(
         ct = CompiledTerms(comp)
         run = ct.run
         env = ct.env
-        # the values of each level's constant; the conjecture's level has one
-        cards = [type_card(ty, sizes) for _, ty in consts] + [1]
-        # per level, (closure, key of the earlier slots it reads, memo) for
-        # each check, or _UNREACHED until the search first gets there
-        checks: list = [_UNREACHED] * (nconsts + 1)
-        steps = 0
+        cards = [type_card(ty, sizes) for _, ty in consts]
+        checks = [[_Check(t, reads) for t, reads in level] for level in levels]
         new_row = _Rows().new
 
         def dfs(i: int) -> bool:
-            nonlocal steps
-            steps += 1
-            if steps % 1024 == 0 and time.monotonic() > deadline:
-                raise _OutOfTime
-            level = checks[i]
-            if level is _UNREACHED:
-                level = checks[i] = [
-                    (_compile_bool(comp, t), itemgetter(*reads) if reads else _no_slots, {})
-                    for t, reads in levels[i]
-                ]
+            if i == nconsts:
+                return True
             width = cards[i]
             rows = []
-            for root, key, memo in level:
-                k = key(env)
-                row = memo.get(k)
+            for check in checks[i]:
+                k = check.key(env)
+                row = check.memo.get(k)
                 if row is None:
-                    row = new_row(memo, k, width)
-                rows.append((root, row))
-            if i == nconsts:
-                root, row = rows[0]
-                if row[0] == _UNKNOWN:
-                    row[0] = run(root)
-                return row[0] == 0
+                    row = new_row(check.memo, k, width)
+                rows.append((check, row))
             for start in range(0, width, _LEVEL_CLOCK_EVERY):
-                if start and time.monotonic() > deadline:
+                if time.monotonic() > deadline:
                     raise _OutOfTime
                 for v in range(start, min(start + _LEVEL_CLOCK_EVERY, width)):
                     env[i] = v
-                    for root, row in rows:
+                    for check, row in rows:
                         r = row[v]
                         if r == _UNKNOWN:
-                            r = row[v] = run(root)
+                            if check.root is None:
+                                check.root = _compile_bool(comp, check.term)
+                            r = row[v] = run(check.root)
                         if not r:
                             break
                     else:
@@ -713,8 +730,7 @@ def countermodel(
             return False
 
         try:
-            roots = [_compile_bool(comp, t) for t in upfront]
-            if all(run(root) for root in roots) and dfs(0):
+            if all(run(_compile_bool(comp, t)) for t in upfront) and dfs(0):
                 model = FiniteModel(
                     sizes=sizes,
                     consts={n: env[comp.slot_of[n]] for n, _ in consts},
@@ -722,17 +738,19 @@ def countermodel(
                 )
                 return SearchResult("countermodel", model)
         except _OutOfTime:
-            return SearchResult(
-                "exhausted", detail=f"wall-time budget exceeded at sizes {size_tuple}"
-            )
+            return _out_of_time(size_tuple)
         finally:
             # dfs refers to itself; breaking that cycle frees this size's
             # closures and memos now instead of at some later full collection.
             del dfs
 
-    if exhausted_any:
+    if detail:
         return SearchResult("exhausted", detail=detail)
     return SearchResult("none", detail=f"exhaustive up to carrier size {budget.max_size}")
+
+
+def _out_of_time(size_tuple: tuple[int, ...]) -> SearchResult:
+    return SearchResult("exhausted", detail=f"wall-time budget exceeded at sizes {size_tuple}")
 
 
 def merge_context(thy: Theory, ctx) -> Theory:

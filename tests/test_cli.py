@@ -3,12 +3,13 @@ import json
 
 import pytest
 
-from dholc import cli
+from dholc import cli, erasure
 from dholc.cli import _build_parser, main
 from dholc.corpus import write_corpus
+from dholc.erasure import erase_term, erase_theory
 from dholc.kernel import Mode, check_theory
 from dholc.parser import parse_theory
-from dholc.syntax import Choice
+from dholc.syntax import AxiomDecl, Choice, Context
 from dholc.thf import emit_thf, parse_thf
 
 
@@ -125,6 +126,38 @@ def test_erase_writes_deterministic_file(corpus_dir, tmp_path, capsys):
     first = (out / "choice_def1.strong.p").read_bytes()
     assert main(argv) == 0
     assert (out / "choice_def1.strong.p").read_bytes() == first
+
+
+def test_erase_writes_the_erasure_of_the_whole_theory(corpus_dir, tmp_path, capsys):
+    # the kernel erases declaration by declaration; written out, that is the
+    # erasure of the whole elaborated theory
+    out = tmp_path / "out"
+    for problem in sorted(corpus_dir.glob("*.dhol")):
+        thy, conjecture = parse_theory(problem.read_text())
+        for mode, flag in ((Mode.STRONG_EPSILON, "--eps1"), (Mode.WEAK_EPSILON, "--eps2")):
+            assert main(["erase", str(problem), flag, "-o", str(out)]) == 0
+            rep = check_theory(thy, conjecture, mode)
+            variant = mode.variant
+            erased = erase_theory(rep.theory_elaborated, Context(), variant)
+            goal = erase_term(rep.conjecture_elaborated, variant)
+            want = emit_thf(erased, f"{problem.stem}.{variant.value}", conjecture=goal).text
+            assert (out / f"{problem.stem}.{variant.value}.p").read_text() == want
+
+
+def test_prove_erases_each_declaration_once(corpus_dir, tmp_path, monkeypatch, capsys):
+    erased = []
+    erase_declaration = erasure._erase_declaration
+
+    def counted(d, *args):
+        erased.append(d.label if isinstance(d, AxiomDecl) else d.name)
+        return erase_declaration(d, *args)
+
+    monkeypatch.setattr(erasure, "_erase_declaration", counted)
+    problem = corpus_dir / "list_head.dhol"
+    main(["prove", str(problem), "--no-oracle", "-o", str(tmp_path)])
+    thy, _ = parse_theory(problem.read_text())
+    assert erased == [d.label if isinstance(d, AxiomDecl) else d.name for d in thy]
+    assert len(erased) == 8
 
 
 def test_emit_writes_obligation_files(corpus_dir, tmp_path, capsys):

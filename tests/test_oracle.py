@@ -600,27 +600,16 @@ def test_memoised_search_matches_the_unmemoised_search():
     assert set(statuses) == {"countermodel", "none", "exhausted"}
 
 
-def test_each_check_runs_once_per_values_it_reads(monkeypatch):
-    # u, between c and d, is read by no check: d's axiom reads only d, and
-    # the conjecture only c, so neither may run again for another u
-    thy = Theory(
-        (
-            BaseTypeDecl("a"),
-            ConstDecl("c", A),
-            ConstDecl("u", arrows(A, A)),
-            ConstDecl("d", arrows(A, BOOL)),
-            AxiomDecl("c_refl", Eq(A, Var("c"), Var("c"))),
-            AxiomDecl("d_some", exists("x", A, App(Var("d"), Var("x")))),
-        )
-    )
-    order = ["c", "u", "d"]
-    reads = {}  # closure -> the constants of its term
-    runs = []  # (closure, the values of those constants) per run
+def record_work(monkeypatch):
+    """Two lists that fill as countermodel works: each term compiled, and per
+    run, (closure, the values of the constants its term reads)."""
+    reads, compiled, runs = {}, [], []
     compile_, run_ = Compiler.compile, CompiledTerms.run
 
     def compile(self, t):
         root, ty = compile_(self, t)
-        reads[root] = [order.index(n) for n in free_vars(t)]
+        reads[root] = [self.slot_of[n] for n in free_vars(t)]
+        compiled.append(t)
         return root, ty
 
     def run(self, root):
@@ -629,12 +618,57 @@ def test_each_check_runs_once_per_values_it_reads(monkeypatch):
 
     monkeypatch.setattr(Compiler, "compile", compile)
     monkeypatch.setattr(CompiledTerms, "run", run)
-    r = countermodel(thy, Eq(A, Var("c"), Var("c")), SearchBudget(max_size=2))
-    assert r.status == "none"
+    return compiled, runs
+
+
+def test_each_check_runs_once_per_values_it_reads(monkeypatch):
+    # u, between c and d, is read by no check: d's axiom reads only d, so it
+    # may not run again for another u
+    c, d = Var("c"), Var("d")
+    thy = Theory(
+        (
+            BaseTypeDecl("a"),
+            ConstDecl("c", A),
+            ConstDecl("u", arrows(A, A)),
+            ConstDecl("d", arrows(A, BOOL)),
+            AxiomDecl("c_refl", Eq(A, c, c)),
+            AxiomDecl("d_some", exists("x", A, App(d, Var("x")))),
+        )
+    )
+    _, runs = record_work(monkeypatch)
+    # ¬(c = c) fails at c's level, so the search never reaches u or d: per
+    # size, c_refl and ¬conjecture run once per c
+    assert countermodel(thy, Eq(A, c, c), SearchBudget(max_size=2)).status == "none"
     assert len(runs) == len(set(runs))
-    # per size: c_refl and the conjecture once per c, d_some once per d;
-    # without the memo, d_some ran once per (c, u, d): 1 + 32 times
-    assert len(runs) == (1 + 2 + 1) + (2 + 4 + 2)
+    assert len(runs) == (1 + 1) + (2 + 2)
+    runs.clear()
+    # ¬(d c ⇒ d c) runs at d's level, once per c and per d that d_some lets
+    # through (all but the empty d); without the memo, d_some ran once per
+    # (c, u, d): 2 + 32 times
+    valid = Implies(App(d, c), App(d, c))
+    assert countermodel(thy, valid, SearchBudget(max_size=2)).status == "none"
+    assert len(runs) == len(set(runs))
+    # per size: c_refl per c, d_some per d, ¬conjecture per (c, d ≠ empty)
+    assert len(runs) == (1 + 2 + 1) + (2 + 4 + 2 * 3)
+
+
+def test_a_check_the_search_never_needs_is_never_compiled(monkeypatch):
+    # g has 2^8 values at |a| = 2, but ¬(c = c) fails at c's level, so the
+    # search never reaches g: no check there may run or be compiled
+    g_some = exists("x", A, apply(Var("g"), Var("x"), Var("x"), Var("x")))
+    thy = Theory(
+        (
+            BaseTypeDecl("a"),
+            ConstDecl("c", A),
+            ConstDecl("g", arrows(A, A, A, BOOL)),
+            AxiomDecl("g_some", g_some),
+        )
+    )
+    compiled, runs = record_work(monkeypatch)
+    conjecture = Eq(A, Var("c"), Var("c"))
+    assert countermodel(thy, conjecture, SearchBudget(max_size=2)).status == "none"
+    assert compiled == [neg(conjecture)] * 2  # once per carrier size
+    assert len(runs) == 1 + 2
 
 
 def test_memo_rows_past_the_cap_are_used_but_not_kept(monkeypatch):
@@ -705,6 +739,33 @@ def test_max_seconds_holds_in_a_level_that_rejects_every_value():
     assert (r.status, r.detail) == ("exhausted", "wall-time budget exceeded at sizes (3,)")
 
 
+def test_size_tuples_come_by_total_then_lexicographically():
+    for nbases in range(4):
+        for max_size in range(1, 5):
+            tuples = itertools.product(range(1, max_size + 1), repeat=nbases)
+            want = sorted(tuples, key=lambda t: (sum(t), t))
+            assert list(oracle._size_tuples(nbases, max_size)) == want
+
+
+@pytest.mark.parametrize(
+    "consts, max_size, max_models",
+    [
+        # 700^2 size tuples, each searched at once
+        ((), 700, 10**9),
+        # 10^10 size tuples: all but those with |b| = 1 exceed max_models
+        ((ConstDecl("f", arrows(A, Base("b"))),), 100_000, 1),
+    ],
+)
+def test_max_seconds_holds_across_many_size_tuples(consts, max_size, max_models):
+    thy = Theory((BaseTypeDecl("a"), BaseTypeDecl("b")) + consts)
+    budget = SearchBudget(max_size=max_size, max_models=max_models, max_seconds=0.5)
+    start = time.monotonic()
+    r = countermodel(thy, neg(FALSE), budget)
+    assert time.monotonic() - start < 1.0
+    assert r.status == "exhausted"
+    assert r.detail.startswith("wall-time budget exceeded at sizes")
+
+
 def test_only_binders_over_many_values_look_at_the_clock():
     comp = Compiler({"a": 2}, {}, deadline=time.monotonic() - 1)
 
@@ -728,24 +789,32 @@ def test_only_binders_over_many_values_look_at_the_clock():
 # pinned search results
 
 ORACLE_RESULTS = Path(__file__).parent / "data" / "oracle_results.json"
+ORACLE_WORK = Path(__file__).parent / "data" / "oracle_work_pin.json"
 DEEP_BUDGET = SearchBudget(max_size=2, max_models=20_000_000, max_seconds=600.0)
 
 
-def oracle_deep_results():
-    """[problem, mode, obligation, status, detail, model or None] for one
-    obligation per corpus problem except choice_def1: the index-th problem
-    gives obligation index mod its count, in eps1 for indices 0, 1, 4, 5, …
-    and eps2 for the others (the oracle_deep benchmark's mix)."""
-    rows = []
+def oracle_deep_searches():
+    """(problem, mode, obligation, theory, conjecture) for one obligation per
+    corpus problem except choice_def1: the index-th problem gives obligation
+    index mod its count, in eps1 for indices 0, 1, 4, 5, … and eps2 for the
+    others (the oracle_deep benchmark's mix)."""
     for index, entry in enumerate(gen_all()):
         if entry.name == "choice_def1":
             continue
         mode = (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON)[(index // 2) % 2]
         rep = check_theory(entry.theory, entry.conjecture, mode)
         ob = rep.obligations[index % len(rep.obligations)]
-        r = countermodel(merge_context(ob.hol_theory, ob.hol_context), ob.conjecture, DEEP_BUDGET)
+        thy = merge_context(ob.hol_theory, ob.hol_context)
+        yield entry.name, mode.value, ob.id, thy, ob.conjecture
+
+
+def oracle_deep_results():
+    """[problem, mode, obligation, status, detail, model or None] per search."""
+    rows = []
+    for *where, thy, conjecture in oracle_deep_searches():
+        r = countermodel(thy, conjecture, DEEP_BUDGET)
         model = r.model.to_json_dict() if r.found else None
-        rows.append([entry.name, mode.value, ob.id, r.status, r.detail, model])
+        rows.append(where + [r.status, r.detail, model])
     return rows
 
 
@@ -754,3 +823,18 @@ def test_oracle_results_are_pinned():
     # evaluator or the search must leave every row as it is
     rows = json.loads(json.dumps(oracle_deep_results()))
     assert rows == json.loads(ORACLE_RESULTS.read_text())
+
+
+def test_oracle_work_is_pinned(monkeypatch):
+    # per search of data/oracle_results.json, the CompiledTerms.run and
+    # Compiler.compile calls.  The memo and compiling on first use fix both
+    # counts on any host; a change that moves a row on purpose regenerates
+    # data/oracle_work_pin.json.
+    compiled, runs = record_work(monkeypatch)
+    rows = []
+    for *where, thy, conjecture in oracle_deep_searches():
+        compiled.clear()
+        runs.clear()
+        countermodel(thy, conjecture, DEEP_BUDGET)
+        rows.append(where + [len(runs), len(compiled)])
+    assert rows == json.loads(ORACLE_WORK.read_text())
