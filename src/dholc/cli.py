@@ -2,7 +2,8 @@
 
 Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
-errors or input nested too deeply to process, 64 usage errors (a bad flag, or
+errors, input that cannot be read (or is not UTF-8 text) or nested too deeply
+to process, and output that cannot be written, 64 usage errors (a bad flag, or
 a budget, prover time limit, --jobs value or config file that is rejected),
 70 internal errors (a one-line diagnostic instead of a traceback).  Diagnostics go to
 stderr, results to stdout and files.
@@ -42,6 +43,13 @@ EXIT_INTERNAL = 70
 
 class _UsageError(Exception):
     pass
+
+
+class _WriteError(Exception):
+    """An output file or directory that cannot be written (exit 2)."""
+
+    def __init__(self, path: Path, e: OSError):
+        super().__init__(f"cannot write {path}: {e.strerror}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -97,7 +105,7 @@ def _read_config(path: Optional[Path]) -> dict[str, str]:
     if path is None:
         return {}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except OSError as e:
         raise _UsageError(f"cannot read config file {str(path)!r}: {e.strerror}") from None
     except UnicodeDecodeError:
@@ -152,9 +160,12 @@ def _resolve_settings(args) -> None:
 
 def _load(args) -> tuple:
     try:
-        text = args.input.read_text()
+        text = args.input.read_text(encoding="utf-8")
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return None
+    except UnicodeDecodeError:
+        print(f"error: {args.input}: not UTF-8 text", file=sys.stderr)
         return None
     try:
         return parse_theory(text)
@@ -174,9 +185,25 @@ def _check(args, mode: Mode) -> Optional[CheckReport]:
     return report
 
 
+def _write_text(path: Path, text: str) -> None:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _WriteError(path, e) from None
+
+
+def _output_dir(args) -> Path:
+    """The -o directory, created if missing."""
+    try:
+        args.output_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _WriteError(args.output_dir, e) from None
+    return args.output_dir
+
+
 def _write_json(path: Optional[Path], payload: dict) -> None:
     if path is not None:
-        path.write_text(json.dumps(payload, indent=2) + "\n")
+        _write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
 def _discharge_and_report(
@@ -249,9 +276,8 @@ def _write_erased(args, report: CheckReport) -> Path:
     conjecture = ob.conjecture if ob is not None else None
     erased = ErasedTheory(report.hol_theory, Context())
     problem = emit_thf(erased, f"{stem}.{variant.value}", conjecture=conjecture)
-    args.output_dir.mkdir(parents=True, exist_ok=True)
-    out = args.output_dir / f"{stem}.{variant.value}.p"
-    out.write_text(problem.text)
+    out = _output_dir(args) / f"{stem}.{variant.value}.p"
+    _write_text(out, problem.text)
     return out
 
 
@@ -270,12 +296,12 @@ def _cmd_emit(args) -> int:
     if report is None or not report.ok:
         return EXIT_STRUCTURAL
     variant = mode.variant
-    args.output_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args)
     stem = args.input.stem
     for ob in report.obligations:
         problem = emit_thf(ob, f"{stem}.{ob.id}.{variant.value}")
-        out = args.output_dir / f"{stem}.{ob.id}.{variant.value}.p"
-        out.write_text(problem.text)
+        out = out_dir / f"{stem}.{ob.id}.{variant.value}.p"
+        _write_text(out, problem.text)
         print(out)
     return EXIT_OK
 
@@ -308,7 +334,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_gen_corpus(args) -> int:
-    written = write_corpus(args.output_dir)
+    try:
+        written = write_corpus(args.output_dir)
+    except OSError as e:
+        raise _WriteError(e.filename or args.output_dir, e) from None
     print(f"wrote {len(written)} files under {args.output_dir}")
     return EXIT_OK
 
@@ -335,6 +364,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except _WriteError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_STRUCTURAL
     except RecursionError:
         # Numerals expand to nested applications, and every layer walks terms
         # recursively, so very deep input exhausts the interpreter's stack.

@@ -281,7 +281,7 @@ def write_corpus(directory: Path) -> list[Path]:
     lines = [MANIFEST_HEADER]
     for entry in gen_all():
         path = directory / f"{entry.name}.dhol"
-        path.write_text(entry.source)
+        path.write_text(entry.source, encoding="utf-8")
         written.append(path)
         e = entry.expected
         lines.append(
@@ -289,6 +289,6 @@ def write_corpus(directory: Path) -> list[Path]:
             f"\t{e['eps2_typecheck']}\t{e['eps2_prove']}"
         )
     manifest = directory / "manifest"
-    manifest.write_text("\n".join(lines) + "\n")
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     written.append(manifest)
     return written

@@ -19,6 +19,7 @@ core; printers may re-sugar.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -235,7 +236,8 @@ def erase_theory(thy: Theory, ctx: Context, variant: ErasureVariant) -> ErasedTh
 
 def beta_normalize(t: Term | Type) -> Term | Type:
     """Full beta-normalization (terminates on well-typed terms); also
-    normalizes terms embedded in types and type annotations."""
+    normalizes terms embedded in types and type annotations.  A node with
+    nothing to reduce under it is returned itself, not rebuilt."""
     match t:
         case Var() | Falsum():
             return t
@@ -244,27 +246,37 @@ def beta_normalize(t: Term | Type) -> Term | Type:
             a2 = beta_normalize(a)
             if isinstance(f2, Lambda):
                 return beta_normalize(subst(f2.body, f2.bound, a2))
-            return App(f2, a2)
+            if f2 is f and a2 is a:
+                return t
+            return App(f2, a2, pos=t.pos)
         case Implies(lhs=l, rhs=r):
-            return Implies(beta_normalize(l), beta_normalize(r))
+            l2, r2 = beta_normalize(l), beta_normalize(r)
+            if l2 is l and r2 is r:
+                return t
+            return Implies(l2, r2, pos=t.pos)
         case Eq(ty=ty, lhs=l, rhs=r):
-            return Eq(
-                beta_normalize(ty) if ty is not None else None,
-                beta_normalize(l),
-                beta_normalize(r),
-            )
-        case Lambda(bound=x, annot=a, body=b):
-            return Lambda(x, beta_normalize(a), beta_normalize(b))
-        case Forall(bound=x, annot=a, body=b):
-            return Forall(x, beta_normalize(a), beta_normalize(b))
-        case Choice(bound=x, annot=a, body=b):
-            return Choice(x, beta_normalize(a), beta_normalize(b))
+            ty2 = beta_normalize(ty) if ty is not None else None
+            l2, r2 = beta_normalize(l), beta_normalize(r)
+            if ty2 is ty and l2 is l and r2 is r:
+                return t
+            return Eq(ty2, l2, r2, pos=t.pos)
+        case Lambda() | Forall() | Choice():
+            a2, b2 = beta_normalize(t.annot), beta_normalize(t.body)
+            if a2 is t.annot and b2 is t.body:
+                return t
+            return type(t)(t.bound, a2, b2, pos=t.pos)
         # types last, so that term nodes pay no extra pattern test
         case Bool():
             return t
         case Base(name=n, args=args):
-            return Base(n, tuple(beta_normalize(a) for a in args))
+            args2 = [beta_normalize(a) for a in args]
+            if all(map(operator.is_, args2, args)):
+                return t
+            return Base(n, tuple(args2), pos=t.pos)
         case Pi(bound=x, domain=d, codomain=c):
-            return Pi(x, beta_normalize(d), beta_normalize(c))
+            d2, c2 = beta_normalize(d), beta_normalize(c)
+            if d2 is d and c2 is c:
+                return t
+            return Pi(x, d2, c2, pos=t.pos)
         case _:
             raise ErasureError(f"not a term or type: {t!r}")

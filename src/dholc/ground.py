@@ -24,7 +24,10 @@ Classical double negations are collapsed at formula positions so that
 differently sugared statements of the same fact meet in the same atom.
 
 Input formulas and choice schemas are beta- and double-negation-normalised
-before abstraction; instances are not normalised again.  Every atom is a
+before abstraction, once per node: ``normal_form`` keeps the result in the
+node's memo slot, so an erased axiom that the kernel shares between
+obligations is normalised once, for the local stage and every ground run
+alike.  Instances are not normalised again.  Every atom is a
 subterm of a normal formula, and substituting a constant for a bound
 variable creates neither a beta-redex (the constant is no lambda) nor a
 double negation (the connective spine is unchanged), so an instance of a
@@ -68,18 +71,36 @@ MAX_DPLL_NODES = 50_000
 
 def dn_normalize(t: Term) -> Term:
     """Collapse ((p => false) => false) to p along the connective spine and
-    under quantifiers.  Atom-internal structure is left alone."""
+    under quantifiers.  Atom-internal structure is left alone, and a node
+    with no double negation under it is returned itself."""
     match t:
         case Implies(lhs=a, rhs=b):
             a2 = dn_normalize(a)
             b2 = dn_normalize(b)
             if isinstance(b2, Falsum) and isinstance(a2, Implies) and isinstance(a2.rhs, Falsum):
                 return a2.lhs
-            return Implies(a2, b2)
+            if a2 is a and b2 is b:
+                return t
+            return Implies(a2, b2, pos=t.pos)
         case Forall(bound=x, annot=a, body=b):
-            return Forall(x, a, dn_normalize(b))
+            b2 = dn_normalize(b)
+            return t if b2 is b else Forall(x, a, b2, pos=t.pos)
         case _:
             return t
+
+
+def normal_form(t: Term) -> Term:
+    """``dn_normalize(beta_normalize(t))``, computed once per node: the
+    result is kept in the node's memo slot (see ``syntax``), as None when t
+    is normal already, so that no node refers to itself.  Threads that share
+    a node may both compute it; they store equal terms."""
+    try:
+        nf = t._nf
+    except AttributeError:
+        nf = dn_normalize(beta_normalize(t))
+        object.__setattr__(t, "_nf", None if nf is t else nf)
+        return nf
+    return t if nf is None else nf
 
 
 PF_FALSE = ("false",)
@@ -165,7 +186,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
     atoms = _Atoms({}, [])
     # The negated conjecture always goes in: the assumptions leave room for it.
     formulas = [
-        _abstract(dn_normalize(beta_normalize(t)), atoms)
+        _abstract(normal_form(t), atoms)
         for t in assumptions[: MAX_FORMULAS - 1] + [neg(conjecture)]
     ]
 
@@ -195,7 +216,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
             conclusion = subst(sub.body, sub.bound, sub)
             schema = Implies(witness, conclusion)
-            formulas.append(_abstract(dn_normalize(beta_normalize(schema)), atoms))
+            formulas.append(_abstract(normal_form(schema), atoms))
             if len(formulas) >= MAX_FORMULAS:
                 break
 

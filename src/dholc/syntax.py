@@ -9,7 +9,10 @@ disjunction, existentials, disequality) are construction-time sugar: the trees
 only ever store the core nodes.
 
 Source positions are carried on every node for diagnostics but are excluded
-from equality and hashing.
+from equality and hashing.  So is the one memo slot of every term node,
+``_nf``, which is no dataclass field: it takes no part in equality, hashing
+or repr, and is neither copied nor pickled.
+``ground.normal_form`` keeps the node's normal form there.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ class Pos:
 class Term:
     """Base class of the term union."""
 
-    __slots__ = ()
+    # unset until ground.normal_form fills it; None means "normal already"
+    __slots__ = ("_nf",)
 
 
 class Type:

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dholc
 from dholc import cli, erasure
 from dholc.cli import _build_parser, main
 from dholc.corpus import write_corpus
@@ -284,3 +289,54 @@ def test_too_deep_input_exits_two(tmp_path, capsys, command):
     assert main([command, str(deep), "--eps1"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "too deeply" in err
+
+
+# ---------------------------------------------------------------------------
+# input is read as UTF-8, and outputs that cannot be written are errors
+
+
+@pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
+def test_input_that_is_not_utf8_exits_two(corpus_dir, tmp_path, capsys, command):
+    bad = tmp_path / "bom.dhol"
+    bad.write_bytes(b"\xff\xfe" + (corpus_dir / "choice_def1.dhol").read_bytes())
+    out = ["-o", str(tmp_path / "out")] if command in ("prove", "emit", "erase") else []
+    assert main([command, str(bad), *out]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text\n"
+
+
+def test_input_is_utf8_whatever_the_locale(corpus_dir, tmp_path):
+    src = tmp_path / "cafe.dhol"
+    text = "% caf\u00e9\n" + (corpus_dir / "choice_def1.dhol").read_text()
+    src.write_text(text, encoding="utf-8")
+    env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    env["PYTHONPATH"] = str(Path(dholc.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "dholc.cli", "check", str(src)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{problem}", "--json-report", "{tmp}/missing/report.json"],
+        ["prove", "{problem}", "-o", "{tmp}", "--json-report", "{tmp}/missing/report.json"],
+        ["oracle", "{problem}", "--json-report", "{tmp}/missing/report.json"],
+        ["prove", "{problem}", "-o", "{tmp}/plain/out"],
+        ["emit", "{problem}", "-o", "{tmp}/plain/out"],
+        ["erase", "{problem}", "-o", "{tmp}/plain/out"],
+        ["erase", "{problem}", "-o", "{tmp}/plain"],
+        ["gen-corpus", "-o", "{tmp}/plain/out"],
+    ],
+)
+def test_output_that_cannot_be_written_exits_two(corpus_dir, tmp_path, capsys, argv):
+    (tmp_path / "plain").write_text("")  # a regular file, where a directory is wanted
+    argv = [a.format(problem=corpus_dir / "choice_def1.dhol", tmp=tmp_path) for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    target = argv[-1]
+    assert err.startswith(f"error: cannot write {target}") and err.count("\n") == 1, err

@@ -18,6 +18,7 @@ from dholc.syntax import (
     Base,
     BaseTypeDecl,
     BOOL,
+    Bool,
     Choice,
     ConstDecl,
     Context,
@@ -302,3 +303,92 @@ def test_compositionality_smoke():
 def test_beta_normalize_reduces_redexes():
     t = App(Lambda("x", NAT, App(Var("q"), Var("x"))), numeral(1))
     assert beta_normalize(t) == App(Var("q"), numeral(1))
+
+
+# ---------------------------------------------------------------------------
+# beta_normalize against the rebuilding reference
+
+
+def _rebuilding_beta_normalize(t):
+    """The reference: beta_normalize as it was before it returned unchanged
+    nodes, rebuilding every node it visits."""
+    norm = _rebuilding_beta_normalize
+    match t:
+        case Var() | Falsum():
+            return t
+        case App(fun=f, arg=a):
+            f2 = norm(f)
+            a2 = norm(a)
+            if isinstance(f2, Lambda):
+                return norm(subst(f2.body, f2.bound, a2))
+            return App(f2, a2)
+        case Implies(lhs=l, rhs=r):
+            return Implies(norm(l), norm(r))
+        case Eq(ty=ty, lhs=l, rhs=r):
+            return Eq(norm(ty) if ty is not None else None, norm(l), norm(r))
+        case Lambda(bound=x, annot=a, body=b):
+            return Lambda(x, norm(a), norm(b))
+        case Forall(bound=x, annot=a, body=b):
+            return Forall(x, norm(a), norm(b))
+        case Choice(bound=x, annot=a, body=b):
+            return Choice(x, norm(a), norm(b))
+        case Bool():
+            return t
+        case Base(name=n, args=args):
+            return Base(n, tuple(norm(a) for a in args))
+        case Pi(bound=x, domain=d, codomain=c):
+            return Pi(x, norm(d), norm(c))
+        case _:
+            raise ErasureError(f"not a term or type: {t!r}")
+
+
+def _erased_corpus_formulas():
+    """Every distinct formula object that discharge normalises: the axioms,
+    assumptions and conjecture of each corpus obligation, in both modes."""
+    from dholc.corpus import gen_all
+
+    seen = {}
+    for e in gen_all():
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            for ob in check_theory(e.theory, e.conjecture, mode).obligations:
+                decls = tuple(ob.hol_theory) + tuple(ob.hol_context)
+                for t in [d.term for d in decls if isinstance(d, AxiomDecl)] + [ob.conjecture]:
+                    seen.setdefault(id(t), t)
+    return list(seen.values())
+
+
+def _generated_redexes(n):
+    """n generated terms, each a beta-redex applied to a generated numeral,
+    with their strong and weak erasures (whose PERs add redexes of their
+    own)."""
+    out = []
+    for seed in range(n):
+        gen = TermGen(500 + seed)
+        redex = App(Lambda("v", NAT, gen.boolean([("v", NAT)], 3)), gen.nat([], 2))
+        out += [redex, erase_term(redex, STRONG), erase_term(redex, WEAK)]
+    return out
+
+
+def test_beta_normalize_matches_the_rebuilding_reference():
+    corpus = _erased_corpus_formulas()
+    generated = _generated_redexes(200)
+    changed = 0
+    for t in corpus + generated:
+        out = beta_normalize(t)
+        assert out == _rebuilding_beta_normalize(t), t
+        # what comes out is normal, so it comes back itself
+        assert beta_normalize(out) is out
+        changed += out is not t
+    assert len(corpus) > 500 and changed >= len(generated)
+
+
+def test_beta_normalize_returns_normal_input_itself():
+    body = Implies(App(Var("q"), Var("x")), Eq(NAT, Var("x"), numeral(2)))
+    normal = Forall("x", FIN(numeral(1)), body)
+    assert beta_normalize(normal) is normal
+    kept = 0
+    for t in _erased_corpus_formulas():
+        if _rebuilding_beta_normalize(t) == t:
+            assert beta_normalize(t) is t, t
+            kept += 1
+    assert kept > 500

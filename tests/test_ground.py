@@ -2,6 +2,7 @@
 importantly what it must leave open (its instantiation universe excludes
 compound terms and function constants by design)."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -12,7 +13,7 @@ from genterms import NAT, THEORY, TermGen
 
 from dholc import ground
 from dholc.erasure import beta_normalize
-from dholc.ground import dn_normalize, prove_ground
+from dholc.ground import dn_normalize, normal_form, prove_ground
 from dholc.syntax import (
     App,
     AxiomDecl,
@@ -24,6 +25,7 @@ from dholc.syntax import (
     Context,
     Eq,
     FALSE,
+    Falsum,
     Forall,
     Implies,
     Pi,
@@ -445,3 +447,92 @@ def _term_nodes(t):
     for child in ("fun", "arg", "lhs", "rhs", "body"):
         if hasattr(t, child):
             yield from _term_nodes(getattr(t, child))
+
+
+# ---------------------------------------------------------------------------
+# Normal forms: computed once per node, kept in the node's memo slot
+
+
+def _rebuilding_dn_normalize(t):
+    """The reference: dn_normalize as it was before it returned unchanged
+    nodes."""
+    match t:
+        case Implies(lhs=a, rhs=b):
+            a2 = _rebuilding_dn_normalize(a)
+            b2 = _rebuilding_dn_normalize(b)
+            if isinstance(b2, Falsum) and isinstance(a2, Implies) and isinstance(a2.rhs, Falsum):
+                return a2.lhs
+            return Implies(a2, b2)
+        case Forall(bound=x, annot=a, body=b):
+            return Forall(x, a, _rebuilding_dn_normalize(b))
+        case _:
+            return t
+
+
+def _formulas(ob):
+    decls = tuple(ob.hol_theory) + tuple(ob.hol_context)
+    return [d.term for d in decls if isinstance(d, AxiomDecl)] + [ob.conjecture]
+
+
+def test_normal_form_matches_the_reference_and_is_kept():
+    kept = collapsed = 0
+    terms = [t for _, _, ob in _corpus_obligations() for t in _formulas(ob)]
+    terms += [neg(neg(goal)) for _, _, goal in _genterm_obligations(60)]
+    for t in terms:
+        expected = _rebuilding_dn_normalize(beta_normalize(t))
+        out = normal_form(t)
+        assert out == expected, t
+        assert normal_form(t) is out and normal_form(out) is out
+        if expected == t:
+            assert dn_normalize(t) is t and out is t
+            kept += 1
+        collapsed += out is not t
+    assert kept > 500 and collapsed > 50
+
+
+def test_each_term_is_normalised_once_per_check(monkeypatch):
+    # obligations of one check share the erased axioms: neither the local
+    # stage nor a later obligation normalises one of them again
+    from dholc import prover
+    from dholc.corpus import gen_problem
+    from dholc.kernel import Mode, check_theory
+
+    seen: dict[int, list] = {}  # id -> [term, calls]; the term keeps its id
+
+    def counting(real):
+        def beta(t):
+            seen.setdefault(id(t), [t, 0])[1] += 1
+            return real(t)
+
+        return beta
+
+    monkeypatch.setattr(ground, "beta_normalize", counting(ground.beta_normalize))
+    monkeypatch.setattr(prover, "beta_normalize", counting(prover.beta_normalize))
+    for name in ("choice_def1", "list_head", "no_fp_fin3_reg"):
+        e = gen_problem(name)
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            rep = check_theory(e.theory, e.conjecture, mode)
+            assert len(rep.obligations) > 1
+            prover.discharge(rep.obligations, oracle_fallback=False)
+    assert len(seen) > 50
+    assert max(calls for _, calls in seen.values()) == 1
+
+
+def test_no_node_refers_to_itself_through_the_memo():
+    # a node that is normal already records None, not itself: a
+    # self-reference would leave every term tree to the cyclic collector
+    from dholc.prover import discharge_one
+
+    nodes = {}
+    filled = 0
+    for _, _, ob in _corpus_obligations():
+        discharge_one(ob, oracle_fallback=False)
+        for t in _formulas(ob):
+            filled += hasattr(t, "_nf")
+            nodes.update((id(n), n) for n in subterms(t))
+    assert filled > 1000
+    for t in nodes.values():
+        assert not any(r is t for r in gc.get_referents(t)), t
+        nf = getattr(t, "_nf", None)
+        # the chain ends after one step: a normal form is normal
+        assert nf is None or getattr(nf, "_nf", None) is None, t

@@ -157,6 +157,46 @@ def test_batch_preserves_order_and_ids(tmp_path):
     assert {v.status for v in report.verdicts} == {"discharged-atp"}
 
 
+def test_verdicts_do_not_depend_on_jobs(tmp_path):
+    # with a prover configured, obligations run on a thread pool and the
+    # threads fill the memo slots of the erased axioms they share; a short
+    # switch interval makes them interleave inside the normalisers
+    import sys
+
+    from dholc.corpus import gen_problem
+
+    # answers by the parity of the problem's size: a mix of ATP verdicts
+    script = (
+        'n=$(wc -c < "$1")\n'
+        'if [ $((n % 2)) -eq 0 ]; then echo "SZS status Theorem"\n'
+        'else echo "SZS status CounterSatisfiable"; fi\n'
+    )
+    cfg = ProverConfig(command=_fake_prover(tmp_path, "parity.sh", script), time_limit=10)
+
+    def verdicts(jobs):
+        out = []
+        for name in ("choice_def1", "list_head", "list_nonempty", "no_fp_fin3_reg"):
+            e = gen_problem(name)
+            for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+                # checked afresh, so that each run starts with empty memo slots
+                rep = check_theory(e.theory, e.conjecture, mode)
+                report = discharge(rep.obligations, cfg=cfg, jobs=jobs)
+                out += [
+                    (v.obligation_id, v.kind, v.status, v.method, v.detail) for v in report.verdicts
+                ]
+        return out
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        one, two = verdicts(1), verdicts(2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert one == two
+    statuses = {status for _, _, status, _, _ in one}
+    assert statuses >= {"discharged-ground", "discharged-atp", "refuted-atp", "refuted-countermodel"}
+
+
 def test_batch_without_prover_stays_on_the_calling_thread(monkeypatch):
     import concurrent.futures
     import threading
