@@ -9,10 +9,14 @@ disjunction, existentials, disequality) are construction-time sugar: the trees
 only ever store the core nodes.
 
 Source positions are carried on every node for diagnostics but are excluded
-from equality and hashing.  So is the one memo slot of every term node,
-``_nf``, which is no dataclass field: it takes no part in equality, hashing
-or repr, and is neither copied nor pickled.
-``ground.normal_form`` keeps the node's normal form there.
+from equality and hashing.  So are the two memo slots, which are no dataclass
+fields: they take no part in equality, hashing or repr, and are neither
+copied nor pickled.
+- ``_nf``, on every term node: ``ground.normal_form`` keeps the node's normal
+  form there.
+- ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
+  the declaration's rendered THF body there, with the names it was rendered
+  under, so that obligations sharing the declaration render it once.
 """
 
 from __future__ import annotations
@@ -130,6 +134,13 @@ FALSE = Falsum()
 # Declarations / theories / contexts
 
 
+class BodyDecl:
+    """Base class of the declarations that carry a term or type body."""
+
+    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text)
+    __slots__ = ("_thf",)
+
+
 @dataclass(frozen=True, slots=True)
 class BaseTypeDecl:
     name: str
@@ -142,14 +153,14 @@ class BaseTypeDecl:
 
 
 @dataclass(frozen=True, slots=True)
-class ConstDecl:
+class ConstDecl(BodyDecl):
     name: str
     ty: Type
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, slots=True)
-class AxiomDecl:
+class AxiomDecl(BodyDecl):
     label: str
     term: Term
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)

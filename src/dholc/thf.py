@@ -9,6 +9,17 @@ get a ``c`` prefix) deterministically and collision-free per problem; bound
 variables are capitalized per scope.  The problem records the symbol map so
 the reader can restore original constant names — alpha-equivalence does not
 cover free constants.
+
+Every problem is self-contained, so the obligations of one check repeat the
+erased theory prefix, whose declaration objects they share.  The body of each
+``ConstDecl`` (its type) and ``AxiomDecl`` (its formula) is therefore rendered
+once per declaration and kept in the declaration's memo slot (see ``syntax``)
+together with the symbols the render looked up and the names they mangled to.
+A later problem reuses the text only when each of those symbols already
+mangles to the same name in its own table, and renders it again otherwise.
+Name reservation (declared names, ``_tp`` and formula names, ``goal``) and
+the conjecture run for every problem, so each problem's text and symbol map
+are the same as a render without the memo.
 """
 
 from __future__ import annotations
@@ -38,7 +49,6 @@ from .syntax import (
     Theory,
     Type,
     Var,
-    free_vars,
 )
 
 
@@ -115,9 +125,9 @@ def _fmt_type(ty: Type, table: SymbolTable) -> str:
             if args:
                 raise ThfError(f"dependent base type {n!r} reached THF emission")
             return table.mangle(n)
-        case Pi(bound=x, domain=d, codomain=c):
-            if x in free_vars(c):
-                raise ThfError("dependent product reached THF emission")
+        case Pi(domain=d, codomain=c):
+            # a dependent codomain embeds its bound variable in a Base
+            # argument, which is rejected above
             return f"({_fmt_type(d, table)} > {_fmt_type(c, table)})"
         case _:
             raise ThfError(f"not a type: {ty!r}")
@@ -149,6 +159,39 @@ def _fmt_term(t: Term, table: SymbolTable, scope: dict[str, str]) -> str:
             raise ThfError(f"not a term: {t!r}")
 
 
+class _Recorder:
+    """Stands in for a SymbolTable during one render and records the names
+    the render looked up."""
+
+    __slots__ = ("table", "seen")
+
+    def __init__(self, table: SymbolTable):
+        self.table = table
+        self.seen: dict[str, str] = {}
+
+    def mangle(self, name: str) -> str:
+        m = self.seen[name] = self.table.mangle(name)
+        return m
+
+
+def _fmt_body(d: Union[ConstDecl, AxiomDecl], table: SymbolTable) -> str:
+    """The THF text of d's type or formula under table, from d's memo slot
+    when every symbol it read mangles to the same name in table already.
+    Threads that share d may both render it; they store equivalent entries."""
+    try:
+        names, text = d._thf
+    except AttributeError:
+        pass
+    else:
+        fwd = table.fwd
+        if all(fwd.get(sym) == m for sym, m in names):
+            return text
+    rec = _Recorder(table)
+    text = _fmt_type(d.ty, rec) if isinstance(d, ConstDecl) else _fmt_term(d.term, rec, {})
+    object.__setattr__(d, "_thf", (tuple(rec.seen.items()), text))
+    return text
+
+
 @dataclass
 class ThfProblem:
     name: str
@@ -170,7 +213,9 @@ def emit_thf(
     conjecture: Optional[Term] = None,
 ) -> ThfProblem:
     """Render an erased theory (with optional conjecture) or an obligation as
-    a self-contained THF problem."""
+    a self-contained THF problem.  The type or formula of each declaration is
+    rendered once and reused by later problems that mangle the symbols it
+    reads to the same names (see the module docstring)."""
     if isinstance(source, Obligation):
         thy, ctx = source.hol_theory, source.hol_context
         conjecture = source.conjecture
@@ -192,12 +237,12 @@ def emit_thf(
                     raise ThfError(f"dependent base type {a!r} reached THF emission")
                 m = table.mangle(a)
                 lines.append(f"thf({table.reserve(m + '_tp')}, type, {m}: $tType).")
-            case ConstDecl(name=c, ty=ty):
+            case ConstDecl(name=c):
                 m = table.mangle(c)
-                lines.append(f"thf({table.reserve(m + '_tp')}, type, {m}: {_fmt_type(ty, table)}).")
-            case AxiomDecl(label=lbl, term=t):
+                lines.append(f"thf({table.reserve(m + '_tp')}, type, {m}: {_fmt_body(d, table)}).")
+            case AxiomDecl(label=lbl):
                 fname = table.formula_name(lbl)
-                lines.append(f"thf({fname}, axiom, {_fmt_term(t, table, {})}).")
+                lines.append(f"thf({fname}, axiom, {_fmt_body(d, table)}).")
     conj_name = None
     if conjecture is not None:
         conj_name = table.reserve("goal")
