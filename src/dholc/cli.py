@@ -4,9 +4,12 @@ Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
 errors, input that cannot be read (or is not UTF-8 text) or nested too deeply
 to process, and output that cannot be written, 64 usage errors (a bad flag, or
-a budget, prover time limit, --jobs value or config file that is rejected),
-70 internal errors (a one-line diagnostic instead of a traceback).  Diagnostics go to
-stderr, results to stdout and files.
+a budget, prover command, prover time limit, --jobs value or config file that is
+rejected), 70 internal errors (a one-line diagnostic instead of a traceback).
+Diagnostics go to stderr, results to stdout and files.
+
+Each subcommand names its handler in the parser; main reads, parses and checks
+the input once and hands the handler the check report.
 
 The typing rule picks the erasure: --eps1 (the default) erases strongly,
 --eps2 weakly, and every written file is named after that variant.  Each
@@ -30,7 +33,7 @@ from .erasure import ErasedTheory
 from .kernel import CheckReport, Mode, check_theory
 from .oracle import SearchBudget, countermodel, merge_context
 from .parser import ParseError, parse_theory
-from .prover import DESK_BUDGET, DischargeReport, ProverConfig, discharge
+from .prover import DESK_BUDGET, ProverConfig, discharge
 from .syntax import Context
 from .thf import emit_thf
 
@@ -79,8 +82,9 @@ def _build_parser() -> _Parser:
     def output_flag(sp):
         sp.add_argument("-o", "--output-dir", type=Path, default=Path("."))
 
-    def subcommand(name, help, *flag_groups):
+    def subcommand(name, help, run, *flag_groups):
         sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         sp.add_argument("input", type=Path, help="input .dhol theory")
         mode = sp.add_mutually_exclusive_group()
         mode.add_argument("--eps1", action="store_true", help="strong typing and erasure (default)")
@@ -88,17 +92,28 @@ def _build_parser() -> _Parser:
         for add in flag_groups:
             add(sp)
 
-    subcommand("check", "type-check; discharge typing obligations", search_flags, prover_flags)
     subcommand(
-        "prove", "type-check and prove the conjecture", search_flags, prover_flags, output_flag
+        "check", "type-check; discharge typing obligations", _cmd_check, search_flags, prover_flags
     )
-    subcommand("erase", "translate to HOL and write a THF problem", output_flag)
-    subcommand("emit", "write every obligation as a THF problem", output_flag)
-    subcommand("oracle", "countermodel search for the conjecture", search_flags)
+    subcommand(
+        "prove",
+        "type-check and prove the conjecture",
+        _cmd_prove,
+        search_flags,
+        prover_flags,
+        output_flag,
+    )
+    subcommand("erase", "translate to HOL and write a THF problem", _cmd_erase, output_flag)
+    subcommand("emit", "write every obligation as a THF problem", _cmd_emit, output_flag)
+    subcommand("oracle", "countermodel search for the conjecture", _cmd_oracle, search_flags)
 
     gc = sub.add_parser("gen-corpus", help="regenerate the problem corpus")
+    gc.set_defaults(run=_cmd_gen_corpus)
     gc.add_argument("-o", "--output-dir", type=Path, default=Path("corpus"))
     return p
+
+
+CONFIG_KEYS = ("budget_size", "budget_models", "budget_seconds", "prover_cmd", "time_limit")
 
 
 def _read_config(path: Optional[Path]) -> dict[str, str]:
@@ -117,15 +132,11 @@ def _read_config(path: Optional[Path]) -> dict[str, str]:
             continue
         if "=" not in line:
             raise _UsageError(f"bad config line: {line!r}")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (part.strip() for part in line.split("=", 1))
+        if k not in CONFIG_KEYS:
+            raise _UsageError(f"unknown config key {k!r}")
+        out[k] = v
     return out
-
-
-def _resolve_mode(args) -> Mode:
-    if getattr(args, "eps2", False):
-        return Mode.WEAK_EPSILON
-    return Mode.STRONG_EPSILON
 
 
 def _resolve_settings(args) -> None:
@@ -158,31 +169,24 @@ def _resolve_settings(args) -> None:
         raise _UsageError("--jobs must be at least 1")
 
 
-def _load(args) -> tuple:
+def _check(args) -> Optional[CheckReport]:
+    """Read, parse and check the input; None, after saying why on stderr,
+    when that fails or the theory is not well-formed."""
     try:
-        text = args.input.read_text(encoding="utf-8")
+        thy, conjecture = parse_theory(args.input.read_text(encoding="utf-8"))
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return None
     except UnicodeDecodeError:
         print(f"error: {args.input}: not UTF-8 text", file=sys.stderr)
         return None
-    try:
-        return parse_theory(text)
     except ParseError as e:
         print(f"{args.input}:{e}", file=sys.stderr)
         return None
-
-
-def _check(args, mode: Mode) -> Optional[CheckReport]:
-    loaded = _load(args)
-    if loaded is None:
-        return None
-    thy, conjecture = loaded
-    report = check_theory(thy, conjecture, mode)
+    report = check_theory(thy, conjecture, Mode.WEAK_EPSILON if args.eps2 else Mode.STRONG_EPSILON)
     for d in report.diagnostics:
         print(f"{args.input}: {d}", file=sys.stderr)
-    return report
+    return report if report.ok else None
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -201,15 +205,14 @@ def _output_dir(args) -> Path:
     return args.output_dir
 
 
-def _write_json(path: Optional[Path], payload: dict) -> None:
-    if path is not None:
-        _write_text(path, json.dumps(payload, indent=2) + "\n")
+def _write_report(args, report: CheckReport, **fields) -> None:
+    """The --json-report file, if asked for: problem, command, mode, fields."""
+    if args.json_report is not None:
+        head = {"problem": str(args.input), "command": args.command, "mode": report.mode.value}
+        _write_text(args.json_report, json.dumps({**head, **fields}, indent=2) + "\n")
 
 
-def _discharge_and_report(
-    args, report: CheckReport, include_conjecture: bool
-) -> tuple[int, DischargeReport]:
-    obligations = report.obligations if include_conjecture else report.typing_obligations
+def _discharge(args, report: CheckReport, obligations, label: str, open_word: str) -> int:
     dis = discharge(
         obligations,
         cfg=args.prover,
@@ -218,53 +221,19 @@ def _discharge_and_report(
         jobs=args.jobs,
     )
     print(dis.to_text())
-    code = EXIT_OK if dis.all_discharged else EXIT_OPEN
-    return code, dis
+    ok = dis.all_discharged
+    print(f"{label}: {'ok' if ok else open_word} ({args.input})")
+    _write_report(args, report, verdict="ok" if ok else "open", obligations=dis.to_json_dict())
+    return EXIT_OK if ok else EXIT_OPEN
 
 
-def _cmd_check(args) -> int:
-    mode = _resolve_mode(args)
-    report = _check(args, mode)
-    if report is None:
-        return EXIT_STRUCTURAL
-    if not report.ok:
-        return EXIT_STRUCTURAL
-    code, dis = _discharge_and_report(args, report, include_conjecture=False)
-    print(f"typecheck: {'ok' if code == EXIT_OK else 'open obligations'} ({args.input})")
-    _write_json(
-        args.json_report,
-        {
-            "problem": str(args.input),
-            "command": "check",
-            "mode": mode.value,
-            "verdict": "ok" if code == EXIT_OK else "open",
-            "obligations": dis.to_json_dict(),
-        },
-    )
-    return code
+def _cmd_check(args, report: CheckReport) -> int:
+    return _discharge(args, report, report.typing_obligations, "typecheck", "open obligations")
 
 
-def _cmd_prove(args) -> int:
-    mode = _resolve_mode(args)
-    report = _check(args, mode)
-    if report is None:
-        return EXIT_STRUCTURAL
-    if not report.ok:
-        return EXIT_STRUCTURAL
+def _cmd_prove(args, report: CheckReport) -> int:
     _write_erased(args, report)
-    code, dis = _discharge_and_report(args, report, include_conjecture=True)
-    print(f"prove: {'ok' if code == EXIT_OK else 'open'} ({args.input})")
-    _write_json(
-        args.json_report,
-        {
-            "problem": str(args.input),
-            "command": "prove",
-            "mode": mode.value,
-            "verdict": "ok" if code == EXIT_OK else "open",
-            "obligations": dis.to_json_dict(),
-        },
-    )
-    return code
+    return _discharge(args, report, report.obligations, "prove", "open")
 
 
 def _write_erased(args, report: CheckReport) -> Path:
@@ -281,21 +250,13 @@ def _write_erased(args, report: CheckReport) -> Path:
     return out
 
 
-def _cmd_erase(args) -> int:
-    mode = _resolve_mode(args)
-    report = _check(args, mode)
-    if report is None or not report.ok:
-        return EXIT_STRUCTURAL
+def _cmd_erase(args, report: CheckReport) -> int:
     print(_write_erased(args, report))
     return EXIT_OK
 
 
-def _cmd_emit(args) -> int:
-    mode = _resolve_mode(args)
-    report = _check(args, mode)
-    if report is None or not report.ok:
-        return EXIT_STRUCTURAL
-    variant = mode.variant
+def _cmd_emit(args, report: CheckReport) -> int:
+    variant = report.mode.variant
     out_dir = _output_dir(args)
     stem = args.input.stem
     for ob in report.obligations:
@@ -306,11 +267,7 @@ def _cmd_emit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
-    mode = _resolve_mode(args)
-    report = _check(args, mode)
-    if report is None or not report.ok:
-        return EXIT_STRUCTURAL
+def _cmd_oracle(args, report: CheckReport) -> int:
     ob = report.conjecture_obligation
     if ob is None:
         print("error: no conjecture to search against", file=sys.stderr)
@@ -320,16 +277,8 @@ def _cmd_oracle(args) -> int:
     print(f"oracle: {result.status}" + (f" ({result.detail})" if result.detail else ""))
     if result.found:
         print(result.model.describe())
-    _write_json(
-        args.json_report,
-        {
-            "problem": str(args.input),
-            "command": "oracle",
-            "mode": mode.value,
-            "status": result.status,
-            "model": result.model.to_json_dict() if result.found else None,
-        },
-    )
+    model = result.model.to_json_dict() if result.found else None
+    _write_report(args, report, status=result.status, model=model)
     return EXIT_OK if result.status != "exhausted" else EXIT_OPEN
 
 
@@ -348,19 +297,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if hasattr(args, "config"):
             _resolve_settings(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        if args.command == "prove":
-            return _cmd_prove(args)
-        if args.command == "erase":
-            return _cmd_erase(args)
-        if args.command == "emit":
-            return _cmd_emit(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        if args.command == "gen-corpus":
-            return _cmd_gen_corpus(args)
-        raise _UsageError(f"unknown command {args.command!r}")
+        if not hasattr(args, "input"):
+            return args.run(args)
+        report = _check(args)
+        return EXIT_STRUCTURAL if report is None else args.run(args, report)
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -92,8 +92,9 @@ def dn_normalize(t: Term) -> Term:
 def normal_form(t: Term) -> Term:
     """``dn_normalize(beta_normalize(t))``, computed once per node: the
     result is kept in the node's memo slot (see ``syntax``), as None when t
-    is normal already, so that no node refers to itself.  Threads that share
-    a node may both compute it; they store equal terms."""
+    is normal already, so that no node refers to itself.  dholc calls it
+    from one thread only; threads that share a node may both compute it,
+    and they store equal terms."""
     try:
         nf = t._nf
     except AttributeError:

@@ -10,8 +10,10 @@ The discharge pipeline per obligation, in order:
    does NOT count as discharged (it is not a proof);
 4. an external THF ATP when configured; its SZS status decides.
 
-Verdicts preserve input order and ids.  The overall verdict is the
-conjunction of per-obligation discharge.
+Stages 1-3 are CPU-bound Python and run on the calling thread, one
+obligation after another; only the external prover runs, which wait on a
+subprocess, overlap.  Verdicts preserve input order and ids.  The overall
+verdict is the conjunction of per-obligation discharge.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -49,6 +51,10 @@ class ProverConfig:
     def __post_init__(self):
         if not self.time_limit > 0:  # NaN too
             raise ValueError("prover time limit must be positive")
+        try:  # split once; argv is no field, so it takes no part in ==
+            object.__setattr__(self, "argv", tuple(shlex.split(self.command)))
+        except ValueError as e:
+            raise ValueError(f"bad prover command: {e}") from None
 
 
 def run_atp(problem: ThfProblem, cfg: ProverConfig) -> SzsStatus:
@@ -62,15 +68,17 @@ def run_atp(problem: ThfProblem, cfg: ProverConfig) -> SzsStatus:
         fh.write(problem.text)
         path = fh.name
     try:
+        # {file} is replaced inside each argument, so that the path stays one
+        # argument whatever characters it holds
         if "{file}" in cfg.command:
-            cmd = cfg.command.replace("{file}", path)
+            argv = [a.replace("{file}", path) for a in cfg.argv]
         else:
-            cmd = f"{cfg.command} {path}"
+            argv = [*cfg.argv, path]
         try:
             # A session of its own, so that a timeout can kill the prover's
             # whole process group, not only a wrapper script around it.
             proc = subprocess.Popen(
-                shlex.split(cmd),
+                argv,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 text=True,
@@ -201,17 +209,25 @@ def discharge_one(
             oracle_note = f"no countermodel up to size {budget.max_size}"
         else:
             oracle_note = f"oracle exhausted: {oracle_result.detail}"
-    if cfg is not None:
-        problem = emit_thf(ob, ob.id)
-        szs = run_atp(problem, cfg)
-        if szs.kind == "Theorem":
-            return verdict("discharged-atp", "atp", szs.kind)
-        if szs.kind == "CounterSatisfiable":
-            return verdict("refuted-atp", "atp", oracle_note, oracle_result)
-        return verdict(
-            f"open-atp-{szs.kind.lower()}", "atp", oracle_note or szs.detail[:200], oracle_result
-        )
-    return verdict("open", "oracle" if oracle_fallback else "none", oracle_note, oracle_result)
+    open_ = verdict("open", "oracle" if oracle_fallback else "none", oracle_note, oracle_result)
+    return open_ if cfg is None else _atp_verdict(open_, run_atp(emit_thf(ob, ob.id), cfg))
+
+
+def _atp_verdict(open_: ObligationVerdict, szs: SzsStatus) -> ObligationVerdict:
+    """The verdict for an obligation the bundled stages left open, given the
+    external prover's answer; unless it is a proof, the oracle's note and
+    result are kept."""
+    if szs.kind == "Theorem":
+        status, detail, model = "discharged-atp", szs.kind, None
+    elif szs.kind == "CounterSatisfiable":
+        status, detail, model = "refuted-atp", open_.detail, open_.counter_model
+    else:
+        status, model = f"open-atp-{szs.kind.lower()}", open_.counter_model
+        detail = open_.detail or szs.detail[:200]
+    wall = open_.wall_time + szs.wall_time
+    return replace(
+        open_, status=status, method="atp", wall_time=wall, detail=detail, counter_model=model
+    )
 
 
 def discharge(
@@ -222,20 +238,21 @@ def discharge(
     jobs: int = 1,
 ) -> DischargeReport:
     """Discharge a batch; the report preserves the input order and ids.
-    Without an external prover every stage is CPU-bound Python, so the
-    obligations run one after another on the calling thread.  With one, up
-    to ``jobs`` obligations run in a thread pool, so that their prover runs
-    overlap."""
-    report = DischargeReport()
-    if cfg is not None and jobs > 1 and len(obligations) > 1:
+    The bundled stages run on the calling thread for every obligation, so
+    their verdicts, and the oracle's wall-time budget, do not depend on
+    ``jobs``.  With an external prover, the obligations they leave open are
+    emitted as THF on the calling thread too, and up to ``jobs`` prover runs
+    wait on their subprocesses at once."""
+    verdicts = [discharge_one(ob, None, oracle_fallback, budget) for ob in obligations]
+    if cfg is not None:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(discharge_one, ob, cfg, oracle_fallback, budget)
-                for ob in obligations
-            ]
-            report.verdicts = [f.result() for f in futures]
-    else:
-        report.verdicts = [discharge_one(ob, cfg, oracle_fallback, budget) for ob in obligations]
-    return report
+            runs = {
+                i: pool.submit(run_atp, emit_thf(ob, ob.id), cfg)
+                for i, (ob, v) in enumerate(zip(obligations, verdicts))
+                if v.status == "open"
+            }
+            for i, run in runs.items():
+                verdicts[i] = _atp_verdict(verdicts[i], run.result())
+    return DischargeReport(verdicts)

@@ -177,7 +177,8 @@ class _Recorder:
 def _fmt_body(d: Union[ConstDecl, AxiomDecl], table: SymbolTable) -> str:
     """The THF text of d's type or formula under table, from d's memo slot
     when every symbol it read mangles to the same name in table already.
-    Threads that share d may both render it; they store equivalent entries."""
+    dholc renders from one thread only; threads that share d may both render
+    it, and they store equivalent entries."""
     try:
         names, text = d._thf
     except AttributeError:

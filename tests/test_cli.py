@@ -76,11 +76,16 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(corpus_dir, capsys, a
         ("oracle", ["--config", "{tmp}/latin1.conf"], "not UTF-8 text"),
         ("check", ["--config", "{tmp}/bad.conf"], "max carrier size must be at least 1"),
         ("check", ["--config", "{tmp}/junk.conf"], "invalid literal for int()"),
+        ("check", ["--config", "{tmp}/typo.conf"], "unknown config key 'budget_sise'"),
+        ("check", ["--config", "{tmp}/flag.conf"], "unknown config key 'prover_time'"),
+        ("check", ["--prover-cmd", "ls '{{file}}"], "bad prover command: No closing quotation"),
     ],
 )
 def test_bad_settings_are_one_line_usage_errors(corpus_dir, tmp_path, capsys, command, flags, message):
     (tmp_path / "bad.conf").write_text("budget_size = 0\n")
     (tmp_path / "junk.conf").write_text("budget_models = many\n")
+    (tmp_path / "typo.conf").write_text("budget_sise = 0\n")
+    (tmp_path / "flag.conf").write_text("prover_time = 0\n")
     (tmp_path / "latin1.conf").write_bytes("# caf\u00e9\n".encode("latin-1"))
     flags = [f.format(tmp=tmp_path) for f in flags]
     assert main([command, str(corpus_dir / "choice_def1.dhol"), *flags]) == 64

@@ -2,9 +2,12 @@ import json
 import os
 import signal
 import stat
+import tempfile
 import textwrap
 import time
 from pathlib import Path
+
+import pytest
 
 from dholc.erasure import ErasureVariant, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
@@ -72,6 +75,18 @@ def test_run_atp_timeout(tmp_path):
     finally:
         if _running(pid):
             os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("template", ["{cmd} {{file}}", "{cmd}"])
+def test_run_atp_passes_a_path_with_a_space_as_one_argument(tmp_path, monkeypatch, template):
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(spaced))
+    cmd = _fake_prover(
+        tmp_path, "one.sh", '[ $# -eq 1 ] && [ -f "$1" ] && echo "SZS status Theorem"\n'
+    )
+    status = run_atp(_trivial_problem(), ProverConfig(template.format(cmd=cmd), time_limit=5))
+    assert status.kind == "Theorem", status.detail
 
 
 def test_run_atp_file_placeholder(tmp_path):
@@ -158,9 +173,10 @@ def test_batch_preserves_order_and_ids(tmp_path):
 
 
 def test_verdicts_do_not_depend_on_jobs(tmp_path):
-    # with a prover configured, obligations run on a thread pool and the
-    # threads fill the memo slots of the erased axioms they share; a short
-    # switch interval makes them interleave inside the normalisers
+    # whatever jobs is, the bundled stages and THF emission run on the
+    # calling thread and only the prover runs overlap; a short switch
+    # interval would make worker threads that normalise or render the
+    # shared erased axioms interleave inside them
     import sys
 
     from dholc.corpus import gen_problem
@@ -222,6 +238,50 @@ def test_batch_without_prover_stays_on_the_calling_thread(monkeypatch):
     report = discharge(rep.obligations, jobs=2)
     assert len(report.verdicts) == len(rep.obligations) > 1
     assert threads == [threading.get_ident()] * len(rep.obligations)
+
+
+def test_bundled_stages_and_emission_run_on_the_calling_thread(tmp_path, monkeypatch):
+    import threading
+
+    from dholc import prover
+    from dholc.corpus import gen_problem
+
+    threads = {name: [] for name in ("prove_ground", "countermodel", "emit_thf")}
+    for name, seen in threads.items():
+
+        def recording(*args, real=getattr(prover, name), seen=seen, **kwargs):
+            seen.append(threading.get_ident())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(prover, name, recording)
+    cmd = _fake_prover(tmp_path, "no.sh", "echo 'SZS status GaveUp'\n")
+    cfg = ProverConfig(command=cmd, time_limit=5)
+    for name in ("list_head", "choice_nq"):
+        e = gen_problem(name)
+        rep = check_theory(e.theory, e.conjecture, Mode.STRONG_EPSILON)
+        discharge(rep.obligations, cfg=cfg, jobs=2)
+    for name, seen in threads.items():
+        assert seen and set(seen) == {threading.get_ident()}, name
+
+
+def test_prover_runs_overlap(tmp_path):
+    # each run waits until two runs have started, so it answers Theorem, and
+    # not Timeout, only if another run overlaps it
+    from dholc.corpus import gen_problem
+
+    started = tmp_path / "started"
+    started.mkdir()
+    script = (
+        f'touch "{started}/$$"\n'
+        f'while [ "$(ls "{started}" | wc -l)" -lt 2 ]; do sleep 0.05; done\n'
+        "echo 'SZS status Theorem'\n"
+    )
+    cfg = ProverConfig(command=_fake_prover(tmp_path, "pair.sh", script), time_limit=5)
+    e = gen_problem("choice_def1")
+    rep = check_theory(e.theory, e.conjecture, Mode.WEAK_EPSILON)
+    report = discharge(rep.obligations, cfg=cfg, oracle_fallback=False, jobs=2)
+    assert len(report.verdicts) >= 2
+    assert {v.status for v in report.verdicts} == {"discharged-atp"}
 
 
 def test_atp_integration_in_discharge(tmp_path):
