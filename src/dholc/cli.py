@@ -236,18 +236,21 @@ def _cmd_prove(args, report: CheckReport) -> int:
     return _discharge(args, report, report.obligations, "prove", "open")
 
 
+def _write_problem(out_dir: Path, name: str, source, conjecture=None) -> Path:
+    """Emit source as the THF problem name into out_dir/name.p."""
+    out = out_dir / f"{name}.p"
+    _write_text(out, emit_thf(source, name, conjecture).text)
+    return out
+
+
 def _write_erased(args, report: CheckReport) -> Path:
     # the kernel has erased every declaration, and the conjecture for its
     # obligation, already
-    variant = report.mode.variant
-    stem = args.input.stem
     ob = report.conjecture_obligation
     conjecture = ob.conjecture if ob is not None else None
     erased = ErasedTheory(report.hol_theory, Context())
-    problem = emit_thf(erased, f"{stem}.{variant.value}", conjecture=conjecture)
-    out = _output_dir(args) / f"{stem}.{variant.value}.p"
-    _write_text(out, problem.text)
-    return out
+    name = f"{args.input.stem}.{report.mode.variant.value}"
+    return _write_problem(_output_dir(args), name, erased, conjecture)
 
 
 def _cmd_erase(args, report: CheckReport) -> int:
@@ -256,14 +259,9 @@ def _cmd_erase(args, report: CheckReport) -> int:
 
 
 def _cmd_emit(args, report: CheckReport) -> int:
-    variant = report.mode.variant
     out_dir = _output_dir(args)
-    stem = args.input.stem
     for ob in report.obligations:
-        problem = emit_thf(ob, f"{stem}.{ob.id}.{variant.value}")
-        out = out_dir / f"{stem}.{ob.id}.{variant.value}.p"
-        _write_text(out, problem.text)
-        print(out)
+        print(_write_problem(out_dir, f"{args.input.stem}.{ob.id}.{report.mode.variant.value}", ob))
     return EXIT_OK
 
 

@@ -11,6 +11,8 @@ The fin axiomatizations:
 * ``_reg``: ``_min`` plus emptiness of fin 0 and one exhaustiveness axiom per
   k in 1..N — the type has exactly N elements.
 
+Each problem is named once, in the registry ``BUILDERS``, which maps the name
+to the builder of its source and expected outcomes; ``FAMILY`` lists its keys.
 Expected outcomes are transcribed from the reported experiment matrix; cells
 the experiment marks failing are labeled "no" only where that is a typing
 fact, otherwise "prover-dependent" (a capable prover may still succeed).
@@ -20,6 +22,7 @@ Generation is deterministic and byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -29,6 +32,7 @@ from .syntax import Term, Theory
 YES = "yes"
 NO = "no"
 PROVER_DEPENDENT = "prover-dependent"
+_Spec = tuple[str, str, str, str, str]  # a builder's result: _entry's arguments after the name
 
 _NAT = """\
 type nat : tp
@@ -92,7 +96,7 @@ def _entry(name: str, source: str, e1tc: str, e1p: str, e2tc: str, e2p: str) -> 
     )
 
 
-def _choice_def1() -> CorpusEntry:
+def _choice_def1() -> _Spec:
     src = (
         _NAT
         + _FIN
@@ -102,10 +106,10 @@ axiom p_witness : ? x : fin 2 . p x
 conjecture : p (eps x : fin 2 . p x)
 """
     )
-    return _entry("choice_def1", src, YES, YES, YES, PROVER_DEPENDENT)
+    return src, YES, YES, YES, PROVER_DEPENDENT
 
 
-def _choice_def2() -> CorpusEntry:
+def _choice_def2() -> _Spec:
     src = (
         _NAT
         + _FIN
@@ -115,10 +119,10 @@ axiom p_witness : ! n : nat . ? x : fin n . p n x
 conjecture : ! n : nat . p n (eps x : fin n . p n x)
 """
     )
-    return _entry("choice_def2", src, YES, YES, YES, PROVER_DEPENDENT)
+    return src, YES, YES, YES, PROVER_DEPENDENT
 
 
-def _choice_def3() -> CorpusEntry:
+def _choice_def3() -> _Spec:
     src = (
         _NAT
         + """\
@@ -130,34 +134,30 @@ axiom p_witness : ? x : b m . p x
 conjecture : p (eps x : b m . p x)
 """
     )
-    return _entry("choice_def3", src, YES, YES, YES, PROVER_DEPENDENT)
+    return src, YES, YES, YES, PROVER_DEPENDENT
 
 
-def _choice_eq(n: int) -> CorpusEntry:
+def _choice_eq(n: int) -> _Spec:
     src = (
         _NAT
         + _FIN
         + _fin_reg_axioms(n)
         + f"conjecture : (eps x : fin {n} . x = fz {n - 1}) = fz {n - 1}\n"
     )
-    if n == 1:
-        return _entry("choice_eq1", src, YES, YES, YES, PROVER_DEPENDENT)
-    return _entry("choice_eq2", src, YES, PROVER_DEPENDENT, YES, PROVER_DEPENDENT)
+    return src, YES, YES if n == 1 else PROVER_DEPENDENT, YES, PROVER_DEPENDENT
 
 
-def _choice_nq() -> CorpusEntry:
+def _choice_nq() -> _Spec:
     src = (
         _NAT
         + _FIN
         + _fin_reg_axioms(2)
         + "conjecture : ~((eps x : fin 2 . ~(x = fz 1)) = fz 1)\n"
     )
-    return _entry(
-        "choice_nq", src, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT
-    )
+    return src, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT
 
 
-def _no_fp(n: int, variant: str) -> CorpusEntry:
+def _no_fp(n: int, variant: str) -> _Spec:
     axioms = _fin_reg_axioms(n) if variant == "reg" else _FIN_MIN_AXIOMS
     src = (
         _NAT
@@ -166,16 +166,15 @@ def _no_fp(n: int, variant: str) -> CorpusEntry:
         + f"conjecture : ! x : fin {n} . "
         f"~((^ z : fin {n} . eps y : fin {n} . ~(z = y)) x = x)\n"
     )
-    name = f"no_fp_fin{n}_{variant}"
     if n == 1:
         # The singleton case: ill-typed under the strong rule, fine weakly.
-        return _entry(name, src, NO, NO, YES, NO)
+        return src, NO, NO, YES, NO
     if n == 0 and variant == "min":
         # Possibly-empty domain: the strong witness premise is unprovable.
-        return _entry(name, src, NO, NO, YES, PROVER_DEPENDENT)
+        return src, NO, NO, YES, PROVER_DEPENDENT
     if n == 9 and variant == "min":
-        return _entry(name, src, YES, YES, YES, PROVER_DEPENDENT)
-    return _entry(name, src, YES, YES, YES, YES)
+        return src, YES, YES, YES, PROVER_DEPENDENT
+    return src, YES, YES, YES, YES
 
 
 def _list_defs() -> str:
@@ -190,24 +189,17 @@ axiom empty_cons : ! n : nat . ! x : nat . ! l : list n . ~(empty (s n) (cons n 
     )
 
 
-def _list_empty() -> CorpusEntry:
+def _list_empty() -> _Spec:
     src = _list_defs() + "conjecture : empty 0 (eps l : list 0 . empty 0 l)\n"
-    return _entry("list_empty", src, YES, YES, YES, PROVER_DEPENDENT)
+    return src, YES, YES, YES, PROVER_DEPENDENT
 
 
-def _list_nonempty() -> CorpusEntry:
+def _list_nonempty() -> _Spec:
     src = _list_defs() + "conjecture : ~(empty 1 (eps l : list 1 . $true))\n"
-    return _entry(
-        "list_nonempty",
-        src,
-        PROVER_DEPENDENT,
-        PROVER_DEPENDENT,
-        PROVER_DEPENDENT,
-        PROVER_DEPENDENT,
-    )
+    return src, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT, PROVER_DEPENDENT
 
 
-def _list_head() -> CorpusEntry:
+def _list_head() -> _Spec:
     src = (
         _NAT
         + _LIST
@@ -217,44 +209,31 @@ axiom hd_cons : ! n : nat . ! x : nat . ! l : list n . hd n (cons n x l) = x
 conjecture : hd 0 (eps l : list 1 . hd 0 l = 0) = 0
 """
     )
-    return _entry("list_head", src, YES, PROVER_DEPENDENT, YES, PROVER_DEPENDENT)
+    return src, YES, PROVER_DEPENDENT, YES, PROVER_DEPENDENT
 
 
-FAMILY = (
-    ["choice_def1", "choice_def2", "choice_def3", "choice_eq1", "choice_eq2", "choice_nq"]
-    + [f"no_fp_fin{n}_reg" for n in range(10)]
-    + [f"no_fp_fin{n}_min" for n in range(10)]
-    + ["list_empty", "list_nonempty", "list_head"]
-)
+# The registry: each problem's name and its builder, in generation order.
+BUILDERS = {
+    "choice_def1": _choice_def1,
+    "choice_def2": _choice_def2,
+    "choice_def3": _choice_def3,
+    "choice_eq1": partial(_choice_eq, 1),
+    "choice_eq2": partial(_choice_eq, 2),
+    "choice_nq": _choice_nq,
+    **{f"no_fp_fin{n}_{v}": partial(_no_fp, n, v) for v in ("reg", "min") for n in range(10)},
+    "list_empty": _list_empty,
+    "list_nonempty": _list_nonempty,
+    "list_head": _list_head,
+}
+FAMILY = list(BUILDERS)
 
 
 def gen_problem(name: str) -> CorpusEntry:
-    if name == "choice_def1":
-        return _choice_def1()
-    if name == "choice_def2":
-        return _choice_def2()
-    if name == "choice_def3":
-        return _choice_def3()
-    if name == "choice_eq1":
-        return _choice_eq(1)
-    if name == "choice_eq2":
-        return _choice_eq(2)
-    if name == "choice_nq":
-        return _choice_nq()
-    if name.startswith("no_fp_fin"):
-        rest = name[len("no_fp_fin"):]
-        for variant in ("reg", "min"):
-            if rest.endswith("_" + variant):
-                n = int(rest[: -len("_" + variant)])
-                if 0 <= n <= 9:
-                    return _no_fp(n, variant)
-    if name == "list_empty":
-        return _list_empty()
-    if name == "list_nonempty":
-        return _list_nonempty()
-    if name == "list_head":
-        return _list_head()
-    raise ValueError(f"unknown corpus problem {name!r}")
+    try:
+        build = BUILDERS[name]
+    except KeyError:
+        raise ValueError(f"unknown corpus problem {name!r}") from None
+    return _entry(name, *build())
 
 
 def gen_all() -> list[CorpusEntry]:

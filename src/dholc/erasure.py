@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .syntax import (
     App,
@@ -179,7 +179,6 @@ def erase_term(t: Term, variant: ErasureVariant) -> Term:
 class ErasedTheory:
     hol_theory: Theory
     hol_context: Context
-    per_names: dict[str, str] = field(default_factory=dict)
 
 
 def _arrow_chain(doms: list[Type], cod: Type) -> Type:
@@ -188,7 +187,7 @@ def _arrow_chain(doms: list[Type], cod: Type) -> Type:
     return cod
 
 
-def _erase_declaration(d, variant: ErasureVariant, out: list, per_names) -> None:
+def _erase_declaration(d, variant: ErasureVariant, out: list) -> None:
     match d:
         case BaseTypeDecl(name=a, telescope=tele):
             star = per_name(a)
@@ -209,7 +208,6 @@ def _erase_declaration(d, variant: ErasureVariant, out: list, per_names) -> None
                 axiom = Forall(x, ed, axiom)
             label = f"{a}_star_collapse"
             out.append(AxiomDecl(label, axiom))
-            per_names[a] = star
         case ConstDecl(name=c, ty=ty):
             out.append(ConstDecl(c, erase_type(ty)))
             label = f"{c}_typed"
@@ -224,14 +222,13 @@ def erase_theory(thy: Theory, ctx: Context, variant: ErasureVariant) -> ErasedTh
     """Declaration-wise translation: base types get a carrier, a PER constant
     and the collapsing axiom; typed constants get an erased type plus a
     PER-reflexivity axiom; axioms and assumptions are erased."""
-    per_names: dict[str, str] = {}
     thy_out: list = []
     for d in thy:
-        _erase_declaration(d, variant, thy_out, per_names)
+        _erase_declaration(d, variant, thy_out)
     ctx_out: list = []
     for d in ctx:
-        _erase_declaration(d, variant, ctx_out, per_names)
-    return ErasedTheory(Theory(tuple(thy_out)), Context(tuple(ctx_out)), per_names)
+        _erase_declaration(d, variant, ctx_out)
+    return ErasedTheory(Theory(tuple(thy_out)), Context(tuple(ctx_out)))
 
 
 def beta_normalize(t: Term | Type) -> Term | Type:

@@ -60,6 +60,7 @@ from .syntax import (
     Var,
     alpha_eq,
     alpha_key,
+    exists,
     neg,
     subst,
 )
@@ -214,7 +215,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             if key in done_choice:
                 continue
             done_choice.add(key)
-            witness = neg(Forall(sub.bound, sub.annot, neg(sub.body)))
+            witness = exists(sub.bound, sub.annot, sub.body)
             conclusion = subst(sub.body, sub.bound, sub)
             schema = Implies(witness, conclusion)
             formulas.append(_abstract(normal_form(schema), atoms))

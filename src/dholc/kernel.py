@@ -52,6 +52,7 @@ from .syntax import (
     Var,
     alpha_eq,
     alpha_key,
+    exists,
     free_vars,
     fresh_name,
     is_simple_type,
@@ -334,7 +335,7 @@ class _Checker:
                     if not is_simple_type(a2):
                         raise KernelError("choice over a dependent type in simple-HOL mode", pos)
                 elif self.mode is Mode.STRONG_EPSILON:
-                    witness = neg(Forall(x, a2, neg(b2)))
+                    witness = exists(x, a2, b2)
                     self.emit(ObligationKind.CHOICE_WITNESS, ctx, witness, "eps1-witness", pos)
                 else:
                     inhabited = neg(Forall(x, a2, FALSE))

@@ -10,10 +10,11 @@ The discharge pipeline per obligation, in order:
    does NOT count as discharged (it is not a proof);
 4. an external THF ATP when configured; its SZS status decides.
 
-Stages 1-3 are CPU-bound Python and run on the calling thread, one
-obligation after another; only the external prover runs, which wait on a
-subprocess, overlap.  Verdicts preserve input order and ids.  The overall
-verdict is the conjunction of per-obligation discharge.
+``discharge_one`` runs the bundled stages 1-3, which are CPU-bound Python, on
+the calling thread.  The external prover runs only from ``discharge``, and
+only its runs, which wait on a subprocess, overlap.  Verdicts preserve input
+order and ids.  The overall verdict is the conjunction of per-obligation
+discharge.
 """
 
 from __future__ import annotations
@@ -175,11 +176,10 @@ def _local_discharge(ob: Obligation) -> Optional[str]:
 
 
 def discharge_one(
-    ob: Obligation,
-    cfg: Optional[ProverConfig] = None,
-    oracle_fallback: bool = True,
-    budget: SearchBudget = DESK_BUDGET,
+    ob: Obligation, oracle_fallback: bool = True, budget: SearchBudget = DESK_BUDGET
 ) -> ObligationVerdict:
+    """The bundled stages 1-3 only; an obligation they leave open gets status
+    ``open``, and an external prover runs only from ``discharge``."""
     start = time.monotonic()
 
     def verdict(status, method, detail="", counter_model=None) -> ObligationVerdict:
@@ -209,8 +209,7 @@ def discharge_one(
             oracle_note = f"no countermodel up to size {budget.max_size}"
         else:
             oracle_note = f"oracle exhausted: {oracle_result.detail}"
-    open_ = verdict("open", "oracle" if oracle_fallback else "none", oracle_note, oracle_result)
-    return open_ if cfg is None else _atp_verdict(open_, run_atp(emit_thf(ob, ob.id), cfg))
+    return verdict("open", "oracle" if oracle_fallback else "none", oracle_note, oracle_result)
 
 
 def _atp_verdict(open_: ObligationVerdict, szs: SzsStatus) -> ObligationVerdict:
@@ -223,7 +222,8 @@ def _atp_verdict(open_: ObligationVerdict, szs: SzsStatus) -> ObligationVerdict:
         status, detail, model = "refuted-atp", open_.detail, open_.counter_model
     else:
         status, model = f"open-atp-{szs.kind.lower()}", open_.counter_model
-        detail = open_.detail or szs.detail[:200]
+        # one line per verdict: the prover's output is folded onto one
+        detail = open_.detail or " ".join(szs.detail.split())[:200]
     wall = open_.wall_time + szs.wall_time
     return replace(
         open_, status=status, method="atp", wall_time=wall, detail=detail, counter_model=model
@@ -243,7 +243,7 @@ def discharge(
     ``jobs``.  With an external prover, the obligations they leave open are
     emitted as THF on the calling thread too, and up to ``jobs`` prover runs
     wait on their subprocesses at once."""
-    verdicts = [discharge_one(ob, None, oracle_fallback, budget) for ob in obligations]
+    verdicts = [discharge_one(ob, oracle_fallback, budget) for ob in obligations]
     if cfg is not None:
         from concurrent.futures import ThreadPoolExecutor
 

@@ -6,7 +6,8 @@ Mapping: lambda ``^``, universal ``!``, indefinite choice ``@+``, application
 fully parenthesized, so the reader needs no precedence table.  Constant names
 are mangled to TPTP lower words (``a*`` becomes ``aSTAR``, digit-leading names
 get a ``c`` prefix) deterministically and collision-free per problem; bound
-variables are capitalized per scope.  The problem records the symbol map so
+variables are capitalized per scope; one encoder, ``_word``, serves both and
+the axiom labels.  The problem records the symbol map so
 the reader can restore original constant names — alpha-equivalence does not
 cover free constants.
 
@@ -60,6 +61,20 @@ class ThfError(Exception):
 # Name mangling
 
 
+_NON_WORD = re.compile(r"[^A-Za-z0-9_]")
+
+
+def _word(name: str, prefix: str, case) -> str:
+    """name as a TPTP word: ``*`` becomes ``STAR``, ``'`` ``_p``, any other
+    non-word character ``_``; prefix goes in front of a word that does not
+    start with a letter, and case (``str.lower`` or ``str.upper``) sets the
+    word's first letter."""
+    s = _NON_WORD.sub("_", name.replace("*", "STAR").replace("'", "_p"))
+    if not s or not s[0].isalpha():
+        s = prefix + s
+    return case(s[0]) + s[1:]
+
+
 class SymbolTable:
     def __init__(self):
         self.fwd: dict[str, str] = {}
@@ -69,11 +84,7 @@ class SymbolTable:
     def mangle(self, name: str) -> str:
         if name in self.fwd:
             return self.fwd[name]
-        s = name.replace("*", "STAR").replace("'", "_p")
-        s = re.sub(r"[^A-Za-z0-9_]", "_", s)
-        if not s or not s[0].isalpha():
-            s = "c" + s
-        candidate = self.reserve(s[0].lower() + s[1:])
+        candidate = self.reserve(_word(name, "c", str.lower))
         self.fwd[name] = candidate
         self.back[candidate] = name
         return candidate
@@ -89,21 +100,13 @@ class SymbolTable:
 
     def formula_name(self, label: str) -> str:
         """Unique THF formula name for an axiom label, recoverable on read."""
-        s = re.sub(r"[^A-Za-z0-9_]", "_", label.replace("*", "STAR"))
-        if not s or not s[0].isalpha():
-            s = "ax" + s
-        s = s[0].lower() + s[1:]
-        name = self.reserve(s)
+        name = self.reserve(_word(label, "ax", str.lower))
         self.back[name] = label
         return name
 
 
 def _mangle_bound(name: str, scope: dict[str, str]) -> str:
-    s = name.replace("*", "STAR").replace("'", "_p")
-    s = re.sub(r"[^A-Za-z0-9_]", "_", s)
-    if not s or not s[0].isalpha():
-        s = "X" + s
-    s = s[0].upper() + s[1:]
+    s = _word(name, "X", str.upper)
     candidate = s
     k = 1
     taken = set(scope.values())

@@ -296,6 +296,19 @@ def test_too_deep_input_exits_two(tmp_path, capsys, command):
     assert err.count("\n") == 1 and "too deeply" in err
 
 
+@pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
+def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
+    # the limit is about 490 nested applications, and prove meets it first
+    deep = tmp_path / "deep.dhol"
+    deep.write_text(
+        "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"
+        "conjecture : p 400\n"
+    )
+    out = ["-o", str(tmp_path / "out")] if command in ("prove", "emit", "erase") else []
+    assert main([command, str(deep), *out]) in (0, 1)
+    assert "too deeply" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # input is read as UTF-8, and outputs that cannot be written are errors
 

@@ -29,6 +29,18 @@ def test_unknown_name_rejected():
         gen_problem("no_fp_fin11_reg")
 
 
+@pytest.mark.parametrize(
+    "alias",
+    ["no_fp_fin09_reg", "no_fp_fin 9_min", "no_fp_fin+9_reg", "no_fp_fin9 _reg",
+     "no_fp_fin0_9_min"],
+)
+def test_only_canonical_names_are_problems(alias):
+    # each would parse to a fin size between 0 and 9; only the registry's
+    # spelling names a problem
+    with pytest.raises(ValueError, match="unknown corpus problem"):
+        gen_problem(alias)
+
+
 def test_expectations_spot_checks():
     assert gen_problem("no_fp_fin1_reg").expected["eps1_typecheck"] == "no"
     assert gen_problem("no_fp_fin0_min").expected["eps2_typecheck"] == "yes"
@@ -121,3 +133,39 @@ def test_erasure_of_every_entry_succeeds():
             rep = check_theory(e.theory, e.conjecture, mode)
             er = erase_theory(rep.theory_elaborated, Context(), variant)
             assert len(er.hol_theory) >= len(e.theory)
+
+
+def _answer(statuses):
+    """What a list of verdict statuses answers: "no" when one is refuted,
+    "yes" when all are discharged, None while one stays open."""
+    if any(s.startswith("refuted") for s in statuses):
+        return "no"
+    if all(s.startswith("discharged") for s in statuses):
+        return "yes"
+    return None
+
+
+def test_no_manifest_cell_is_answered_the_wrong_way():
+    # typecheck asks about the typing obligations, prove about all of them;
+    # a theory the kernel rejects answers "no" to both
+    from dholc.kernel import ObligationKind
+    from dholc.prover import DESK_BUDGET, discharge
+
+    answered = 0
+    for e in gen_all():
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            rep = check_theory(e.theory, e.conjecture, mode)
+            if rep.ok:
+                verdicts = discharge(rep.obligations, budget=DESK_BUDGET).verdicts
+                statuses = [v.status for v in verdicts]
+                typing = [v.status for v in verdicts if v.kind != ObligationKind.CONJECTURE.value]
+                answers = {"typecheck": _answer(typing), "prove": _answer(statuses)}
+            else:
+                answers = {"typecheck": "no", "prove": "no"}
+            for question, got in answers.items():
+                cell = e.expected[f"{mode.value}_{question}"]
+                if got is None or cell not in ("yes", "no"):
+                    continue
+                assert got == cell, (e.name, mode.value, question)
+                answered += 1
+    assert answered > 20  # 29 of the 116 cells are answered at desk budget

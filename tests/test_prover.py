@@ -293,8 +293,24 @@ def test_atp_integration_in_discharge(tmp_path):
     # the oracle refutes this outright (h d has a countermodel) ...
     assert discharge_one(ob).status == "refuted-countermodel"
     # ... with the oracle off, the configured prover's verdict is taken
-    v = discharge_one(ob, cfg=ProverConfig(command=cmd, time_limit=5), oracle_fallback=False)
+    v = discharge([ob], cfg=ProverConfig(command=cmd, time_limit=5), oracle_fallback=False).verdicts[0]
     assert v.status == "discharged-atp"
+
+
+def test_prover_output_is_folded_onto_one_verdict_line(tmp_path):
+    from dholc.corpus import gen_problem
+
+    cmd = _fake_prover(tmp_path, "chatty.sh", "echo 'first line'\necho '  second'\necho third\n")
+    e = gen_problem("list_head")
+    rep = check_theory(e.theory, e.conjecture, Mode.STRONG_EPSILON)
+    report = discharge(rep.obligations, cfg=ProverConfig(cmd, time_limit=5), oracle_fallback=False)
+    gaveup = [v for v in report.verdicts if v.status == "open-atp-gaveup"]
+    assert gaveup
+    for v in gaveup:
+        assert v.detail == "first line second third"
+    text = report.to_text()
+    assert text.count("\n") == len(report.verdicts)
+    assert text.splitlines()[-1] == "overall: open"
 
 
 def test_sound_proofs_cross_validated_by_oracle():

@@ -300,3 +300,24 @@ def test_dependent_product_is_a_bug_guard():
     er = ErasedTheory(Theory((BaseTypeDecl("nat"), BaseTypeDecl("fin"), dependent)), Context())
     with pytest.raises(ThfError):
         emit_thf(er, "bad")
+
+
+def test_one_word_encoder_for_constants_labels_and_bound_variables(monkeypatch):
+    table = SymbolTable()
+    assert table.mangle("a*'x-1") == "aSTAR_px_1"
+    assert table.mangle("9z") == "c9z"
+    assert table.mangle("Q") == "q"
+    assert table.formula_name("h'") == "h_p"
+    assert table.formula_name("1ab") == "ax1ab"
+    assert table.formula_name("B*") == "bSTAR"
+    assert table.back["h_p"] == "h'"
+    assert thf._mangle_bound("x'", {}) == "X_p"
+    assert thf._mangle_bound("2*", {}) == "X2STAR"
+    assert thf._mangle_bound("y", {"y": "Y"}) == "Y2"
+    # a symbol is encoded the first time its problem sees it, and only then
+    seen = []
+    word = thf._word
+    monkeypatch.setattr(thf, "_word", lambda name, *rest: seen.append(name) or word(name, *rest))
+    fresh = SymbolTable()
+    assert [fresh.mangle(n) for n in ("a", "b", "a", "b")] == ["a", "b", "a", "b"]
+    assert seen == ["a", "b"]
