@@ -2,8 +2,9 @@
 
 Subcommands: check, prove, erase, emit, gen-corpus, oracle.  Exit codes:
 0 full success, 1 open obligations / unproved conjecture, 2 structural
-errors, input that cannot be read (or is not UTF-8 text) or nested too deeply
-to process, and output that cannot be written, 64 usage errors (a bad flag, or
+errors (one line per ill-formed declaration), prove or oracle without a
+conjecture, input that cannot be read (or is not UTF-8 text) or nested too
+deeply to process, and output that cannot be written, 64 usage errors (a bad flag, or
 a budget, prover command, prover time limit, --jobs value or config file that is
 rejected), 70 internal errors (a one-line diagnostic instead of a traceback).
 Diagnostics go to stderr, results to stdout and files.
@@ -161,7 +162,8 @@ def _resolve_settings(args) -> None:
         if hasattr(args, "prover_cmd"):
             cmd = args.prover_cmd or cfg.get("prover_cmd") or os.environ.get("DHOL_PROVER_CMD")
             # built without a command too, so that a bad limit is always reported
-            prover = ProverConfig(cmd or "", pick("prover_time", "time_limit", 90.0, float))
+            time_limit = pick("prover_time", "time_limit", ProverConfig.time_limit, float)
+            prover = ProverConfig(cmd or "", time_limit)
             args.prover = prover if cmd else None
     except ValueError as e:
         raise _UsageError(str(e)) from None
@@ -232,6 +234,9 @@ def _cmd_check(args, report: CheckReport) -> int:
 
 
 def _cmd_prove(args, report: CheckReport) -> int:
+    if report.conjecture_obligation is None:
+        print("error: no conjecture to prove", file=sys.stderr)
+        return EXIT_STRUCTURAL
     _write_erased(args, report)
     return _discharge(args, report, report.obligations, "prove", "open")
 

@@ -5,8 +5,9 @@ keywords ``type``, ``const``, ``axiom`` and ``conjecture`` (so ``.`` is only
 ever a binder separator).  Terms use ``^`` / ``!`` / ``?`` / ``eps`` for the
 binders, ``=>``, ``=``, ``!=``, ``~``, ``&``, ``|``, ``$false``, ``$true``;
 comments run from ``%`` to end of line.  Numerals are sugar for iterated ``s``
-applied to the constant ``0``.  Resolution is scope-checked during parsing:
-every name must be introduced earlier (declaration order matters in DHOL).
+applied to the constant ``0``.  The parser builds trees only: whether a name,
+a base type and its arity are declared, and declared once, is the kernel's
+check.
 """
 
 from __future__ import annotations
@@ -104,23 +105,10 @@ def _lex(text: str) -> list[_Tok]:
     return toks
 
 
-class _Scope:
-    """Names visible so far: base types with arities, constants, binders."""
-
-    def __init__(self):
-        self.base_arity: dict[str, int] = {}
-        self.consts: set[str] = set()
-        self.bound: list[str] = []
-
-    def resolvable(self, name: str) -> bool:
-        return name in self.bound or name in self.consts
-
-
 class _Parser:
     def __init__(self, text: str):
         self.toks = _lex(text)
         self.i = 0
-        self.scope = _Scope()
 
     # -- token plumbing
 
@@ -169,16 +157,10 @@ class _Parser:
                 conjecture = self.parse_term()
         return Theory(tuple(decls)), conjecture
 
-    def _declare(self, name: str, pos: Pos) -> None:
-        if name in self.scope.consts or name in self.scope.base_arity:
-            raise ParseError(f"redeclaration of {name!r}", pos)
-
     def parse_type_decl(self) -> BaseTypeDecl:
         name = self.expect_name()
-        self._declare(name.text, name.pos)
         self.expect_sym(":")
         telescope = []
-        outer_bound = list(self.scope.bound)
         while True:
             t = self.peek()
             if t.kind == "KEYWORD" and t.text == "tp":
@@ -188,11 +170,8 @@ class _Parser:
                 self.next()
                 x, ty = self._binder_head()
                 telescope.append((x.text, ty))
-                self.scope.bound.append(x.text)
             else:
                 raise ParseError(f"expected 'pi' or 'tp', found {t.text!r}", t.pos)
-        self.scope.bound = outer_bound
-        self.scope.base_arity[name.text] = len(telescope)
         return BaseTypeDecl(name.text, tuple(telescope), pos=name.pos)
 
     def parse_const_decl(self) -> ConstDecl:
@@ -202,10 +181,8 @@ class _Parser:
             name = t
         else:
             name = self.expect_name()
-        self._declare(name.text, name.pos)
         self.expect_sym(":")
         ty = self.parse_type()
-        self.scope.consts.add(name.text)
         return ConstDecl(name.text, ty, pos=name.pos)
 
     def parse_axiom_decl(self) -> AxiomDecl:
@@ -217,7 +194,7 @@ class _Parser:
     # -- types
 
     def _binder_head(self) -> tuple[_Tok, Type]:
-        """``x : A .`` after a binder keyword; x is not in scope yet."""
+        """``x : A .`` after a binder keyword."""
         x = self.expect_name()
         self.expect_sym(":")
         ty = self.parse_type()
@@ -246,22 +223,12 @@ class _Parser:
         if t.kind == "KEYWORD" and t.text == "pi":
             self.next()
             x, dom = self._binder_head()
-            self.scope.bound.append(x.text)
-            cod = self.parse_type()
-            self.scope.bound.pop()
-            return Pi(x.text, dom, cod, pos=t.pos)
+            return Pi(x.text, dom, self.parse_type(), pos=t.pos)
         if t.kind == "NAME":
             self.next()
-            arity = self.scope.base_arity.get(t.text)
-            if arity is None:
-                raise ParseError(f"unknown type {t.text!r}", t.pos)
             args = []
             while self._at_atom_start():
                 args.append(self.parse_atom())
-            if len(args) != arity:
-                raise ParseError(
-                    f"base type {t.text!r} expects {arity} argument(s), got {len(args)}", t.pos
-                )
             return Base(t.text, tuple(args), pos=t.pos)
         raise ParseError(f"expected a type, found {t.text!r}", t.pos)
 
@@ -332,8 +299,6 @@ class _Parser:
         t = self.peek()
         if t.kind == "NAME":
             self.next()
-            if not self.scope.resolvable(t.text):
-                raise ParseError(f"unknown identifier {t.text!r}", t.pos)
             return Var(t.text, pos=t.pos)
         if t.kind == "NUMBER":
             self.next()
@@ -354,9 +319,7 @@ class _Parser:
         ):
             self.next()
             x, ty = self._binder_head()
-            self.scope.bound.append(x.text)
             body = self.parse_term()
-            self.scope.bound.pop()
             if t.text == "^":
                 return Lambda(x.text, ty, body, pos=t.pos)
             if t.text == "!":
@@ -367,9 +330,6 @@ class _Parser:
         raise ParseError(f"expected a term, found {t.text!r}", t.pos)
 
     def _numeral(self, n: int, pos: Pos) -> Term:
-        for name in ("0", "s") if n else ("0",):
-            if not self.scope.resolvable(name):
-                raise ParseError(f"numeral sugar needs {name!r} in scope", pos)
         t: Term = Var("0", pos=pos)
         for _ in range(n):
             t = App(Var("s", pos=pos), t, pos=pos)
@@ -381,25 +341,18 @@ def parse_theory(text: str) -> tuple[Theory, Optional[Term]]:
     return _Parser(text).parse_theory()
 
 
-def parse_term(text: str, thy: Optional[Theory] = None, bound: dict[str, Type] | None = None) -> Term:
-    """Parse a single term against an existing theory (mainly for tests)."""
-    return _parse_in_scope(text, thy, bound, _Parser.parse_term)
+def parse_term(text: str) -> Term:
+    """Parse a single term (mainly for tests)."""
+    return _parse_all(text, _Parser.parse_term)
 
 
-def parse_type(text: str, thy: Optional[Theory] = None) -> Type:
-    return _parse_in_scope(text, thy, None, _Parser.parse_type)
+def parse_type(text: str) -> Type:
+    return _parse_all(text, _Parser.parse_type)
 
 
-def _parse_in_scope(text: str, thy: Optional[Theory], bound, parse):
-    """Run ``parse`` with the names of ``thy`` and ``bound`` in scope, and
-    require it to consume all of ``text``."""
+def _parse_all(text: str, parse):
+    """Run ``parse`` and require it to consume all of ``text``."""
     p = _Parser(text)
-    for d in thy or ():
-        if isinstance(d, BaseTypeDecl):
-            p.scope.base_arity[d.name] = d.arity
-        elif isinstance(d, ConstDecl):
-            p.scope.consts.add(d.name)
-    p.scope.bound.extend(bound or ())
     out = parse(p)
     tok = p.peek()
     if tok.kind != "EOF":

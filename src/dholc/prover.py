@@ -44,6 +44,10 @@ class SzsStatus:
     detail: str = ""
 
 
+# The longest wait subprocess can time: poll() takes at most 2**31 - 1 ms.
+MAX_TIME_LIMIT = 2_147_483.0
+
+
 @dataclass(frozen=True)
 class ProverConfig:
     command: str  # template; {file} is replaced by the problem path
@@ -52,6 +56,8 @@ class ProverConfig:
     def __post_init__(self):
         if not self.time_limit > 0:  # NaN too
             raise ValueError("prover time limit must be positive")
+        if self.time_limit > MAX_TIME_LIMIT:  # infinity too
+            raise ValueError(f"prover time limit must be at most {MAX_TIME_LIMIT:.0f} seconds")
         try:  # split once; argv is no field, so it takes no part in ==
             object.__setattr__(self, "argv", tuple(shlex.split(self.command)))
         except ValueError as e:

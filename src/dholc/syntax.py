@@ -188,12 +188,6 @@ class Theory:
                 return d
         return None
 
-    def const(self, name: str) -> Optional[ConstDecl]:
-        for d in self.decls:
-            if isinstance(d, ConstDecl) and d.name == name:
-                return d
-        return None
-
 
 @dataclass(frozen=True, slots=True)
 class Context(Theory):

@@ -63,7 +63,7 @@ const c : a $false
 def _counterexample():
     thy, _ = parse_theory(COUNTEREXAMPLE_SRC)
     rep = check_theory(thy, None, Mode.STRONG_EPSILON)
-    t = parse_term("eps x : a $false . $true", thy)
+    t = parse_term("eps x : a $false . $true")
     _, _, elaborated = infer_type_elaborated(thy, Context(), t, Mode.STRONG_EPSILON)
     return rep.theory_elaborated, elaborated
 

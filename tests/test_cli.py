@@ -79,6 +79,10 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(corpus_dir, capsys, a
         ("check", ["--config", "{tmp}/typo.conf"], "unknown config key 'budget_sise'"),
         ("check", ["--config", "{tmp}/flag.conf"], "unknown config key 'prover_time'"),
         ("check", ["--prover-cmd", "ls '{{file}}"], "bad prover command: No closing quotation"),
+        ("prove", ["--prover-cmd", "sleep 1", "--prover-time", "3e6"], "at most 2147483 seconds"),
+        ("prove", ["--prover-cmd", "sleep 1", "--prover-time", "1e10"], "at most 2147483 seconds"),
+        ("prove", ["--prover-cmd", "sleep 1", "--prover-time", "inf"], "at most 2147483 seconds"),
+        ("check", ["--config", "{tmp}/forever.conf"], "at most 2147483 seconds"),
     ],
 )
 def test_bad_settings_are_one_line_usage_errors(corpus_dir, tmp_path, capsys, command, flags, message):
@@ -86,6 +90,7 @@ def test_bad_settings_are_one_line_usage_errors(corpus_dir, tmp_path, capsys, co
     (tmp_path / "junk.conf").write_text("budget_models = many\n")
     (tmp_path / "typo.conf").write_text("budget_sise = 0\n")
     (tmp_path / "flag.conf").write_text("prover_time = 0\n")
+    (tmp_path / "forever.conf").write_text("time_limit = inf\n")
     (tmp_path / "latin1.conf").write_bytes("# caf\u00e9\n".encode("latin-1"))
     flags = [f.format(tmp=tmp_path) for f in flags]
     assert main([command, str(corpus_dir / "choice_def1.dhol"), *flags]) == 64
@@ -276,6 +281,56 @@ def test_config_file_precedence(corpus_dir, tmp_path, monkeypatch, capsys):
     # fails to spawn; the obligation stays open
     assert code == 1
     assert "open" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source", ["", "type a : tp\nconst c : a\n"])
+def test_prove_without_a_conjecture_exits_two(tmp_path, capsys, source):
+    src = tmp_path / "plain.dhol"
+    src.write_text(source)
+    out = tmp_path / "out"
+    assert main(["prove", str(src), "-o", str(out), "--json-report", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == ("", "error: no conjecture to prove\n")
+    assert not out.exists() and not (tmp_path / "r.json").exists()
+
+
+ILL_SCOPED = """\
+type nat : tp
+const 0 : nat
+const p : nat > $o
+axiom unknown_name : p y
+const unknown_type : nat > list
+const wrong_arity : nat 0
+axiom no_successor : p 2
+type nat : tp
+conjecture : p 0
+"""
+
+
+@pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
+def test_every_ill_scoped_declaration_is_reported(tmp_path, capsys, command):
+    src = tmp_path / "scope.dhol"
+    src.write_text(ILL_SCOPED)
+    out = ["-o", str(tmp_path / "out")] if command in ("prove", "emit", "erase") else []
+    assert main([command, str(src), *out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"{src}: 4:24: unbound name 'y' (in unknown_name)",
+        f"{src}: 5:28: unknown base type 'list' (in unknown_type)",
+        f"{src}: 6:21: base type 'nat' expects 0 argument(s), got 1 (in wrong_arity)",
+        f"{src}: 7:24: unbound name 's' (in no_successor)",
+        f"{src}: 8:6: redeclaration of 'nat' (in nat)",
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_conjecture_may_name_a_later_declaration(tmp_path, capsys):
+    # the conjecture is checked against the whole theory, as its obligation
+    # assumes every axiom
+    src = tmp_path / "late.dhol"
+    src.write_text("type u : tp\nconst d : u\nconjecture : h d\nconst h : u > $o\naxiom hd : h d\n")
+    assert main(["prove", str(src), "-o", str(tmp_path)]) == 0
+    assert "prove: ok" in capsys.readouterr().out
 
 
 def test_parse_error_exits_two(tmp_path, capsys):

@@ -143,7 +143,7 @@ const c : a $false
 
 def _counterexample_eps():
     thy, _ = parse_theory(COUNTEREXAMPLE_SRC)
-    t = parse_term("eps x : a $false . $true", thy)
+    t = parse_term("eps x : a $false . $true")
     _, _, elaborated = infer_type_elaborated(thy, Context(), t, Mode.WEAK_EPSILON)
     return thy, elaborated
 
@@ -280,7 +280,7 @@ def test_identity_on_hol_fragment():
     src = "type u : tp\nconst d : u\nconst h : u > $o\n"
     thy, _ = parse_theory(src)
     for text in ("! x : u . h x => h x", "h d & ~ h d", "? x : u . x = d"):
-        t = parse_term(text, thy)
+        t = parse_term(text)
         _, _, elaborated = infer_type_elaborated(thy, Context(), t, Mode.STRONG_EPSILON)
         assert erase_term(elaborated, STRONG) == erase_term(elaborated, WEAK)
 

@@ -61,7 +61,7 @@ def numeral(n):
 
 
 def test_infer_lambda_identity():
-    t = parse_term("^ x : $o . x", THEORY)
+    t = parse_term("^ x : $o . x")
     ty, obs = infer_type(THEORY, Context(), t, E1)
     assert alpha_eq(ty, Pi("x", BOOL, BOOL))
     assert obs == []
@@ -75,9 +75,9 @@ const c : a $false
 
 def test_infer_choice_weak_inhabitation():
     thy, _ = parse_theory(COUNTEREXAMPLE_SRC)
-    t = parse_term("eps x : a $false . $true", thy)
+    t = parse_term("eps x : a $false . $true")
     ty, obs = infer_type(thy, Context(), t, E2)
-    assert alpha_eq(ty, parse_type("a $false", thy))
+    assert alpha_eq(ty, parse_type("a $false"))
     assert [o.kind for o in obs] == [ObligationKind.TYPE_INHABITED]
     # the witness c makes this obligation dischargeable (see prover tests)
 
@@ -87,7 +87,7 @@ def test_infer_choice_strong_vs_weak_on_singleton():
         "type fin : pi n : nat . tp\n"
     )
     thy, _ = parse_theory(src)
-    t = parse_term("^ x : fin 1 . eps y : fin 1 . ~(x = y)", thy)
+    t = parse_term("^ x : fin 1 . eps y : fin 1 . ~(x = y)")
     _, strong_obs = infer_type(thy, Context(), t, E1)
     assert [o.kind for o in strong_obs] == [ObligationKind.CHOICE_WITNESS]
     _, weak_obs = infer_type(thy, Context(), t, E2)
@@ -104,7 +104,7 @@ def test_infer_errors():
     with pytest.raises(KernelError, match="boolean expected"):
         infer_type(THEORY, Context(), Implies(Var("0"), Var("0")), E1)
     with pytest.raises(KernelError, match="simple-HOL"):
-        infer_type(THEORY, Context(), parse_term("eps x : fin 1 . $false", THEORY), HOL)
+        infer_type(THEORY, Context(), parse_term("eps x : fin 1 . $false"), HOL)
 
 
 # ---------------------------------------------------------------------------
@@ -112,14 +112,14 @@ def test_infer_errors():
 
 
 def test_type_equal_alpha_identical():
-    A = parse_type("fin (s 0)", THEORY)
-    B = parse_type("fin 1", THEORY)
+    A = parse_type("fin (s 0)")
+    B = parse_type("fin 1")
     assert type_equal(THEORY, Context(), A, B, E1) == []
 
 
 def test_type_equal_head_mismatch():
     with pytest.raises(KernelError, match="type mismatch"):
-        type_equal(THEORY, Context(), BOOL, parse_type("fin 0", THEORY), E1)
+        type_equal(THEORY, Context(), BOOL, parse_type("fin 0"), E1)
 
 
 TWO_SRC = """\
@@ -134,8 +134,8 @@ type fin : pi n : nat . tp
 
 def test_type_equal_emits_erased_equation():
     thy, _ = parse_theory(TWO_SRC)
-    A = parse_type("fin (s (s 0))", thy)
-    B = parse_type("fin two", thy)
+    A = parse_type("fin (s (s 0))")
+    B = parse_type("fin two")
     obs = type_equal(thy, Context(), A, B, E1)
     assert len(obs) == 1
     ob = obs[0]
@@ -202,7 +202,7 @@ def test_determinism_of_reports():
 def test_obligation_deduplication():
     # two alpha-identical choice sites produce one obligation
     thy, _ = parse_theory("type u : tp\nconst h : u > $o\n")
-    t = parse_term("h (eps x : u . h x) & h (eps y : u . h y)", thy)
+    t = parse_term("h (eps x : u . h x) & h (eps y : u . h y)")
     _, obs = infer_type(thy, Context(), t, E1)
     assert len(obs) == 1
 
@@ -213,7 +213,7 @@ def test_shadowing_binder_renamed_in_obligations():
     from dholc.prover import discharge_one
 
     thy, _ = parse_theory("type u : tp\nconst h : u > $o\nconst d : u\n")
-    t = parse_term("^ d : u . eps y : u . ~(y = d)", thy)
+    t = parse_term("^ d : u . eps y : u . ~(y = d)")
     ty, obs, elaborated = infer_type_elaborated(thy, Context(), t, E2)
     assert elaborated.bound != "d"
     (ob,) = obs
@@ -276,10 +276,10 @@ def simple_type_of(thy, env, t):
         case Var(name=n):
             if n in env:
                 return env[n]
-            d = thy.const(n)
-            if d is None:
-                raise ValueError(f"unbound {n}")
-            return d.ty
+            for d in thy:
+                if isinstance(d, ConstDecl) and d.name == n:
+                    return d.ty
+            raise ValueError(f"unbound {n}")
         case App(fun=f, arg=a):
             fty = simple_type_of(thy, env, f)
             aty = simple_type_of(thy, env, a)
@@ -331,12 +331,12 @@ def test_hol_conservativity():
         "(^ x : u . h x) d",
         "eps x : u . h x",
     ):
-        t = parse_term(text, thy)
+        t = parse_term(text)
         ty, obs, elaborated = infer_type_elaborated(thy, Context(), t, HOL)
         assert obs == []
         # agrees with the independent simple checker
         assert alpha_eq(ty, simple_type_of(thy, {}, elaborated))
-    rep = check_theory(thy, parse_term("h d", thy), HOL)
+    rep = check_theory(thy, parse_term("h d"), HOL)
     assert rep.ok
     assert [o.kind for o in rep.obligations] == [ObligationKind.CONJECTURE]
 
@@ -346,10 +346,10 @@ def test_simple_hol_rejects_dependencies():
     rep = check_theory(thy, None, HOL)
     assert not rep.ok  # fin is a dependent base type
     with pytest.raises(KernelError, match="dependent base type"):
-        infer_type(THEORY, Context(), parse_term("^ x : fin 1 . x", THEORY), HOL)
+        infer_type(THEORY, Context(), parse_term("^ x : fin 1 . x"), HOL)
     # a pi whose bound variable is unused is just an arrow and stays legal
     thy2, _ = parse_theory("type u : tp\n")
     ty, obs = infer_type(
-        thy2, Context(), parse_term("^ f : (pi x : u . u) . f", thy2), HOL
+        thy2, Context(), parse_term("^ f : (pi x : u . u) . f"), HOL
     )
     assert obs == []

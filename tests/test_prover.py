@@ -116,7 +116,7 @@ const c : a $false
 
 def test_weak_inhabitation_discharged_by_witness_constant():
     thy, _ = parse_theory(COUNTEREXAMPLE_SRC)
-    t = parse_term("eps x : a $false . $true", thy)
+    t = parse_term("eps x : a $false . $true")
     from dholc.kernel import infer_type
 
     _, obs = infer_type(thy, Context(), t, Mode.WEAK_EPSILON)
@@ -128,7 +128,7 @@ def test_weak_inhabitation_discharged_by_witness_constant():
 def test_strong_witness_on_singleton_not_discharged_weak_is():
     src = "type nat : tp\nconst 0 : nat\nconst s : nat > nat\ntype fin : pi n : nat . tp\n"
     thy, _ = parse_theory(src)
-    t = parse_term("^ x : fin 1 . eps y : fin 1 . ~(x = y)", thy)
+    t = parse_term("^ x : fin 1 . eps y : fin 1 . ~(x = y)")
     from dholc.kernel import infer_type
 
     _, strong = infer_type(thy, Context(), t, Mode.STRONG_EPSILON)
@@ -288,7 +288,7 @@ def test_atp_integration_in_discharge(tmp_path):
     cmd = _fake_prover(tmp_path, "yes.sh", "echo 'SZS status Theorem'\n")
     src = "type u : tp\nconst d : u\nconst h : u > $o\n"
     thy, _ = parse_theory(src)
-    rep = check_theory(thy, parse_term("h d", thy), Mode.STRONG_EPSILON)
+    rep = check_theory(thy, parse_term("h d"), Mode.STRONG_EPSILON)
     ob = rep.conjecture_obligation
     # the oracle refutes this outright (h d has a countermodel) ...
     assert discharge_one(ob).status == "refuted-countermodel"

@@ -40,7 +40,7 @@ def test_falsum_conjecture_line():
 
 def test_choice_binder_and_truth():
     thy, _ = parse_theory("type a : tp\n")
-    rep = check_theory(thy, parse_term("(eps x : a . $true) = (eps x : a . $true)", thy), Mode.SIMPLE_HOL)
+    rep = check_theory(thy, parse_term("(eps x : a . $true) = (eps x : a . $true)"), Mode.SIMPLE_HOL)
     ob = rep.conjecture_obligation
     problem = emit_thf(ob, "eps")
     assert "@+ [X:a]" in problem.text
