@@ -90,6 +90,11 @@ class KernelError(Exception):
         super().__init__(f"{pos}: {msg}" if pos else msg)
 
 
+class _UsesRejected(KernelError):
+    """A name that only a rejected declaration declared: that declaration's
+    own diagnostic already gives the cause, so this one is not reported."""
+
+
 @dataclass(frozen=True)
 class Origin:
     rule: str
@@ -152,6 +157,7 @@ class _Checker:
         self.prefix: list = []  # declarations validated so far
         self.erased: list = []  # their HOL translation, each erased once
         self.names: dict[str, ConstDecl | BaseTypeDecl] = {}  # the prefix's signature
+        self.rejected: set[str] = set()  # names whose declaration was rejected
         self.obligations: list[Obligation] = []
         self._seen: set = set()
         self.subject = subject
@@ -193,6 +199,11 @@ class _Checker:
 
     # -- lookups
 
+    def unknown(self, msg: str, name: str, pos) -> KernelError:
+        if name in self.rejected:
+            return _UsesRejected(msg, pos)
+        return KernelError(msg, pos)
+
     def lookup_base(self, name: str) -> Optional[BaseTypeDecl]:
         d = self.names.get(name)
         return d if isinstance(d, BaseTypeDecl) else None
@@ -223,7 +234,7 @@ class _Checker:
             case Base(name=a, args=args, pos=pos):
                 decl = self.lookup_base(a)
                 if decl is None:
-                    raise KernelError(f"unknown base type {a!r}", pos)
+                    raise self.unknown(f"unknown base type {a!r}", a, pos)
                 if len(args) != decl.arity:
                     raise KernelError(
                         f"base type {a!r} expects {decl.arity} argument(s), got {len(args)}", pos
@@ -260,7 +271,7 @@ class _Checker:
                     raise KernelError(f"arity mismatch on base type {a!r}", pos)
                 decl = self.lookup_base(a)
                 if decl is None:
-                    raise KernelError(f"unknown base type {a!r}", pos)
+                    raise self.unknown(f"unknown base type {a!r}", a, pos)
                 sigma: dict[str, Term] = {}
                 for (x, ty), t1, t2 in zip(decl.telescope, args1, args2):
                     expected = subst_many(ty, sigma)
@@ -293,7 +304,7 @@ class _Checker:
             case Var(name=n, pos=pos):
                 ty = self.lookup_var(ctx, n)
                 if ty is None:
-                    raise KernelError(f"unbound name {n!r}", pos)
+                    raise self.unknown(f"unbound name {n!r}", n, pos)
                 return ty, t
             case Lambda(bound=x, annot=a, body=b, pos=pos):
                 a2 = self.wf_type(ctx, a)
@@ -466,7 +477,10 @@ def check_theory(thy: Theory, conjecture: Optional[Term], mode: Mode) -> CheckRe
     Axiom and conjecture bodies must have type o.  All obligations are
     accumulated in deterministic order; the conjecture's provability becomes
     one final obligation of kind CONJECTURE.  A declaration that fails
-    structurally is reported and skipped; checking continues.
+    structurally is reported and skipped; checking continues.  Its name
+    stays marked as rejected: a later use of it fails the declaration or
+    conjecture that uses it without a diagnostic of its own, so one missing
+    declaration is reported once, at its cause.
     """
     report = CheckReport(mode=mode)
     ck = _Checker(mode)
@@ -478,7 +492,10 @@ def check_theory(thy: Theory, conjecture: Optional[Term], mode: Mode) -> CheckRe
             report.decl_status.append((name, "ok"))
         except KernelError as e:
             report.decl_status.append((name, "error"))
-            report.diagnostics.append(Diagnostic(e.msg, name, e.pos))
+            if not isinstance(d, AxiomDecl) and name not in ck.names:
+                ck.rejected.add(name)
+            if not isinstance(e, _UsesRejected):
+                report.diagnostics.append(Diagnostic(e.msg, name, e.pos))
     if conjecture is not None:
         ck.subject = "conjecture"
         try:
@@ -493,7 +510,8 @@ def check_theory(thy: Theory, conjecture: Optional[Term], mode: Mode) -> CheckRe
                 pos=getattr(conjecture, "pos", None),
             )
         except KernelError as e:
-            report.diagnostics.append(Diagnostic(e.msg, "conjecture", e.pos))
+            if not isinstance(e, _UsesRejected):
+                report.diagnostics.append(Diagnostic(e.msg, "conjecture", e.pos))
     report.theory_elaborated = Theory(tuple(ck.prefix))
     report.hol_theory = Theory(tuple(ck.erased))
     report.obligations = ck.obligations

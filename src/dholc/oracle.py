@@ -11,11 +11,14 @@ carrier; carriers are nonempty, so this is total, and it validates the HOL
 choice rule by construction: whenever a witness exists, the chosen element is
 one.
 
-Each term is compiled once into nested Python closures that read and write a
-shared list of variable slots (closure generation, Feeley & Lapalme 1987).
-The closures are specialised to the node combinations erased obligations are
-made of (superoperators, Proebsting 1995): an application spine with a
-variable head is one digit lookup, and a ∀ over ⇒ is one loop.  A
+Each check is generated as the source of one Python function and compiled by
+CPython once (generated code rather than closure generation; Feeley &
+Lapalme 1987 compare the two).  Binders become ``for`` loops over locals, each
+application spine is one digit extraction into a temporary, ``∀x. l ⇒ r`` is
+one loop around one ``if``, and a spine that reads no bound variable is
+computed once per run.  Cards, power tables and binder ranges are passed in
+at run time, so the function serves every carrier-size tuple, and it is kept
+in a bounded cache for the whole process, shared by every search.  A
 countermodel is a model of the axioms and the negated conjecture, so the
 search runs one kind of check: it reassigns the constants' slots depth first
 and, at each level, runs the checks that level completes, the axioms and then
@@ -35,7 +38,7 @@ import time
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .syntax import (
     App,
@@ -61,6 +64,7 @@ from .syntax import (
     spine,
     Var,
     alpha_eq,
+    alpha_key,
 )
 
 
@@ -70,7 +74,7 @@ class OracleError(Exception):
 
 def active_backend() -> str:
     """Name of the evaluator, recorded by the benchmark harness."""
-    return "closures"
+    return "generated"
 
 
 # ---------------------------------------------------------------------------
@@ -153,149 +157,21 @@ def _show_value(ty: Type, decoded) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to closures
+# Compilation to generated Python functions
 
 # A compiled term: called with no arguments, it returns the term's value under
 # the current contents of its compiler's slot list.
 Closure = Callable[[], int]
 
-# The closure builders.  Each closure is made in a small function of its own,
-# so it captures only what it reads and Compiler._go keeps plain locals rather
-# than a cell for every variable that one of its branches would capture.
-
-
-def _false() -> int:
-    return 0
-
-
-def _read(env: list[int], slot: int) -> Closure:
-    return lambda: env[slot]
-
-
-def _implies(l: Closure, r: Closure) -> Closure:
-    return lambda: r() if l() else 1
-
-
-def _not(l: Closure) -> Closure:  # l ⇒ ⊥
-    return lambda: 0 if l() else 1
-
-
-def _eq(l: Closure, r: Closure) -> Closure:
-    return lambda: 1 if l() == r() else 0
-
-
-def _forall(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
-    def forall() -> int:
-        for v in values:
-            env[slot] = v
-            if not body():
-                return 0
-        return 1
-
-    return forall
-
-
-def _forall_implies(
-    env: list[int], slot: int, values: Iterable[int], l: Closure, r: Closure
-) -> Closure:
-    def forall() -> int:  # ∀x. l ⇒ r, with no call for the implication
-        for v in values:
-            env[slot] = v
-            if l() and not r():
-                return 0
-        return 1
-
-    return forall
-
-
-def _forall_not(env: list[int], slot: int, values: Iterable[int], l: Closure) -> Closure:
-    def forall() -> int:  # ∀x. l ⇒ ⊥
-        for v in values:
-            env[slot] = v
-            if l():
-                return 0
-        return 1
-
-    return forall
-
-
-def _choice(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
-    def choice() -> int:
-        for v in values:
-            env[slot] = v
-            if body():
-                return v
-        return 0
-
-    return choice
-
-
-def _lam(env: list[int], slot: int, values: Iterable[int], body: Closure, d: int) -> Closure:
-    def lam() -> int:
-        acc = 0
-        pw = 1
-        for v in values:
-            env[slot] = v
-            acc += body() * pw
-            pw *= d
-        return acc
-
-    return lam
-
-
-def _apply(f: Closure, u: Closure, c: int) -> Closure:
-    return lambda: f() // c ** u() % c
-
-
-# A spine h a1 … ak whose head h is a variable of type A1 > … > Ak > R is one
-# digit of env[h] in base c = |R|, at the mixed-radix index
-# i = ((a1·n2 + a2)·n3 + a3)…, where nj = |Aj|.  pw[i] is c**i.  The "s"
-# builders read variable arguments straight from their slots; the others call
-# one closure per argument.
-
-
-def _spine1s(env, h, s1, pw, c) -> Closure:
-    return lambda: env[h] // pw[env[s1]] % c
-
-
-def _spine2s(env, h, s1, s2, n2, pw, c) -> Closure:
-    return lambda: env[h] // pw[env[s1] * n2 + env[s2]] % c
-
-
-def _spine3s(env, h, s1, s2, s3, n2, n3, pw, c) -> Closure:
-    return lambda: env[h] // pw[(env[s1] * n2 + env[s2]) * n3 + env[s3]] % c
-
-
-def _spine1(env, h, a1, pw, c) -> Closure:
-    return lambda: env[h] // pw[a1()] % c
-
-
-def _spine2(env, h, a1, a2, n2, pw, c) -> Closure:
-    return lambda: env[h] // pw[a1() * n2 + a2()] % c
-
-
-def _spine3(env, h, a1, a2, a3, n2, n3, pw, c) -> Closure:
-    return lambda: env[h] // pw[(a1() * n2 + a2()) * n3 + a3()] % c
-
-
-def _spine(env, h, args, radices, pw, c) -> Closure:
-    def spine() -> int:
-        i = 0
-        for a, n in zip(args, radices):
-            i = i * n + a()
-        return env[h] // pw[i] % c
-
-    return spine
-
-
-_SLOT_SPINES = {1: _spine1s, 2: _spine2s, 3: _spine3s}
-_CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
-
-# A spine with at most this many digit positions reads its powers from a list;
-# a longer one computes c**i.  A constant's card is c to the number of its
-# digit positions, and the search's max_models check bounds that card, so with
-# c ≥ 2 and max_models below 2**64 every spine of a constant gets a list.  A
-# bound variable of a huge function type never makes compile build a huge one.
+# A spine with a non-boolean codomain reads c**i from a power table passed in
+# at run time when it has at most this many digit positions; a longer one
+# computes c**i, in a second function generated for such spines.  (A boolean
+# spine shifts, with no table.)  countermodel skips the carrier sizes where a
+# constant's card, c to the number of its digit positions, exceeds max_models,
+# so with max_models below 2**64 every spine of a constant with c ≥ 2 gets a
+# table there.  Nothing bounds the spines of a bound variable, or any spine
+# under eval_term, and a bound variable of a huge function type never makes
+# compile build a huge table.
 _POWER_TABLE_MAX = 64
 
 
@@ -339,34 +215,351 @@ def _check_argument(domain: Type, ty: Type) -> None:
         raise OracleError("ill-typed application argument reached the oracle")
 
 
-class _Powers:
-    """c**i on demand, indexed like a power table."""
+# CPython rejects a function with more than 20 nested loops and source
+# indented more than 100 levels.  A binder or implication that would nest
+# deeper than these margins in one generated function is outlined into a
+# further function, which takes the bound variables in scope as arguments.
+_MAX_LOOPS = 16
+_MAX_INDENT = 64
 
-    __slots__ = ("c",)
+_BOOLEAN_FORMS = (Falsum, Implies, Eq, Forall)
 
-    def __init__(self, c: int):
-        self.c = c
 
-    def __getitem__(self, i: int) -> int:
-        return self.c**i
+class _Source:
+    """Generates the Python source of one check: ``bind(env, P0, P1, …)``,
+    whose arguments after ``env`` are the check's run-time parameters (the
+    cards, power tables and binder ranges of its types at one carrier-size
+    tuple), and which returns the check as a function of no arguments.
+
+    Free symbols are read from ``env`` into locals once per run.  Binders
+    become ``for`` loops over locals, and each application spine is one digit
+    extraction into a temporary of its own.  A boolean term in a position
+    that only asks whether it holds, such as a check, a quantifier body or
+    the right side of an implication there, becomes statements that run a
+    ``fail`` exit where it is false: ``return 0`` from the function, or the
+    exit from the loop of the binder being generated.  So ``∀x. l ⇒ r`` is
+    one loop and one ``if``, with no value built for the implication."""
+
+    def __init__(self, symbols: dict[str, tuple[int, Type]], long: frozenset):
+        self.symbols = symbols  # free symbol -> (slot, type)
+        self.long = long  # power-table specs to replace by c**i
+        self.params: dict[tuple, str] = {}  # run-time parameter spec -> name
+        self.functions: list[str] = []
+        self.names = 0
+        self._enter()
+
+    def module(self) -> str:
+        """The source of ``bind``, once ``check`` is defined."""
+        params = "".join(f", {p}" for p in self.params.values())
+        return "\n".join([f"def bind(env{params}):", *self.functions, "    return check\n"])
+
+    # -- the function being generated
+
+    def _enter(self) -> None:
+        self.lines: list[str] = []
+        self.indent = 0
+        self.loops = 0
+        # locals set once at the start of the function: expression -> local
+        self.fixed: dict[str, str] = {}
+
+    def define(self, name: str, args: str, t: Term, benv: dict) -> Type:
+        """Generates function ``name`` computing t, and returns t's type."""
+        saved = self.lines, self.indent, self.loops, self.fixed
+        self._enter()
+        if isinstance(t, _BOOLEAN_FORMS):
+            self._require(t, benv, ("return 0",), True, "check")
+            self._emit("return 1")
+            ty: Type = BOOL
+        else:
+            v, ty = self._value(t, benv)
+            self._emit(f"return {v}")
+        head = [f"    def {name}({args}):"] + [f"        {v} = {e}" for e, v in self.fixed.items()]
+        self.functions.append("\n".join(head + ["        " + line for line in self.lines]))
+        self.lines, self.indent, self.loops, self.fixed = saved
+        return ty
+
+    def _fresh(self, prefix: str) -> str:
+        self.names += 1
+        return f"{prefix}{self.names}"
+
+    def _emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
+
+    def _let(self, expr: str) -> str:
+        t = self._fresh("t")
+        self._emit(f"{t} = {expr}")
+        return t
+
+    def _param(self, *spec) -> str:
+        name = self.params.get(spec)
+        if name is None:
+            name = self.params[spec] = f"P{len(self.params)}"
+        return name
+
+    def _card(self, ty: Type) -> str:
+        return "2" if isinstance(ty, Bool) else self._param("card", ty)
+
+    def _nests_too_deep(self, t: Term) -> bool:
+        if self.indent >= _MAX_INDENT:
+            return True
+        return not isinstance(t, Implies) and self.loops >= _MAX_LOOPS
+
+    def _outline(self, t: Term, benv: dict) -> tuple[str, Type]:
+        name = self._fresh("f")
+        args = ", ".join(local for local, _ in benv.values())
+        ty = self.define(name, args, t, benv)
+        return self._let(f"{name}({args})"), ty
+
+    def _loop(self, x: str, a: Type, benv: dict) -> dict:
+        local = self._fresh("x")
+        self._emit(f"for {local} in {self._param('range', a)}:")
+        self.indent += 1
+        self.loops += 1
+        return {**benv, x: (local, a)}
+
+    def _end_loop(self) -> None:
+        self.indent -= 1
+        self.loops -= 1
+
+    # -- terms
+
+    def _lookup(self, n: str, benv: dict) -> tuple[str, Type]:
+        if n in benv:
+            return benv[n]
+        if n not in self.symbols:
+            raise OracleError(f"unbound symbol {n!r} in oracle term")
+        slot, ty = self.symbols[n]
+        return self._fix(f"env[{slot}]", f"s{slot}"), ty
+
+    def _fix(self, expr: str, name: str = "") -> str:
+        """A local set to expr once, at the start of the function."""
+        local = self.fixed.get(expr)
+        if local is None:
+            local = self.fixed[expr] = name or self._fresh("t")
+        return local
+
+    def _value(self, t: Term, benv: dict) -> tuple[str, Type]:
+        """A local or literal holding the term's value, after the statements
+        that compute it."""
+        match t:
+            case Var(name=n):
+                return self._lookup(n, benv)
+            case Falsum():
+                return "0", BOOL
+            case Eq(lhs=l, rhs=r):
+                a, _ = self._value(l, benv)
+                return self._let(f"{a} == {self._value(r, benv)[0]}"), BOOL
+            case Implies(lhs=Eq(lhs=l, rhs=r), rhs=Falsum()):
+                a, _ = self._value(l, benv)
+                return self._let(f"{a} != {self._value(r, benv)[0]}"), BOOL
+            case Implies(lhs=l, rhs=Falsum()):
+                return self._let(f"not {_boolean(*self._value(l, benv), 'implication')}"), BOOL
+            case App():
+                return self._spine(t, benv)
+        if self._nests_too_deep(t):
+            return self._outline(t, benv)
+        match t:
+            case Implies(lhs=l, rhs=r):
+                test = self._test(l, benv, "implication")
+                v = self._let("1")
+                self._emit(f"if {test}:")
+                self.indent += 1
+                self._emit(f"{v} = {_boolean(*self._value(r, benv), 'implication')}")
+                self.indent -= 1
+                return v, BOOL
+            case Forall(bound=x, annot=a, body=b):
+                v = self._let("1")
+                inner = self._loop(x, a, benv)
+                self._require(b, inner, (f"{v} = 0", "break"), False, "quantifier body")
+                self._end_loop()
+                return v, BOOL
+            case Choice(bound=x, annot=a, body=b):
+                v = self._let("0")
+                inner = self._loop(x, a, benv)
+                self._require(b, inner, ("continue",), False, "choice body")
+                self._emit(f"{v} = {inner[x][0]}")
+                self._emit("break")
+                self._end_loop()
+                return v, a
+            case Lambda(bound=x, annot=a, body=b):
+                v, pw = self._let("0"), self._let("1")
+                inner = self._loop(x, a, benv)
+                bv, bt = self._value(b, inner)
+                self._emit(f"{v} += {bv} * {pw}")
+                self._emit(f"{pw} *= {self._card(bt)}")
+                self._end_loop()
+                return v, Pi(x, a, bt)
+        raise OracleError(f"not a term: {t!r}")
+
+    def _spine(self, t: Term, benv: dict) -> tuple[str, Type]:
+        """h a1 … ak, for h of type A1 > … > Ak > R, is one digit of h in
+        base |R|, at the mixed-radix index a1·n2·…·nk + … + ak, nj = |Aj|."""
+        head, args = spine(t)
+        h, ty = self._lookup(head.name, benv) if isinstance(head, Var) else self._value(head, benv)
+        digits: list[str] = []
+        radices: list[Type] = []
+        for u in args:
+            if not isinstance(ty, Pi):
+                raise OracleError("application of a non-function reached the oracle")
+            # (straight to _spine for an argument spine: one frame per level)
+            a, uty = self._spine(u, benv) if isinstance(u, App) else self._value(u, benv)
+            _check_argument(ty.domain, uty)
+            digits.append(a)
+            radices.append(ty.domain)
+            ty = ty.codomain
+        index = " + ".join(
+            f"{a} * {self._product(radices[j + 1 :])}" if j + 1 < len(radices) else a
+            for j, a in enumerate(digits)
+        )
+        if isinstance(ty, Bool):
+            expr = f"{h} >> {index} & 1"
+        else:
+            c = self._card(ty)
+            spec = ("powers", ty, tuple(radices))
+            if spec in self.long:
+                expr = f"{h} // {c} ** ({index}) % {c}"
+            else:
+                expr = f"{h} // {self._param(*spec)}[{index}] % {c}"
+        # A spine that reads no bound variable is computed once per run, at
+        # the start of the function, whichever loop it sits in.
+        fixed = self.fixed.values()
+        if all(a in fixed or a.isdigit() for a in [h, *digits]):
+            return self._fix(expr), ty
+        return self._let(expr), ty
+
+    def _product(self, types: list[Type]) -> str:
+        if all(isinstance(a, Bool) for a in types):
+            return str(2 ** len(types))
+        return self._param("product", tuple(types))
+
+    # -- booleans
+
+    def _test(self, t: Term, benv: dict, what: str) -> str:
+        """An expression that is true where the boolean term is."""
+        match t:
+            case Eq(lhs=l, rhs=r):
+                a, _ = self._value(l, benv)
+                return f"{a} == {self._value(r, benv)[0]}"
+            case Implies(lhs=Eq(lhs=l, rhs=r), rhs=Falsum()):
+                a, _ = self._value(l, benv)
+                return f"{a} != {self._value(r, benv)[0]}"
+            case Implies(lhs=l, rhs=Falsum()):
+                return f"not {_boolean(*self._value(l, benv), 'implication')}"
+        return _boolean(*self._value(t, benv), what)
+
+    def _require(self, t: Term, benv: dict, fail: tuple[str, ...], escapes: bool, what: str):
+        """Statements that run ``fail`` where the boolean term is false.  With
+        ``escapes``, fail leaves the function; otherwise it leaves the loop
+        being generated, so no loop may open between here and there."""
+        match t:
+            case Falsum():
+                for line in fail:
+                    self._emit(line)
+                return
+            case Implies(lhs=l, rhs=Falsum()):
+                return self._fail_if(self._test(l, benv, "implication"), fail)
+            case Eq(lhs=l, rhs=r):
+                a, _ = self._value(l, benv)
+                return self._fail_if(f"{a} != {self._value(r, benv)[0]}", fail)
+            case Implies(lhs=l, rhs=r) if not self._nests_too_deep(t):
+                self._emit(f"if {self._test(l, benv, 'implication')}:")
+                self.indent += 1
+                self._require(r, benv, fail, escapes, "implication")
+                self.indent -= 1
+                return
+            case Forall(bound=x, annot=a, body=b) if escapes and not self._nests_too_deep(t):
+                inner = self._loop(x, a, benv)
+                self._require(b, inner, fail, escapes, "quantifier body")
+                self._end_loop()
+                return
+        self._fail_if(f"not {_boolean(*self._value(t, benv), what)}", fail)
+
+    def _fail_if(self, test: str, fail: tuple[str, ...]) -> None:
+        self._emit(f"if {test}:")
+        self.indent += 1
+        for line in fail:
+            self._emit(line)
+        self.indent -= 1
+
+
+def _boolean(v: str, ty: Type, what: str) -> str:
+    if not isinstance(ty, Bool):
+        raise OracleError(f"ill-typed {what} reached the oracle")
+    return v
+
+
+class _Code:
+    """One generated check: its ``bind`` function, the specs of the run-time
+    parameters that bind takes after ``env``, and the check's type."""
+
+    __slots__ = ("bind", "specs", "type")
+
+    def __init__(self, t: Term, symbols: dict[str, tuple[int, Type]], long: frozenset):
+        gen = _Source(symbols, long)
+        self.type = gen.define("check", "", t, {})
+        namespace: dict = {}
+        exec(compile(gen.module(), "<oracle check>", "exec"), namespace)
+        self.bind = namespace["bind"]
+        self.specs = tuple(gen.params)
+
+
+# Generated checks are kept for the whole process, at most _CODE_CACHE_MAX of
+# them, keyed by the alpha key of the term and the slot and type of each free
+# symbol (and, for a second function, the spines that compute c**i).  The
+# last _TERMS_MAX terms compiled are kept too, each with its key and last
+# code: a search compiles each check once per carrier-size tuple, so
+# compiling a term again walks no term and only compares the slots and types
+# of its free symbols.  A few searches' checks suffice for that; more would
+# only keep old terms alive.  Past a bound the oldest entry goes.
+_CODE_CACHE_MAX = 512
+_TERMS_MAX = 64
+_CODES: dict = {}  # code key -> _Code
+_TERMS: dict = {}  # id(term) -> _Seen
+
+
+def _remember(cache: dict, bound: int, key, value) -> None:
+    while len(cache) >= bound:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
+def _code(key, t: Term, symbols: dict[str, tuple[int, Type]], long: frozenset) -> _Code:
+    code = _CODES.get(key)
+    if code is None:
+        code = _Code(t, symbols, long)
+        _remember(_CODES, _CODE_CACHE_MAX, key, code)
+    return code
+
+
+class _Seen:
+    """A term compiled lately: the term itself, held so that its id stays
+    its own; its alpha key and free symbols; and the signature (slot and
+    type of each free symbol) and code it was last compiled with."""
+
+    __slots__ = ("term", "key", "names", "signature", "code")
+
+    def __init__(self, t: Term):
+        self.term = t
+        self.key = alpha_key(t)
+        self.names = free_vars(t)
+        self.signature: Optional[tuple] = None
+        self.code: Optional[_Code] = None
 
 
 class Compiler:
-    """Compiles terms into nested Python closures over one shared slot list,
-    ``env``.  Slots 0..n-1 hold the values of the named symbols (constants
-    first, then extra assignment variables); binder slots are allocated after
-    them, one per binder occurrence, so no two closures write the same slot.
+    """Compiles terms, at one carrier-size tuple, into functions of no
+    arguments that read one shared slot list, ``env``.  Slot i holds the value
+    of the i-th named symbol (constants first, then extra assignment
+    variables).
 
-    The closures specialise the shapes that dominate erased obligations
-    (Proebsting's superoperators, POPL 1995): an application spine with a
-    variable head is one closure that reads one digit of the head's value,
-    taking variable arguments straight from their slots; ``l ⇒ ⊥`` is a
-    negation; and ``∀x. l ⇒ r`` is one loop with no call for the implication.
-    Other applications, such as a λ-redex or an ε of function type applied to
-    an argument, stay one closure per ``App``.
+    Each distinct check is generated once as Python source (see _Source) and
+    compiled by CPython; the function is kept in a bounded cache for the whole
+    process and shared by every carrier size, Compiler and search.  compile
+    passes it this Compiler's cards, power tables and binder ranges, and
+    returns the function of no arguments that results.
 
     With a ``deadline`` (a ``time.monotonic`` value), a binder over more than
-    _CLOCKED_RANGE_MIN values raises _OutOfTime from inside the closure once
+    _CLOCKED_RANGE_MIN values raises _OutOfTime from inside the function once
     the deadline has passed."""
 
     def __init__(
@@ -380,118 +573,54 @@ class Compiler:
         self._tables: dict[tuple[int, int], list[int]] = {}
 
     def compile(self, t: Term) -> tuple[Closure, Type]:
-        """Returns (closure computing the term's value, simple type of the term)."""
-        return self._go(t, {})
+        """Returns (function computing the term's value, simple type of the term)."""
+        seen = _TERMS.get(id(t))
+        if seen is None:
+            seen = _Seen(t)
+        for n in seen.names:
+            if n not in self.slot_of:
+                raise OracleError(f"unbound symbol {n!r} in oracle term")
+        signature = tuple((self.slot_of[n], self.symbol_types[n]) for n in seen.names)
+        if signature != seen.signature:
+            symbols = dict(zip(seen.names, signature))
+            seen.code = _code((seen.key, signature), t, symbols, frozenset())
+            seen.signature = signature
+            _remember(_TERMS, _TERMS_MAX, id(t), seen)
+        code = seen.code
+        args = [self._argument(spec) for spec in code.specs]
+        if any(a is None for a in args):
+            long = frozenset(spec for spec, a in zip(code.specs, args) if a is None)
+            symbols = dict(zip(seen.names, signature))
+            code = _code((seen.key, signature, long), t, symbols, long)
+            args = [self._argument(spec) for spec in code.specs]
+        return code.bind(self.env, *args), code.type
 
-    def _lookup(self, n: str, benv: dict[str, tuple[int, Type]]) -> tuple[int, Type]:
-        if n in benv:
-            return benv[n]
-        if n in self.slot_of:
-            return self.slot_of[n], self.symbol_types[n]
-        raise OracleError(f"unbound symbol {n!r} in oracle term")
-
-    def _bind(self, x: str, a: Type, benv: dict[str, tuple[int, Type]]):
-        slot = len(self.env)
-        self.env.append(0)
-        n = type_card(a, self.sizes)
-        if self.deadline is None or n <= _CLOCKED_RANGE_MIN:
-            values = range(n)
-        else:
-            values = _ClockedRange(n, self.deadline)
-        return slot, values, {**benv, x: (slot, a)}
-
-    def _bool(self, t: Term, benv: dict[str, tuple[int, Type]], what: str) -> Closure:
-        fn, ty = self._go(t, benv)
-        if not isinstance(ty, Bool):
-            raise OracleError(f"ill-typed {what} reached the oracle")
-        return fn
-
-    def _powers(self, c: int, digits: int):
+    def _argument(self, spec: tuple):
+        """The value of one run-time parameter at this Compiler's sizes; for a
+        power table longer than _POWER_TABLE_MAX, None."""
+        match spec:
+            case ("range", ty):
+                n = type_card(ty, self.sizes)
+                if self.deadline is None or n <= _CLOCKED_RANGE_MIN:
+                    return range(n)
+                return _ClockedRange(n, self.deadline)
+            case ("card", ty):
+                return type_card(ty, self.sizes)
+            case ("product", types):
+                return prod(type_card(a, self.sizes) for a in types)
+        _, ty, radices = spec  # ("powers", codomain, radices): c**j per digit position j
+        digits = prod(type_card(a, self.sizes) for a in radices)
         if digits > _POWER_TABLE_MAX:
-            return _Powers(c)
+            return None
+        c = type_card(ty, self.sizes)
         table = self._tables.get((c, digits))
         if table is None:
             table = self._tables[c, digits] = [c**j for j in range(digits)]
         return table
 
-    def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[Closure, Type]:
-        match t:
-            case Var(name=n):
-                slot, ty = self._lookup(n, benv)
-                return _read(self.env, slot), ty
-            case Falsum():
-                return _false, BOOL
-            case Implies(lhs=l, rhs=r):
-                lf = self._bool(l, benv, "implication")
-                if isinstance(r, Falsum):
-                    return _not(lf), BOOL
-                return _implies(lf, self._bool(r, benv, "implication")), BOOL
-            case Eq(lhs=l, rhs=r):
-                lf, _ = self._go(l, benv)
-                rf, _ = self._go(r, benv)
-                return _eq(lf, rf), BOOL
-            case Forall(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                if not isinstance(b, Implies):
-                    body = self._bool(b, inner, "quantifier body")
-                    return _forall(self.env, slot, values, body), BOOL
-                lf = self._bool(b.lhs, inner, "implication")
-                if isinstance(b.rhs, Falsum):
-                    return _forall_not(self.env, slot, values, lf), BOOL
-                rf = self._bool(b.rhs, inner, "implication")
-                return _forall_implies(self.env, slot, values, lf, rf), BOOL
-            case Choice(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                body = self._bool(b, inner, "choice body")
-                return _choice(self.env, slot, values, body), a
-            case Lambda(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                body, bt = self._go(b, inner)
-                return _lam(self.env, slot, values, body, type_card(bt, self.sizes)), Pi(x, a, bt)
-            case App(fun=f, arg=u):
-                head, args = spine(t)
-                if isinstance(head, Var):
-                    return self._spine(head.name, args, benv)
-                ff, ft = self._go(f, benv)
-                uf, ut = self._go(u, benv)
-                if not isinstance(ft, Pi):
-                    raise OracleError("application of a non-function reached the oracle")
-                _check_argument(ft.domain, ut)
-                return _apply(ff, uf, type_card(ft.codomain, self.sizes)), ft.codomain
-            case _:
-                raise OracleError(f"not a term: {t!r}")
-
-    def _spine(
-        self, name: str, args: list[Term], benv: dict[str, tuple[int, Type]]
-    ) -> tuple[Closure, Type]:
-        h, ty = self._lookup(name, benv)
-        radices: list[int] = []
-        getters: list = []  # a slot for a variable argument, else a closure
-        for u in args:
-            if not isinstance(ty, Pi):
-                raise OracleError("application of a non-function reached the oracle")
-            radices.append(type_card(ty.domain, self.sizes))
-            if isinstance(u, Var):
-                getter, uty = self._lookup(u.name, benv)
-            else:
-                getter, uty = self._go(u, benv)
-            _check_argument(ty.domain, uty)
-            getters.append(getter)
-            ty = ty.codomain
-        c = type_card(ty, self.sizes)
-        pw = self._powers(c, prod(radices))
-        env = self.env
-        k = len(args)
-        if k in _SLOT_SPINES and all(type(g) is int for g in getters):
-            return _SLOT_SPINES[k](env, h, *getters, *radices[1:], pw, c), ty
-        calls = [_read(env, g) if type(g) is int else g for g in getters]
-        if k in _CALL_SPINES:
-            return _CALL_SPINES[k](env, h, *calls, *radices[1:], pw, c), ty
-        return _spine(env, h, calls, radices, pw, c), ty
-
 
 class CompiledTerms:
-    """The closures of one Compiler, run against its shared slot list."""
+    """The functions of one Compiler, run against its shared slot list."""
 
     def __init__(self, compiler: Compiler):
         self.env = compiler.env
@@ -640,7 +769,8 @@ def countermodel(
     value of the level's own constant, unknown until that value is first
     tried under that key, so a check is evaluated at most once per (values
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
-    and nothing outlives the call.  A check is compiled when it is first
+    and no row outlives the call; the generated code of each check does, in
+    the Compiler's process-wide cache.  A check is compiled when it is first
     evaluated at a carrier size, so an ill-typed axiom that the search never
     evaluates raises no OracleError.
 

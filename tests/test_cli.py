@@ -324,6 +324,26 @@ def test_every_ill_scoped_declaration_is_reported(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_missing_declaration_is_reported_once(corpus_dir, tmp_path, capsys):
+    # list_head without `type nat : tp`: every declaration that names nat
+    # reports it, while nil (of the rejected type list) and the conjecture
+    # (naming the rejected hd) fail without a diagnostic of their own
+    lines = (corpus_dir / "list_head.dhol").read_text().splitlines(keepends=True)
+    src = tmp_path / "no_nat.dhol"
+    src.write_text("".join(line for line in lines if line != "type nat : tp\n"))
+    assert len(lines) - src.read_text().count("\n") == 1
+    assert main(["check", str(src)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    named = ("0", "s", "list", "cons", "hd", "hd_cons")
+    assert [line.split(": ", 2)[2] for line in err] == [
+        f"unknown base type 'nat' (in {name})" for name in named
+    ]
+    thy, conjecture = parse_theory(src.read_text())
+    report = check_theory(thy, conjecture, Mode.STRONG_EPSILON)
+    assert ("nil", "error") in report.decl_status
+    assert report.conjecture_elaborated is None and not report.ok
+
+
 def test_conjecture_may_name_a_later_declaration(tmp_path, capsys):
     # the conjecture is checked against the whole theory, as its obligation
     # assumes every axiom

@@ -766,23 +766,178 @@ def test_max_seconds_holds_across_many_size_tuples(consts, max_size, max_models)
     assert r.detail.startswith("wall-time budget exceeded at sizes")
 
 
-def test_only_binders_over_many_values_look_at_the_clock():
-    comp = Compiler({"a": 2}, {}, deadline=time.monotonic() - 1)
+def test_only_binders_over_many_values_look_at_the_clock(monkeypatch):
+    reads = []
+    monotonic = time.monotonic
 
-    def binder_values(ty):
-        root, _ = comp.compile(Forall("p", ty, top()))
-        cells = [cell.cell_contents for cell in root.__closure__]
-        (values,) = [v for v in cells if isinstance(v, (range, oracle._ClockedRange))]
-        return values
+    def clock():
+        reads.append(None)
+        return monotonic()
 
-    # 16 values stay a plain range; 256 check the deadline, here already past
-    assert binder_values(arrows(A, A, BOOL)) == range(16)
-    clocked = binder_values(arrows(A, A, A, BOOL))
-    assert isinstance(clocked, oracle._ClockedRange) and clocked.n == 256
+    past, later = Compiler({"a": 2}, {}, monotonic() - 1), Compiler({"a": 2}, {}, monotonic() + 60)
+    p16, p256 = Forall("p", arrows(A, A, BOOL), top()), Forall("p", arrows(A, A, A, BOOL), top())
+    roots = [comp.compile(t)[0] for comp in (past, later) for t in (p16, p256)]
+    monkeypatch.setattr(time, "monotonic", clock)
+    # 16 values never read the clock, even past the deadline
+    assert roots[0]() == 1 and reads == []
+    # 256 values read it before each value, and stop once the deadline has passed
     with pytest.raises(oracle._OutOfTime):
-        next(iter(clocked))
-    clocked.deadline = time.monotonic() + 60
-    assert list(clocked) == list(range(256))
+        roots[1]()
+    assert len(reads) == 1
+    reads.clear()
+    assert roots[2]() == 1 and reads == []
+    assert roots[3]() == 1 and len(reads) == 256
+
+
+# ---------------------------------------------------------------------------
+# generated code: CPython's limits and the code cache
+
+
+def agrees_with_reference(t, sizes, symbols, values):
+    """Compiles t at sizes and runs it under each assignment in values (one
+    value per symbol), checking each result against reference_eval; returns
+    the root and the results."""
+    comp = Compiler(sizes, symbols)
+    root, _ = comp.compile(t)
+    results = []
+    for assignment in values:
+        comp.env[: len(symbols)] = assignment
+        env = {n: (ty, v) for (n, ty), v in zip(symbols.items(), assignment)}
+        results.append(CompiledTerms(comp).run(root))
+        assert results[-1] == reference_eval(t, sizes, env)
+    return root, results
+
+
+def nested_foralls(n, ty, body):
+    """∀x1 : ty. … ∀xn : ty. body(x1, …, xn)"""
+    xs = [Var(f"x{i}") for i in range(1, n + 1)]
+    t = body(xs)
+    for x in reversed(xs):
+        t = Forall(x.name, ty, t)
+    return t
+
+
+# CPython accepts 20 nested loops and 100 levels of indentation in one
+# function; the parser accepts 122 nested binders.
+@pytest.mark.parametrize("depth", [30, 110])
+def test_binders_nested_past_cpythons_limits(depth):
+    p = Var("p")
+    symbols = {"p": arrows(A, BOOL)}
+    # one binder per level, true and false; at |a| = 1 every loop runs once
+    same = nested_foralls(depth, A, lambda xs: Eq(A, xs[0], xs[-1]))
+    differ = nested_foralls(depth, BOOL, lambda xs: neg(Eq(BOOL, xs[0], xs[-1])))
+    assert agrees_with_reference(same, {"a": 1}, symbols, [(0,), (1,)])[1] == [1, 1]
+    assert agrees_with_reference(differ, {"a": 1}, symbols, [(0,)])[1] == [0]
+    # ∀x1. p x1 ⇒ ∀x2. p x2 ⇒ …: two levels of nesting per binder, and at
+    # |a| = 2 a loop body goes past the implication at x = 0 only when p 0 holds
+    guarded = Eq(A, Var(f"x{depth}"), Var("x1"))
+    for i in range(depth, 0, -1):
+        x = Var(f"x{i}")
+        guarded = Forall(x.name, A, Implies(App(p, x), guarded))
+    assert agrees_with_reference(guarded, {"a": 2}, symbols, [(0,), (1,), (2,)])[1] == [1, 1, 1]
+
+    # an ε and a λ at the bottom of the nest
+    def bottom(xs):
+        chosen = Choice("y", A, App(p, Var("y")))
+        return Eq(arrows(A, A), Lambda("z", A, chosen), Lambda("z", A, xs[-1]))
+
+    bottoms = nested_foralls(depth, A, bottom)
+    assert agrees_with_reference(bottoms, {"a": 1}, symbols, [(0,), (1,)])[1] == [1, 1]
+
+
+def test_a_400_deep_implication_chain():
+    q = Var("q")
+    chain = FALSE
+    for _ in range(400):
+        chain = Implies(q, chain)
+    symbols = {"q": BOOL}
+    assert agrees_with_reference(chain, {}, symbols, [(0,), (1,)])[1] == [1, 0]
+    # and as a value, compared with q
+    assert agrees_with_reference(Eq(BOOL, chain, q), {}, symbols, [(0,), (1,)])[1] == [0, 0]
+
+
+def test_a_binder_whose_card_has_thousands_of_digits():
+    # |(a > a > a) > $o| = 2^19683 at |a| = 3: more digits than int() turns
+    # into text, so no card may be written into the source
+    aaa = arrows(A, A, A)
+    assert type_card(arrows(aaa, BOOL), {"a": 3}).bit_length() == 19684
+    first = Lambda("x", A, Lambda("y", A, Var("x")))
+    f = Var("f")
+    # the first f is false everywhere, so the ∀ is false at once
+    t = Forall("f", arrows(aaa, BOOL), App(f, first))
+    assert agrees_with_reference(t, {"a": 3}, {}, [()])[1] == [0]
+    # a codomain of |a| values takes powers past _POWER_TABLE_MAX digits; the
+    # first f maps everything to 0, so c ≠ 0 makes the ∀ false at once
+    u = Forall("f", arrows(aaa, A), Eq(A, App(f, first), Var("c")))
+    assert agrees_with_reference(u, {"a": 3}, {"c": A}, [(1,), (2,)])[1] == [0, 0]
+    assert agrees_with_reference(u, {"a": 1}, {"c": A}, [(0,)])[1] == [1]
+
+
+@pytest.fixture
+def empty_code_cache(monkeypatch):
+    monkeypatch.setattr(oracle, "_CODES", {})
+    monkeypatch.setattr(oracle, "_TERMS", {})
+
+
+def test_one_cache_entry_serves_every_size_tuple(empty_code_cache):
+    x, y = Var("x"), Var("y")
+    symbols = {"g": arrows(A, A, A), "c": A}
+    g = Var("g")
+    t = Forall("x", A, Implies(Eq(A, apply(g, x, Var("c")), x), exists("y", A, Eq(A, apply(g, y, y), x))))
+    rng = random.Random(3)
+    roots = []
+    for size in (2, 3):
+        cards = [type_card(ty, {"a": size}) for ty in symbols.values()]
+        values = [tuple(rng.randrange(n) for n in cards) for _ in range(60)]
+        root, results = agrees_with_reference(t, {"a": size}, symbols, values)
+        assert set(results) == {0, 1}
+        roots.append(root)
+    assert roots[0].__code__ is roots[1].__code__
+    assert len(oracle._CODES) == 1
+
+
+def test_alpha_equivalent_checks_share_one_function(empty_code_cache):
+    comp = Compiler({"a": 2}, {"p": arrows(A, BOOL)})
+    one, _ = comp.compile(Forall("x", A, App(Var("p"), Var("x"))))
+    other, _ = comp.compile(Forall("y", A, App(Var("p"), Var("y"))))
+    assert one is not other and one.__code__ is other.__code__
+    assert len(oracle._CODES) == 1
+
+
+def test_one_name_with_two_types_never_shares_a_function(empty_code_cache):
+    # f c = c, with f : a > a in one theory and f : $o > $o in another
+    t = Eq(None, App(Var("f"), Var("c")), Var("c"))
+    on_a = [(f, c) for f in range(27) for c in range(3)]
+    on_o = [(f, c) for f in range(4) for c in range(2)]
+    over_a, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(A, A), "c": A}, on_a)
+    over_o, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(BOOL, BOOL), "c": BOOL}, on_o)
+    assert over_a.__code__ is not over_o.__code__
+    assert len(oracle._CODES) == 2
+
+
+def test_the_code_cache_stays_within_its_bound(empty_code_cache, monkeypatch):
+    cases = memo_cases()
+    want = [countermodel(*case) for case in cases]
+    assert len(oracle._CODES) > 3
+    monkeypatch.setattr(oracle, "_CODES", {})
+    monkeypatch.setattr(oracle, "_TERMS", {})
+    monkeypatch.setattr(oracle, "_CODE_CACHE_MAX", 3)
+    monkeypatch.setattr(oracle, "_TERMS_MAX", 3)
+    for case, w in zip(cases, want):
+        g = countermodel(*case)
+        assert (g.status, g.detail) == (w.status, w.detail)
+        if w.found:
+            assert (g.model.sizes, g.model.consts) == (w.model.sizes, w.model.consts)
+        assert len(oracle._CODES) <= 3 and len(oracle._TERMS) <= 3
+
+
+def test_an_ill_typed_check_raises_every_time_and_caches_nothing(empty_code_cache):
+    comp = Compiler({"a": 2}, {"d": A})
+    for t in (App(FALSE, FALSE), App(Var("d"), Var("d")), Forall("x", A, Var("x"))):
+        for _ in range(2):
+            with pytest.raises(OracleError):
+                comp.compile(t)
+    assert oracle._CODES == {} and oracle._TERMS == {}
 
 
 # ---------------------------------------------------------------------------
