@@ -11,9 +11,12 @@ carrier; carriers are nonempty, so this is total, and it validates the HOL
 choice rule by construction: whenever a witness exists, the chosen element is
 one.
 
-Each check is generated as the source of one Python function and compiled by
-CPython once (generated code rather than closure generation; Feeley &
-Lapalme 1987 compare the two).  Binders become ``for`` loops over locals, each
+A check is compiled into nested closures the first few times it is compiled,
+and from then on generated as the source of one Python function, compiled by
+CPython once: closures cost far less to build, and generated code runs faster
+(Feeley & Lapalme 1987 compare the two).  The closures are specialised to the
+node combinations erased obligations are made of (superoperators, Proebsting
+1995).  In the function, binders become ``for`` loops over locals, each
 application spine is one digit extraction into a temporary, ``∀x. l ⇒ r`` is
 one loop around one ``if``, and a spine that reads no bound variable is
 computed once per run.  Cards, power tables and binder ranges are passed in
@@ -38,7 +41,7 @@ import time
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .syntax import (
     App,
@@ -157,21 +160,152 @@ def _show_value(ty: Type, decoded) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation to generated Python functions
+# Compilation: closures first, generated Python functions for checks compiled
+# again and again
 
 # A compiled term: called with no arguments, it returns the term's value under
 # the current contents of its compiler's slot list.
 Closure = Callable[[], int]
 
-# A spine with a non-boolean codomain reads c**i from a power table passed in
-# at run time when it has at most this many digit positions; a longer one
-# computes c**i, in a second function generated for such spines.  (A boolean
-# spine shifts, with no table.)  countermodel skips the carrier sizes where a
-# constant's card, c to the number of its digit positions, exceeds max_models,
-# so with max_models below 2**64 every spine of a constant with c ≥ 2 gets a
-# table there.  Nothing bounds the spines of a bound variable, or any spine
-# under eval_term, and a bound variable of a huge function type never makes
-# compile build a huge table.
+# The closure builders.  Each closure is made in a small function of its own,
+# so it captures only what it reads and Compiler._go keeps plain locals rather
+# than a cell for every variable that one of its branches would capture.
+
+
+def _false() -> int:
+    return 0
+
+
+def _read(env: list[int], slot: int) -> Closure:
+    return lambda: env[slot]
+
+
+def _implies(l: Closure, r: Closure) -> Closure:
+    return lambda: r() if l() else 1
+
+
+def _not(l: Closure) -> Closure:  # l ⇒ ⊥
+    return lambda: 0 if l() else 1
+
+
+def _eq(l: Closure, r: Closure) -> Closure:
+    return lambda: 1 if l() == r() else 0
+
+
+def _forall(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
+    def forall() -> int:
+        for v in values:
+            env[slot] = v
+            if not body():
+                return 0
+        return 1
+
+    return forall
+
+
+def _forall_implies(
+    env: list[int], slot: int, values: Iterable[int], l: Closure, r: Closure
+) -> Closure:
+    def forall() -> int:  # ∀x. l ⇒ r, with no call for the implication
+        for v in values:
+            env[slot] = v
+            if l() and not r():
+                return 0
+        return 1
+
+    return forall
+
+
+def _forall_not(env: list[int], slot: int, values: Iterable[int], l: Closure) -> Closure:
+    def forall() -> int:  # ∀x. l ⇒ ⊥
+        for v in values:
+            env[slot] = v
+            if l():
+                return 0
+        return 1
+
+    return forall
+
+
+def _choice(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
+    def choice() -> int:
+        for v in values:
+            env[slot] = v
+            if body():
+                return v
+        return 0
+
+    return choice
+
+
+def _lam(env: list[int], slot: int, values: Iterable[int], body: Closure, d: int) -> Closure:
+    def lam() -> int:
+        acc = 0
+        pw = 1
+        for v in values:
+            env[slot] = v
+            acc += body() * pw
+            pw *= d
+        return acc
+
+    return lam
+
+
+def _apply(f: Closure, u: Closure, c: int) -> Closure:
+    return lambda: f() // c ** u() % c
+
+
+# A spine h a1 … ak whose head h is a variable of type A1 > … > Ak > R is one
+# digit of env[h] in base c = |R|, at the mixed-radix index
+# i = ((a1·n2 + a2)·n3 + a3)…, where nj = |Aj|.  pw[i] is c**i.  The "s"
+# builders read variable arguments straight from their slots; the others call
+# one closure per argument.
+
+
+def _spine1s(env, h, s1, pw, c) -> Closure:
+    return lambda: env[h] // pw[env[s1]] % c
+
+
+def _spine2s(env, h, s1, s2, n2, pw, c) -> Closure:
+    return lambda: env[h] // pw[env[s1] * n2 + env[s2]] % c
+
+
+def _spine3s(env, h, s1, s2, s3, n2, n3, pw, c) -> Closure:
+    return lambda: env[h] // pw[(env[s1] * n2 + env[s2]) * n3 + env[s3]] % c
+
+
+def _spine1(env, h, a1, pw, c) -> Closure:
+    return lambda: env[h] // pw[a1()] % c
+
+
+def _spine2(env, h, a1, a2, n2, pw, c) -> Closure:
+    return lambda: env[h] // pw[a1() * n2 + a2()] % c
+
+
+def _spine3(env, h, a1, a2, a3, n2, n3, pw, c) -> Closure:
+    return lambda: env[h] // pw[(a1() * n2 + a2()) * n3 + a3()] % c
+
+
+def _spine(env, h, args, radices, pw, c) -> Closure:
+    def spine() -> int:
+        i = 0
+        for a, n in zip(args, radices):
+            i = i * n + a()
+        return env[h] // pw[i] % c
+
+    return spine
+
+
+_SLOT_SPINES = {1: _spine1s, 2: _spine2s, 3: _spine3s}
+_CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
+
+# A spine reads c**i from a power table when it has at most this many digit
+# positions, and from a _Powers otherwise.  countermodel skips the carrier
+# sizes where a constant's card, c to the number of its digit positions,
+# exceeds max_models, so with c ≥ 2 and max_models below 2**64 every spine of
+# a constant gets a table there.  Nothing bounds the spines of a bound
+# variable, or any spine under eval_term, and a bound variable of a huge
+# function type never makes compile build a huge table.
 _POWER_TABLE_MAX = 64
 
 
@@ -215,6 +349,18 @@ def _check_argument(domain: Type, ty: Type) -> None:
         raise OracleError("ill-typed application argument reached the oracle")
 
 
+class _Powers:
+    """c**i on demand, indexed like a power table."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: int):
+        self.c = c
+
+    def __getitem__(self, i: int) -> int:
+        return self.c**i
+
+
 # CPython rejects a function with more than 20 nested loops and source
 # indented more than 100 levels.  A binder or implication that would nest
 # deeper than these margins in one generated function is outlined into a
@@ -240,9 +386,8 @@ class _Source:
     exit from the loop of the binder being generated.  So ``∀x. l ⇒ r`` is
     one loop and one ``if``, with no value built for the implication."""
 
-    def __init__(self, symbols: dict[str, tuple[int, Type]], long: frozenset):
+    def __init__(self, symbols: dict[str, tuple[int, Type]]):
         self.symbols = symbols  # free symbol -> (slot, type)
-        self.long = long  # power-table specs to replace by c**i
         self.params: dict[tuple, str] = {}  # run-time parameter spec -> name
         self.functions: list[str] = []
         self.names = 0
@@ -414,12 +559,8 @@ class _Source:
         if isinstance(ty, Bool):
             expr = f"{h} >> {index} & 1"
         else:
-            c = self._card(ty)
-            spec = ("powers", ty, tuple(radices))
-            if spec in self.long:
-                expr = f"{h} // {c} ** ({index}) % {c}"
-            else:
-                expr = f"{h} // {self._param(*spec)}[{index}] % {c}"
+            powers = self._param("powers", ty, tuple(radices))
+            expr = f"{h} // {powers}[{index}] % {self._card(ty)}"
         # A spine that reads no bound variable is computed once per run, at
         # the start of the function, whichever loop it sits in.
         fixed = self.fixed.values()
@@ -494,8 +635,8 @@ class _Code:
 
     __slots__ = ("bind", "specs", "type")
 
-    def __init__(self, t: Term, symbols: dict[str, tuple[int, Type]], long: frozenset):
-        gen = _Source(symbols, long)
+    def __init__(self, t: Term, symbols: dict[str, tuple[int, Type]]):
+        gen = _Source(symbols)
         self.type = gen.define("check", "", t, {})
         namespace: dict = {}
         exec(compile(gen.module(), "<oracle check>", "exec"), namespace)
@@ -503,67 +644,66 @@ class _Code:
         self.specs = tuple(gen.params)
 
 
-# Generated checks are kept for the whole process, at most _CODE_CACHE_MAX of
-# them, keyed by the alpha key of the term and the slot and type of each free
-# symbol (and, for a second function, the spines that compute c**i).  The
-# last _TERMS_MAX terms compiled are kept too, each with its key and last
-# code: a search compiles each check once per carrier-size tuple, so
-# compiling a term again walks no term and only compares the slots and types
-# of its free symbols.  A few searches' checks suffice for that; more would
-# only keep old terms alive.  Past a bound the oldest entry goes.
+# Compiling a check builds closures its first _CLOSURE_COMPILES times in the
+# process, and generates its function from then on.  Generating a function
+# costs as much as building a check's closures seven times or so (about 0.3
+# against 0.04 ms in `dholc check`, CPython 3.11 on a 2-vCPU host), and one
+# search compiles a check once per carrier-size tuple and evaluates it a few
+# dozen times in all.  In `dholc check` of a corpus problem no check is
+# compiled more than 3 times, so such a run generates nothing.  A check
+# compiled more often is one that searches share: in a first pass over the
+# corpus_prove or oracle_deep benchmark searches, those checks take 88% or 97%
+# of the runs, and almost all of them in later passes.
+#
+# The count of each check, and then its function, is kept for the whole
+# process under the alpha key of the term and the slot and type of each free
+# symbol, at most _CODE_CACHE_MAX entries; past that bound the oldest goes.
+_CLOSURE_COMPILES = 3
 _CODE_CACHE_MAX = 512
-_TERMS_MAX = 64
-_CODES: dict = {}  # code key -> _Code
-_TERMS: dict = {}  # id(term) -> _Seen
+_CODES: dict = {}  # code key -> compiles so far, or then its _Code
 
 
-def _remember(cache: dict, bound: int, key, value) -> None:
-    while len(cache) >= bound:
-        del cache[next(iter(cache))]
-    cache[key] = value
-
-
-def _code(key, t: Term, symbols: dict[str, tuple[int, Type]], long: frozenset) -> _Code:
-    code = _CODES.get(key)
-    if code is None:
-        code = _Code(t, symbols, long)
-        _remember(_CODES, _CODE_CACHE_MAX, key, code)
-    return code
-
-
-class _Seen:
-    """A term compiled lately: the term itself, held so that its id stays
-    its own; its alpha key and free symbols; and the signature (slot and
-    type of each free symbol) and code it was last compiled with."""
-
-    __slots__ = ("term", "key", "names", "signature", "code")
-
-    def __init__(self, t: Term):
-        self.term = t
-        self.key = alpha_key(t)
-        self.names = free_vars(t)
-        self.signature: Optional[tuple] = None
-        self.code: Optional[_Code] = None
+def _remember(key, value) -> None:
+    if key not in _CODES:
+        while len(_CODES) >= _CODE_CACHE_MAX:
+            del _CODES[next(iter(_CODES))]
+    _CODES[key] = value
 
 
 class Compiler:
     """Compiles terms, at one carrier-size tuple, into functions of no
-    arguments that read one shared slot list, ``env``.  Slot i holds the value
-    of the i-th named symbol (constants first, then extra assignment
+    arguments that read one shared slot list, ``env``.  Slots 0..n-1 hold the
+    values of the named symbols (constants first, then extra assignment
     variables).
 
-    Each distinct check is generated once as Python source (see _Source) and
-    compiled by CPython; the function is kept in a bounded cache for the whole
-    process and shared by every carrier size, Compiler and search.  compile
-    passes it this Compiler's cards, power tables and binder ranges, and
-    returns the function of no arguments that results.
+    A check is first compiled into nested Python closures over ``env``:
+    binder slots are allocated after the named ones, one per binder
+    occurrence, so no two closures write the same slot.  The closures
+    specialise the shapes that dominate erased obligations (Proebsting's
+    superoperators, POPL 1995): an application spine with a variable head is
+    one closure that reads one digit of the head's value, taking variable
+    arguments straight from their slots; ``l ⇒ ⊥`` is a negation; and
+    ``∀x. l ⇒ r`` is one loop with no call for the implication.  Other
+    applications, such as a λ-redex or an ε of function type applied to an
+    argument, stay one closure per ``App``.
+
+    A check compiled more than _CLOSURE_COMPILES times is generated once as
+    Python source instead (see _Source), compiled by CPython and kept for the
+    whole process, shared by every carrier size, Compiler and search.
+    compile passes the generated function this Compiler's cards, power
+    tables and binder ranges, and returns the function of no arguments that
+    results.
 
     With a ``deadline`` (a ``time.monotonic`` value), a binder over more than
     _CLOCKED_RANGE_MIN values raises _OutOfTime from inside the function once
     the deadline has passed."""
 
     def __init__(
-        self, sizes: dict[str, int], symbols: dict[str, Type], deadline: Optional[float] = None
+        self,
+        sizes: dict[str, int],
+        symbols: dict[str, Type],
+        deadline: Optional[float] = None,
+        terms: Optional[dict] = None,
     ):
         self.sizes = sizes
         self.deadline = deadline
@@ -571,52 +711,158 @@ class Compiler:
         self.slot_of = {name: i for i, name in enumerate(symbols)}
         self.env: list[int] = [0] * len(symbols)
         self._tables: dict[tuple[int, int], list[int]] = {}
+        # id(term) -> (term, its code key, the slot and type of each of its
+        # free symbols), for the terms compiled so far.  A search passes one
+        # dict to the Compilers of all its carrier-size tuples, which have the
+        # same symbols and compile the same terms.
+        self._terms = {} if terms is None else terms
 
     def compile(self, t: Term) -> tuple[Closure, Type]:
         """Returns (function computing the term's value, simple type of the term)."""
-        seen = _TERMS.get(id(t))
-        if seen is None:
-            seen = _Seen(t)
-        for n in seen.names:
+        seen = self._terms.get(id(t))
+        if seen is None or seen[0] is not t:
+            seen = self._terms[id(t)] = (t, *self._key(t))
+        _, key, symbols = seen
+        code = _CODES.get(key)
+        if not isinstance(code, _Code):
+            compiles = code or 0
+            if compiles < _CLOSURE_COMPILES:
+                root = self._go(t, {})
+                _remember(key, compiles + 1)
+                return root
+            code = _Code(t, symbols)
+            _remember(key, code)
+        return code.bind(self.env, *map(self._argument, code.specs)), code.type
+
+    def _key(self, t: Term) -> tuple[tuple, dict[str, tuple[int, Type]]]:
+        """The code key of a term, made of its alpha key and the slot and the
+        alpha key of the type of each free symbol; and those slots and types."""
+        symbols: dict[str, tuple[int, Type]] = {}
+        for n in free_vars(t):
             if n not in self.slot_of:
                 raise OracleError(f"unbound symbol {n!r} in oracle term")
-        signature = tuple((self.slot_of[n], self.symbol_types[n]) for n in seen.names)
-        if signature != seen.signature:
-            symbols = dict(zip(seen.names, signature))
-            seen.code = _code((seen.key, signature), t, symbols, frozenset())
-            seen.signature = signature
-            _remember(_TERMS, _TERMS_MAX, id(t), seen)
-        code = seen.code
-        args = [self._argument(spec) for spec in code.specs]
-        if any(a is None for a in args):
-            long = frozenset(spec for spec, a in zip(code.specs, args) if a is None)
-            symbols = dict(zip(seen.names, signature))
-            code = _code((seen.key, signature, long), t, symbols, long)
-            args = [self._argument(spec) for spec in code.specs]
-        return code.bind(self.env, *args), code.type
+            symbols[n] = (self.slot_of[n], self.symbol_types[n])
+        signature = tuple((slot, alpha_key(ty)) for slot, ty in symbols.values())
+        return (alpha_key(t), signature), symbols
 
     def _argument(self, spec: tuple):
-        """The value of one run-time parameter at this Compiler's sizes; for a
-        power table longer than _POWER_TABLE_MAX, None."""
+        """The value of one run-time parameter of a generated function at this
+        Compiler's sizes."""
         match spec:
             case ("range", ty):
-                n = type_card(ty, self.sizes)
-                if self.deadline is None or n <= _CLOCKED_RANGE_MIN:
-                    return range(n)
-                return _ClockedRange(n, self.deadline)
+                return self._values(type_card(ty, self.sizes))
             case ("card", ty):
                 return type_card(ty, self.sizes)
             case ("product", types):
                 return prod(type_card(a, self.sizes) for a in types)
         _, ty, radices = spec  # ("powers", codomain, radices): c**j per digit position j
-        digits = prod(type_card(a, self.sizes) for a in radices)
+        return self._powers(type_card(ty, self.sizes), prod(type_card(a, self.sizes) for a in radices))
+
+    def _values(self, n: int):
+        if self.deadline is None or n <= _CLOCKED_RANGE_MIN:
+            return range(n)
+        return _ClockedRange(n, self.deadline)
+
+    def _lookup(self, n: str, benv: dict[str, tuple[int, Type]]) -> tuple[int, Type]:
+        if n in benv:
+            return benv[n]
+        if n in self.slot_of:
+            return self.slot_of[n], self.symbol_types[n]
+        raise OracleError(f"unbound symbol {n!r} in oracle term")
+
+    def _bind(self, x: str, a: Type, benv: dict[str, tuple[int, Type]]):
+        slot = len(self.env)
+        self.env.append(0)
+        return slot, self._values(type_card(a, self.sizes)), {**benv, x: (slot, a)}
+
+    def _bool(self, t: Term, benv: dict[str, tuple[int, Type]], what: str) -> Closure:
+        fn, ty = self._go(t, benv)
+        if not isinstance(ty, Bool):
+            raise OracleError(f"ill-typed {what} reached the oracle")
+        return fn
+
+    def _powers(self, c: int, digits: int):
         if digits > _POWER_TABLE_MAX:
-            return None
-        c = type_card(ty, self.sizes)
+            return _Powers(c)
         table = self._tables.get((c, digits))
         if table is None:
             table = self._tables[c, digits] = [c**j for j in range(digits)]
         return table
+
+    def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[Closure, Type]:
+        match t:
+            case Var(name=n):
+                slot, ty = self._lookup(n, benv)
+                return _read(self.env, slot), ty
+            case Falsum():
+                return _false, BOOL
+            case Implies(lhs=l, rhs=r):
+                lf = self._bool(l, benv, "implication")
+                if isinstance(r, Falsum):
+                    return _not(lf), BOOL
+                return _implies(lf, self._bool(r, benv, "implication")), BOOL
+            case Eq(lhs=l, rhs=r):
+                lf, _ = self._go(l, benv)
+                rf, _ = self._go(r, benv)
+                return _eq(lf, rf), BOOL
+            case Forall(bound=x, annot=a, body=b):
+                slot, values, inner = self._bind(x, a, benv)
+                if not isinstance(b, Implies):
+                    body = self._bool(b, inner, "quantifier body")
+                    return _forall(self.env, slot, values, body), BOOL
+                lf = self._bool(b.lhs, inner, "implication")
+                if isinstance(b.rhs, Falsum):
+                    return _forall_not(self.env, slot, values, lf), BOOL
+                rf = self._bool(b.rhs, inner, "implication")
+                return _forall_implies(self.env, slot, values, lf, rf), BOOL
+            case Choice(bound=x, annot=a, body=b):
+                slot, values, inner = self._bind(x, a, benv)
+                body = self._bool(b, inner, "choice body")
+                return _choice(self.env, slot, values, body), a
+            case Lambda(bound=x, annot=a, body=b):
+                slot, values, inner = self._bind(x, a, benv)
+                body, bt = self._go(b, inner)
+                return _lam(self.env, slot, values, body, type_card(bt, self.sizes)), Pi(x, a, bt)
+            case App(fun=f, arg=u):
+                head, args = spine(t)
+                if isinstance(head, Var):
+                    return self._spine(head.name, args, benv)
+                ff, ft = self._go(f, benv)
+                uf, ut = self._go(u, benv)
+                if not isinstance(ft, Pi):
+                    raise OracleError("application of a non-function reached the oracle")
+                _check_argument(ft.domain, ut)
+                return _apply(ff, uf, type_card(ft.codomain, self.sizes)), ft.codomain
+            case _:
+                raise OracleError(f"not a term: {t!r}")
+
+    def _spine(
+        self, name: str, args: list[Term], benv: dict[str, tuple[int, Type]]
+    ) -> tuple[Closure, Type]:
+        h, ty = self._lookup(name, benv)
+        radices: list[int] = []
+        getters: list = []  # a slot for a variable argument, else a closure
+        for u in args:
+            if not isinstance(ty, Pi):
+                raise OracleError("application of a non-function reached the oracle")
+            radices.append(type_card(ty.domain, self.sizes))
+            if isinstance(u, Var):
+                getter, uty = self._lookup(u.name, benv)
+            else:
+                getter, uty = self._go(u, benv)
+            _check_argument(ty.domain, uty)
+            getters.append(getter)
+            ty = ty.codomain
+        c = type_card(ty, self.sizes)
+        pw = self._powers(c, prod(radices))
+        env = self.env
+        k = len(args)
+        if k in _SLOT_SPINES and all(type(g) is int for g in getters):
+            return _SLOT_SPINES[k](env, h, *getters, *radices[1:], pw, c), ty
+        calls = [_read(env, g) if type(g) is int else g for g in getters]
+        if k in _CALL_SPINES:
+            return _CALL_SPINES[k](env, h, *calls, *radices[1:], pw, c), ty
+        return _spine(env, h, calls, radices, pw, c), ty
 
 
 class CompiledTerms:
@@ -769,10 +1015,10 @@ def countermodel(
     value of the level's own constant, unknown until that value is first
     tried under that key, so a check is evaluated at most once per (values
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
-    and no row outlives the call; the generated code of each check does, in
-    the Compiler's process-wide cache.  A check is compiled when it is first
-    evaluated at a carrier size, so an ill-typed axiom that the search never
-    evaluates raises no OracleError.
+    and no row outlives the call; the compile count and then the generated
+    function of each check do, in the Compiler's process-wide cache.  A check
+    is compiled when it is first evaluated at a carrier size, so an ill-typed
+    axiom that the search never evaluates raises no OracleError.
 
     The deadline is checked before each carrier-size tuple, before each run
     of _LEVEL_CLOCK_EVERY values of a level, and, through the Compiler, at
@@ -808,6 +1054,7 @@ def countermodel(
 
     deadline = time.monotonic() + budget.max_seconds
     detail = ""
+    terms: dict = {}  # shared by the Compilers of every size tuple
 
     for size_tuple in _size_tuples(len(bases), budget.max_size):
         if time.monotonic() > deadline:
@@ -822,7 +1069,7 @@ def countermodel(
             detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
             continue
 
-        comp = Compiler(sizes, dict(consts), deadline)
+        comp = Compiler(sizes, dict(consts), deadline, terms)
         ct = CompiledTerms(comp)
         run = ct.run
         env = ct.env

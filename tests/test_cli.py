@@ -373,7 +373,9 @@ def test_too_deep_input_exits_two(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
 def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
-    # the limit is about 490 nested applications, and prove meets it first
+    # a numeral is that many nested applications; prove stops first, past
+    # p 487, and the other commands a few levels later (README gives the
+    # limit per command and input shape)
     deep = tmp_path / "deep.dhol"
     deep.write_text(
         "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"

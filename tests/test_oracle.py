@@ -767,30 +767,86 @@ def test_max_seconds_holds_across_many_size_tuples(consts, max_size, max_models)
 
 
 def test_only_binders_over_many_values_look_at_the_clock(monkeypatch):
-    reads = []
     monotonic = time.monotonic
+    for first in (10**9, 0):  # closures, then generated functions
+        reads = []
 
-    def clock():
-        reads.append(None)
-        return monotonic()
+        def clock():
+            reads.append(None)
+            return monotonic()
 
-    past, later = Compiler({"a": 2}, {}, monotonic() - 1), Compiler({"a": 2}, {}, monotonic() + 60)
-    p16, p256 = Forall("p", arrows(A, A, BOOL), top()), Forall("p", arrows(A, A, A, BOOL), top())
-    roots = [comp.compile(t)[0] for comp in (past, later) for t in (p16, p256)]
-    monkeypatch.setattr(time, "monotonic", clock)
-    # 16 values never read the clock, even past the deadline
-    assert roots[0]() == 1 and reads == []
-    # 256 values read it before each value, and stop once the deadline has passed
-    with pytest.raises(oracle._OutOfTime):
-        roots[1]()
-    assert len(reads) == 1
-    reads.clear()
-    assert roots[2]() == 1 and reads == []
-    assert roots[3]() == 1 and len(reads) == 256
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_CLOSURE_COMPILES", first)
+            m.setattr(oracle, "_CODES", {})
+            past = Compiler({"a": 2}, {}, monotonic() - 1)
+            later = Compiler({"a": 2}, {}, monotonic() + 60)
+            p16 = Forall("p", arrows(A, A, BOOL), top())
+            p256 = Forall("p", arrows(A, A, A, BOOL), top())
+            roots = [comp.compile(t)[0] for comp in (past, later) for t in (p16, p256)]
+            m.setattr(time, "monotonic", clock)
+            # 16 values never read the clock, even past the deadline
+            assert roots[0]() == 1 and reads == []
+            # 256 values read it before each value, and stop once the deadline
+            # has passed
+            with pytest.raises(oracle._OutOfTime):
+                roots[1]()
+            assert len(reads) == 1
+            reads.clear()
+            assert roots[2]() == 1 and reads == []
+            assert roots[3]() == 1 and len(reads) == 256
 
 
 # ---------------------------------------------------------------------------
-# generated code: CPython's limits and the code cache
+# closures, then generated code: CPython's limits and the code cache
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Every check is generated, at its first compile, into an empty cache."""
+    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", 0)
+    monkeypatch.setattr(oracle, "_CODES", {})
+
+
+@pytest.fixture(params=["closures", "generated"])
+def either(request, monkeypatch):
+    """Runs a test once with closures for every check, once with generated
+    functions for every check."""
+    first = 10**9 if request.param == "closures" else 0
+    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", first)
+    monkeypatch.setattr(oracle, "_CODES", {})
+    return request.param
+
+
+def is_generated(root):
+    return root.__code__.co_filename == "<oracle check>"
+
+
+@pytest.mark.parametrize(
+    "agreement",
+    [test_closures_agree_with_reference_evaluator, test_specialised_closures_agree_with_reference_evaluator],
+    ids=["erased", "specialised"],
+)
+def test_generated_functions_agree_with_reference_evaluator(generated, agreement):
+    agreement()
+
+
+def test_a_check_is_generated_once_it_has_been_compiled_often(monkeypatch):
+    monkeypatch.setattr(oracle, "_CODES", {})
+    t = Forall("x", A, Implies(App(Var("p"), Var("x")), Eq(A, Var("x"), Var("c"))))
+    symbols = {"p": arrows(A, BOOL), "c": A}
+    roots = []
+    for n in range(oracle._CLOSURE_COMPILES + 2):
+        size = 2 + n % 2
+        cards = [type_card(ty, {"a": size}) for ty in symbols.values()]
+        values = list(itertools.product(*(range(c) for c in cards)))
+        root, results = agrees_with_reference(t, {"a": size}, symbols, values)
+        assert set(results) == {0, 1}
+        roots.append(root)
+    first = oracle._CLOSURE_COMPILES
+    assert not any(is_generated(r) for r in roots[:first])
+    assert all(is_generated(r) for r in roots[first:])
+    assert roots[first].__code__ is roots[first + 1].__code__
+    assert len(oracle._CODES) == 1
 
 
 def agrees_with_reference(t, sizes, symbols, values):
@@ -820,7 +876,7 @@ def nested_foralls(n, ty, body):
 # CPython accepts 20 nested loops and 100 levels of indentation in one
 # function; the parser accepts 122 nested binders.
 @pytest.mark.parametrize("depth", [30, 110])
-def test_binders_nested_past_cpythons_limits(depth):
+def test_binders_nested_past_cpythons_limits(either, depth):
     p = Var("p")
     symbols = {"p": arrows(A, BOOL)}
     # one binder per level, true and false; at |a| = 1 every loop runs once
@@ -845,7 +901,7 @@ def test_binders_nested_past_cpythons_limits(depth):
     assert agrees_with_reference(bottoms, {"a": 1}, symbols, [(0,), (1,)])[1] == [1, 1]
 
 
-def test_a_400_deep_implication_chain():
+def test_a_400_deep_implication_chain(either):
     q = Var("q")
     chain = FALSE
     for _ in range(400):
@@ -856,7 +912,7 @@ def test_a_400_deep_implication_chain():
     assert agrees_with_reference(Eq(BOOL, chain, q), {}, symbols, [(0,), (1,)])[1] == [0, 0]
 
 
-def test_a_binder_whose_card_has_thousands_of_digits():
+def test_a_binder_whose_card_has_thousands_of_digits(either):
     # |(a > a > a) > $o| = 2^19683 at |a| = 3: more digits than int() turns
     # into text, so no card may be written into the source
     aaa = arrows(A, A, A)
@@ -866,20 +922,15 @@ def test_a_binder_whose_card_has_thousands_of_digits():
     # the first f is false everywhere, so the ∀ is false at once
     t = Forall("f", arrows(aaa, BOOL), App(f, first))
     assert agrees_with_reference(t, {"a": 3}, {}, [()])[1] == [0]
-    # a codomain of |a| values takes powers past _POWER_TABLE_MAX digits; the
-    # first f maps everything to 0, so c ≠ 0 makes the ∀ false at once
+    # a codomain of |a| values reads powers past _POWER_TABLE_MAX digits from
+    # a _Powers; the first f maps everything to 0, so c ≠ 0 makes the ∀ false
+    # at once
     u = Forall("f", arrows(aaa, A), Eq(A, App(f, first), Var("c")))
     assert agrees_with_reference(u, {"a": 3}, {"c": A}, [(1,), (2,)])[1] == [0, 0]
     assert agrees_with_reference(u, {"a": 1}, {"c": A}, [(0,)])[1] == [1]
 
 
-@pytest.fixture
-def empty_code_cache(monkeypatch):
-    monkeypatch.setattr(oracle, "_CODES", {})
-    monkeypatch.setattr(oracle, "_TERMS", {})
-
-
-def test_one_cache_entry_serves_every_size_tuple(empty_code_cache):
+def test_one_cache_entry_serves_every_size_tuple(generated):
     x, y = Var("x"), Var("y")
     symbols = {"g": arrows(A, A, A), "c": A}
     g = Var("g")
@@ -892,52 +943,54 @@ def test_one_cache_entry_serves_every_size_tuple(empty_code_cache):
         root, results = agrees_with_reference(t, {"a": size}, symbols, values)
         assert set(results) == {0, 1}
         roots.append(root)
-    assert roots[0].__code__ is roots[1].__code__
+    assert is_generated(roots[0]) and roots[0].__code__ is roots[1].__code__
     assert len(oracle._CODES) == 1
 
 
-def test_alpha_equivalent_checks_share_one_function(empty_code_cache):
+def test_alpha_equivalent_checks_share_one_function(generated):
     comp = Compiler({"a": 2}, {"p": arrows(A, BOOL)})
     one, _ = comp.compile(Forall("x", A, App(Var("p"), Var("x"))))
     other, _ = comp.compile(Forall("y", A, App(Var("p"), Var("y"))))
-    assert one is not other and one.__code__ is other.__code__
+    assert one is not other and is_generated(one) and one.__code__ is other.__code__
     assert len(oracle._CODES) == 1
 
 
-def test_one_name_with_two_types_never_shares_a_function(empty_code_cache):
+def test_one_name_with_two_types_never_shares_a_function(generated):
     # f c = c, with f : a > a in one theory and f : $o > $o in another
     t = Eq(None, App(Var("f"), Var("c")), Var("c"))
     on_a = [(f, c) for f in range(27) for c in range(3)]
     on_o = [(f, c) for f in range(4) for c in range(2)]
     over_a, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(A, A), "c": A}, on_a)
     over_o, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(BOOL, BOOL), "c": BOOL}, on_o)
-    assert over_a.__code__ is not over_o.__code__
+    assert is_generated(over_a) and over_a.__code__ is not over_o.__code__
     assert len(oracle._CODES) == 2
 
 
-def test_the_code_cache_stays_within_its_bound(empty_code_cache, monkeypatch):
+@pytest.mark.parametrize("first", [0, 1])
+def test_the_code_cache_stays_within_its_bound(monkeypatch, first):
+    # with first = 1, the cache holds compile counts as well as functions
+    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", first)
+    monkeypatch.setattr(oracle, "_CODES", {})
     cases = memo_cases()
     want = [countermodel(*case) for case in cases]
     assert len(oracle._CODES) > 3
     monkeypatch.setattr(oracle, "_CODES", {})
-    monkeypatch.setattr(oracle, "_TERMS", {})
     monkeypatch.setattr(oracle, "_CODE_CACHE_MAX", 3)
-    monkeypatch.setattr(oracle, "_TERMS_MAX", 3)
     for case, w in zip(cases, want):
         g = countermodel(*case)
         assert (g.status, g.detail) == (w.status, w.detail)
         if w.found:
             assert (g.model.sizes, g.model.consts) == (w.model.sizes, w.model.consts)
-        assert len(oracle._CODES) <= 3 and len(oracle._TERMS) <= 3
+        assert len(oracle._CODES) <= 3
 
 
-def test_an_ill_typed_check_raises_every_time_and_caches_nothing(empty_code_cache):
+def test_an_ill_typed_check_raises_every_time_and_caches_nothing(either):
     comp = Compiler({"a": 2}, {"d": A})
     for t in (App(FALSE, FALSE), App(Var("d"), Var("d")), Forall("x", A, Var("x"))):
         for _ in range(2):
             with pytest.raises(OracleError):
                 comp.compile(t)
-    assert oracle._CODES == {} and oracle._TERMS == {}
+    assert oracle._CODES == {}
 
 
 # ---------------------------------------------------------------------------
