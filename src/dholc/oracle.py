@@ -11,12 +11,8 @@ carrier; carriers are nonempty, so this is total, and it validates the HOL
 choice rule by construction: whenever a witness exists, the chosen element is
 one.
 
-A check is compiled into nested closures the first few times it is compiled,
-and from then on generated as the source of one Python function, compiled by
-CPython once: closures cost far less to build, and generated code runs faster
-(Feeley & Lapalme 1987 compare the two).  The closures are specialised to the
-node combinations erased obligations are made of (superoperators, Proebsting
-1995).  In the function, binders become ``for`` loops over locals, each
+Each check is generated as the source of one Python function and compiled by
+CPython once.  In the function, binders become ``for`` loops over locals, each
 application spine is one digit extraction into a temporary, ``∀x. l ⇒ r`` is
 one loop around one ``if``, and a spine that reads no bound variable is
 computed once per run.  Cards, power tables and binder ranges are passed in
@@ -41,7 +37,7 @@ import time
 from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional
 
 from .syntax import (
     App,
@@ -160,152 +156,21 @@ def _show_value(ty: Type, decoded) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Compilation: closures first, generated Python functions for checks compiled
-# again and again
+# Compilation into generated Python functions
 
-# A compiled term: called with no arguments, it returns the term's value under
-# the current contents of its compiler's slot list.
+# A compiled check: called with no arguments, it returns the check's value
+# under the current contents of its compiler's slot list.
 Closure = Callable[[], int]
 
-# The closure builders.  Each closure is made in a small function of its own,
-# so it captures only what it reads and Compiler._go keeps plain locals rather
-# than a cell for every variable that one of its branches would capture.
-
-
-def _false() -> int:
-    return 0
-
-
-def _read(env: list[int], slot: int) -> Closure:
-    return lambda: env[slot]
-
-
-def _implies(l: Closure, r: Closure) -> Closure:
-    return lambda: r() if l() else 1
-
-
-def _not(l: Closure) -> Closure:  # l ⇒ ⊥
-    return lambda: 0 if l() else 1
-
-
-def _eq(l: Closure, r: Closure) -> Closure:
-    return lambda: 1 if l() == r() else 0
-
-
-def _forall(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
-    def forall() -> int:
-        for v in values:
-            env[slot] = v
-            if not body():
-                return 0
-        return 1
-
-    return forall
-
-
-def _forall_implies(
-    env: list[int], slot: int, values: Iterable[int], l: Closure, r: Closure
-) -> Closure:
-    def forall() -> int:  # ∀x. l ⇒ r, with no call for the implication
-        for v in values:
-            env[slot] = v
-            if l() and not r():
-                return 0
-        return 1
-
-    return forall
-
-
-def _forall_not(env: list[int], slot: int, values: Iterable[int], l: Closure) -> Closure:
-    def forall() -> int:  # ∀x. l ⇒ ⊥
-        for v in values:
-            env[slot] = v
-            if l():
-                return 0
-        return 1
-
-    return forall
-
-
-def _choice(env: list[int], slot: int, values: Iterable[int], body: Closure) -> Closure:
-    def choice() -> int:
-        for v in values:
-            env[slot] = v
-            if body():
-                return v
-        return 0
-
-    return choice
-
-
-def _lam(env: list[int], slot: int, values: Iterable[int], body: Closure, d: int) -> Closure:
-    def lam() -> int:
-        acc = 0
-        pw = 1
-        for v in values:
-            env[slot] = v
-            acc += body() * pw
-            pw *= d
-        return acc
-
-    return lam
-
-
-def _apply(f: Closure, u: Closure, c: int) -> Closure:
-    return lambda: f() // c ** u() % c
-
-
-# A spine h a1 … ak whose head h is a variable of type A1 > … > Ak > R is one
-# digit of env[h] in base c = |R|, at the mixed-radix index
-# i = ((a1·n2 + a2)·n3 + a3)…, where nj = |Aj|.  pw[i] is c**i.  The "s"
-# builders read variable arguments straight from their slots; the others call
-# one closure per argument.
-
-
-def _spine1s(env, h, s1, pw, c) -> Closure:
-    return lambda: env[h] // pw[env[s1]] % c
-
-
-def _spine2s(env, h, s1, s2, n2, pw, c) -> Closure:
-    return lambda: env[h] // pw[env[s1] * n2 + env[s2]] % c
-
-
-def _spine3s(env, h, s1, s2, s3, n2, n3, pw, c) -> Closure:
-    return lambda: env[h] // pw[(env[s1] * n2 + env[s2]) * n3 + env[s3]] % c
-
-
-def _spine1(env, h, a1, pw, c) -> Closure:
-    return lambda: env[h] // pw[a1()] % c
-
-
-def _spine2(env, h, a1, a2, n2, pw, c) -> Closure:
-    return lambda: env[h] // pw[a1() * n2 + a2()] % c
-
-
-def _spine3(env, h, a1, a2, a3, n2, n3, pw, c) -> Closure:
-    return lambda: env[h] // pw[(a1() * n2 + a2()) * n3 + a3()] % c
-
-
-def _spine(env, h, args, radices, pw, c) -> Closure:
-    def spine() -> int:
-        i = 0
-        for a, n in zip(args, radices):
-            i = i * n + a()
-        return env[h] // pw[i] % c
-
-    return spine
-
-
-_SLOT_SPINES = {1: _spine1s, 2: _spine2s, 3: _spine3s}
-_CALL_SPINES = {1: _spine1, 2: _spine2, 3: _spine3}
-
-# A spine reads c**i from a power table when it has at most this many digit
-# positions, and from a _Powers otherwise.  countermodel skips the carrier
-# sizes where a constant's card, c to the number of its digit positions,
-# exceeds max_models, so with c ≥ 2 and max_models below 2**64 every spine of
-# a constant gets a table there.  Nothing bounds the spines of a bound
-# variable, or any spine under eval_term, and a bound variable of a huge
-# function type never makes compile build a huge table.
+# A generated spine whose codomain is not $o reads c**i from a run-time
+# parameter: a power table when the spine has at most this many digit
+# positions at the Compiler's sizes, and a _Powers otherwise, so one function
+# serves both.  countermodel skips the carrier sizes where a constant's card,
+# c to the number of its digit positions, exceeds max_models, so with c ≥ 2
+# and max_models below 2**64 every spine of a constant gets a table there.
+# Nothing bounds the spines of a bound variable, or any spine under
+# eval_term, and a bound variable of a huge function type never makes
+# compile build a huge table.
 _POWER_TABLE_MAX = 64
 
 
@@ -644,30 +509,11 @@ class _Code:
         self.specs = tuple(gen.params)
 
 
-# Compiling a check builds closures its first _CLOSURE_COMPILES times in the
-# process, and generates its function from then on.  Generating a function
-# costs as much as building a check's closures seven times or so (about 0.3
-# against 0.04 ms in `dholc check`, CPython 3.11 on a 2-vCPU host), and one
-# search compiles a check once per carrier-size tuple and evaluates it a few
-# dozen times in all.  In `dholc check` of a corpus problem no check is
-# compiled more than 3 times, so such a run generates nothing.  A check
-# compiled more often is one that searches share: in a first pass over the
-# corpus_prove or oracle_deep benchmark searches, those checks take 88% or 97%
-# of the runs, and almost all of them in later passes.
-#
-# The count of each check, and then its function, is kept for the whole
-# process under the alpha key of the term and the slot and type of each free
-# symbol, at most _CODE_CACHE_MAX entries; past that bound the oldest goes.
-_CLOSURE_COMPILES = 3
+# The function of each check is kept for the whole process under the alpha
+# key of the term and the slot and type of each free symbol, at most
+# _CODE_CACHE_MAX entries; past that bound the oldest goes.
 _CODE_CACHE_MAX = 512
-_CODES: dict = {}  # code key -> compiles so far, or then its _Code
-
-
-def _remember(key, value) -> None:
-    if key not in _CODES:
-        while len(_CODES) >= _CODE_CACHE_MAX:
-            del _CODES[next(iter(_CODES))]
-    _CODES[key] = value
+_CODES: dict[tuple, _Code] = {}
 
 
 class Compiler:
@@ -676,20 +522,9 @@ class Compiler:
     values of the named symbols (constants first, then extra assignment
     variables).
 
-    A check is first compiled into nested Python closures over ``env``:
-    binder slots are allocated after the named ones, one per binder
-    occurrence, so no two closures write the same slot.  The closures
-    specialise the shapes that dominate erased obligations (Proebsting's
-    superoperators, POPL 1995): an application spine with a variable head is
-    one closure that reads one digit of the head's value, taking variable
-    arguments straight from their slots; ``l ⇒ ⊥`` is a negation; and
-    ``∀x. l ⇒ r`` is one loop with no call for the implication.  Other
-    applications, such as a λ-redex or an ε of function type applied to an
-    argument, stay one closure per ``App``.
-
-    A check compiled more than _CLOSURE_COMPILES times is generated once as
-    Python source instead (see _Source), compiled by CPython and kept for the
-    whole process, shared by every carrier size, Compiler and search.
+    A term is generated as the source of a Python function (see _Source) at
+    its first compile, compiled by CPython and kept in a bounded cache for
+    the whole process, shared by every carrier size, Compiler and search.
     compile passes the generated function this Compiler's cards, power
     tables and binder ranges, and returns the function of no arguments that
     results.
@@ -717,28 +552,28 @@ class Compiler:
         # same symbols and compile the same terms.
         self._terms = {} if terms is None else terms
 
-    def compile(self, t: Term) -> tuple[Closure, Type]:
-        """Returns (function computing the term's value, simple type of the term)."""
+    def compile(self, t: Term, free: Optional[tuple[str, ...]] = None) -> tuple[Closure, Type]:
+        """Returns (function computing the term's value, simple type of the
+        term).  A caller that has walked the term already passes its free
+        symbols, ``free_vars(t)``, as ``free``."""
         seen = self._terms.get(id(t))
         if seen is None or seen[0] is not t:
-            seen = self._terms[id(t)] = (t, *self._key(t))
+            seen = self._terms[id(t)] = (t, *self._key(t, free_vars(t) if free is None else free))
         _, key, symbols = seen
         code = _CODES.get(key)
-        if not isinstance(code, _Code):
-            compiles = code or 0
-            if compiles < _CLOSURE_COMPILES:
-                root = self._go(t, {})
-                _remember(key, compiles + 1)
-                return root
+        if code is None:
             code = _Code(t, symbols)
-            _remember(key, code)
+            while len(_CODES) >= _CODE_CACHE_MAX:
+                del _CODES[next(iter(_CODES))]
+            _CODES[key] = code
         return code.bind(self.env, *map(self._argument, code.specs)), code.type
 
-    def _key(self, t: Term) -> tuple[tuple, dict[str, tuple[int, Type]]]:
-        """The code key of a term, made of its alpha key and the slot and the
-        alpha key of the type of each free symbol; and those slots and types."""
+    def _key(self, t: Term, free: tuple[str, ...]) -> tuple[tuple, dict[str, tuple[int, Type]]]:
+        """The code key of a term with free symbols ``free``, made of its
+        alpha key and the slot and the alpha key of the type of each free
+        symbol; and those slots and types."""
         symbols: dict[str, tuple[int, Type]] = {}
-        for n in free_vars(t):
+        for n in free:
             if n not in self.slot_of:
                 raise OracleError(f"unbound symbol {n!r} in oracle term")
             symbols[n] = (self.slot_of[n], self.symbol_types[n])
@@ -763,24 +598,6 @@ class Compiler:
             return range(n)
         return _ClockedRange(n, self.deadline)
 
-    def _lookup(self, n: str, benv: dict[str, tuple[int, Type]]) -> tuple[int, Type]:
-        if n in benv:
-            return benv[n]
-        if n in self.slot_of:
-            return self.slot_of[n], self.symbol_types[n]
-        raise OracleError(f"unbound symbol {n!r} in oracle term")
-
-    def _bind(self, x: str, a: Type, benv: dict[str, tuple[int, Type]]):
-        slot = len(self.env)
-        self.env.append(0)
-        return slot, self._values(type_card(a, self.sizes)), {**benv, x: (slot, a)}
-
-    def _bool(self, t: Term, benv: dict[str, tuple[int, Type]], what: str) -> Closure:
-        fn, ty = self._go(t, benv)
-        if not isinstance(ty, Bool):
-            raise OracleError(f"ill-typed {what} reached the oracle")
-        return fn
-
     def _powers(self, c: int, digits: int):
         if digits > _POWER_TABLE_MAX:
             return _Powers(c)
@@ -788,81 +605,6 @@ class Compiler:
         if table is None:
             table = self._tables[c, digits] = [c**j for j in range(digits)]
         return table
-
-    def _go(self, t: Term, benv: dict[str, tuple[int, Type]]) -> tuple[Closure, Type]:
-        match t:
-            case Var(name=n):
-                slot, ty = self._lookup(n, benv)
-                return _read(self.env, slot), ty
-            case Falsum():
-                return _false, BOOL
-            case Implies(lhs=l, rhs=r):
-                lf = self._bool(l, benv, "implication")
-                if isinstance(r, Falsum):
-                    return _not(lf), BOOL
-                return _implies(lf, self._bool(r, benv, "implication")), BOOL
-            case Eq(lhs=l, rhs=r):
-                lf, _ = self._go(l, benv)
-                rf, _ = self._go(r, benv)
-                return _eq(lf, rf), BOOL
-            case Forall(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                if not isinstance(b, Implies):
-                    body = self._bool(b, inner, "quantifier body")
-                    return _forall(self.env, slot, values, body), BOOL
-                lf = self._bool(b.lhs, inner, "implication")
-                if isinstance(b.rhs, Falsum):
-                    return _forall_not(self.env, slot, values, lf), BOOL
-                rf = self._bool(b.rhs, inner, "implication")
-                return _forall_implies(self.env, slot, values, lf, rf), BOOL
-            case Choice(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                body = self._bool(b, inner, "choice body")
-                return _choice(self.env, slot, values, body), a
-            case Lambda(bound=x, annot=a, body=b):
-                slot, values, inner = self._bind(x, a, benv)
-                body, bt = self._go(b, inner)
-                return _lam(self.env, slot, values, body, type_card(bt, self.sizes)), Pi(x, a, bt)
-            case App(fun=f, arg=u):
-                head, args = spine(t)
-                if isinstance(head, Var):
-                    return self._spine(head.name, args, benv)
-                ff, ft = self._go(f, benv)
-                uf, ut = self._go(u, benv)
-                if not isinstance(ft, Pi):
-                    raise OracleError("application of a non-function reached the oracle")
-                _check_argument(ft.domain, ut)
-                return _apply(ff, uf, type_card(ft.codomain, self.sizes)), ft.codomain
-            case _:
-                raise OracleError(f"not a term: {t!r}")
-
-    def _spine(
-        self, name: str, args: list[Term], benv: dict[str, tuple[int, Type]]
-    ) -> tuple[Closure, Type]:
-        h, ty = self._lookup(name, benv)
-        radices: list[int] = []
-        getters: list = []  # a slot for a variable argument, else a closure
-        for u in args:
-            if not isinstance(ty, Pi):
-                raise OracleError("application of a non-function reached the oracle")
-            radices.append(type_card(ty.domain, self.sizes))
-            if isinstance(u, Var):
-                getter, uty = self._lookup(u.name, benv)
-            else:
-                getter, uty = self._go(u, benv)
-            _check_argument(ty.domain, uty)
-            getters.append(getter)
-            ty = ty.codomain
-        c = type_card(ty, self.sizes)
-        pw = self._powers(c, prod(radices))
-        env = self.env
-        k = len(args)
-        if k in _SLOT_SPINES and all(type(g) is int for g in getters):
-            return _SLOT_SPINES[k](env, h, *getters, *radices[1:], pw, c), ty
-        calls = [_read(env, g) if type(g) is int else g for g in getters]
-        if k in _CALL_SPINES:
-            return _CALL_SPINES[k](env, h, *calls, *radices[1:], pw, c), ty
-        return _spine(env, h, calls, radices, pw, c), ty
 
 
 class CompiledTerms:
@@ -915,7 +657,8 @@ class SearchResult:
 
 # Memo rows one carrier-size tuple may store, in bytes.  Each row is charged
 # its length plus _ROW_OVERHEAD for its object header, key and dict entry.
-# Past the cap, new rows are still filled and used, but not kept.
+# Past the cap, a check gets no row of its own: one dfs call tries each
+# value of its level once, so a row that is not kept is never read back.
 MEMO_MAX_BYTES = 32 << 20
 _ROW_OVERHEAD = 160
 _UNKNOWN = 2  # a memo entry not evaluated yet; known ones hold 0 or 1
@@ -929,36 +672,54 @@ class _Rows:
     def __init__(self):
         self.stored = 0
 
-    def new(self, memo: dict, key, width: int) -> bytearray:
+    def new(self, memo: dict, key, width: int):
         """A row of ``width`` unknown entries, kept in ``memo`` under ``key``
-        while the rows kept so far leave room for it."""
-        row = bytearray((_UNKNOWN,)) * width
+        while the rows kept so far leave room for it, and otherwise _UNKEPT,
+        so that a row too wide to keep is never allocated."""
         cost = width + _ROW_OVERHEAD
-        if self.stored + cost <= MEMO_MAX_BYTES:
-            memo[key] = row
-            self.stored += cost
+        if self.stored + cost > MEMO_MAX_BYTES:
+            return _UNKEPT
+        row = memo[key] = bytearray((_UNKNOWN,)) * width
+        self.stored += cost
         return row
+
+
+class _Unkept:
+    """A row whose entries are all unknown and which keeps nothing written."""
+
+    __slots__ = ()
+
+    def __getitem__(self, v: int) -> int:
+        return _UNKNOWN
+
+    def __setitem__(self, v: int, r: int) -> None:
+        pass
+
+
+_UNKEPT = _Unkept()
 
 
 def _no_slots(env: list[int]) -> tuple:
     return ()
 
 
-def _compile_bool(comp: Compiler, t: Term) -> Closure:
-    fn, ty = comp.compile(t)
+def _compile_bool(comp: Compiler, t: Term, free: tuple[str, ...]) -> Closure:
+    fn, ty = comp.compile(t, free)
     if not isinstance(ty, Bool):
         raise OracleError("non-boolean axiom or conjecture reached the oracle")
     return fn
 
 
 class _Check:
-    """One check at one carrier-size tuple: its term, the key of the earlier
-    slots it reads, its memo, and its closure once first needed."""
+    """One check at one carrier-size tuple: its term and free symbols, the
+    key of the earlier slots it reads, its memo, and its function once first
+    needed."""
 
-    __slots__ = ("term", "key", "memo", "root")
+    __slots__ = ("term", "free", "key", "memo", "root")
 
-    def __init__(self, term: Term, reads: tuple[int, ...]):
+    def __init__(self, term: Term, free: tuple[str, ...], reads: tuple[int, ...]):
         self.term = term
+        self.free = free
         self.key = itemgetter(*reads) if reads else _no_slots
         self.memo: dict = {}
         self.root: Optional[Closure] = None
@@ -1015,10 +776,11 @@ def countermodel(
     value of the level's own constant, unknown until that value is first
     tried under that key, so a check is evaluated at most once per (values
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
-    and no row outlives the call; the compile count and then the generated
-    function of each check do, in the Compiler's process-wide cache.  A check
-    is compiled when it is first evaluated at a carrier size, so an ill-typed
-    axiom that the search never evaluates raises no OracleError.
+    and no row outlives the call; the generated function of each check does,
+    in the Compiler's process-wide cache.  A check is compiled when it is
+    first evaluated at a carrier size, with the free symbols found here when
+    it was placed on its level, so an ill-typed axiom that the search never
+    evaluates raises no OracleError.
 
     The deadline is checked before each carrier-size tuple, before each run
     of _LEVEL_CLOCK_EVERY values of a level, and, through the Compiler, at
@@ -1039,8 +801,8 @@ def countermodel(
     nconsts = len(consts)
     # A check runs right after the highest-indexed constant it mentions has
     # been assigned, at that constant's level, and is memoised on the others.
-    upfront: list[Term] = []
-    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
+    upfront: list[Term] = []  # closed checks: no free symbols
+    levels: list[list[tuple[Term, tuple[str, ...], tuple[int, ...]]]] = [[] for _ in range(nconsts)]
     for t in [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
         symbols = free_vars(t)
         for v in symbols:
@@ -1048,7 +810,7 @@ def countermodel(
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
         slots = sorted(index[v] for v in symbols)
         if slots:
-            levels[slots[-1]].append((t, tuple(slots[:-1])))
+            levels[slots[-1]].append((t, symbols, tuple(slots[:-1])))
         else:
             upfront.append(t)
 
@@ -1074,7 +836,7 @@ def countermodel(
         run = ct.run
         env = ct.env
         cards = [type_card(ty, sizes) for _, ty in consts]
-        checks = [[_Check(t, reads) for t, reads in level] for level in levels]
+        checks = [[_Check(t, free, reads) for t, free, reads in level] for level in levels]
         new_row = _Rows().new
 
         def dfs(i: int) -> bool:
@@ -1097,7 +859,7 @@ def countermodel(
                         r = row[v]
                         if r == _UNKNOWN:
                             if check.root is None:
-                                check.root = _compile_bool(comp, check.term)
+                                check.root = _compile_bool(comp, check.term, check.free)
                             r = row[v] = run(check.root)
                         if not r:
                             break
@@ -1107,7 +869,7 @@ def countermodel(
             return False
 
         try:
-            if all(run(_compile_bool(comp, t)) for t in upfront) and dfs(0):
+            if all(run(_compile_bool(comp, t, ())) for t in upfront) and dfs(0):
                 model = FiniteModel(
                     sizes=sizes,
                     consts={n: env[comp.slot_of[n]] for n, _ in consts},
@@ -1118,7 +880,7 @@ def countermodel(
             return _out_of_time(size_tuple)
         finally:
             # dfs refers to itself; breaking that cycle frees this size's
-            # closures and memos now instead of at some later full collection.
+            # functions and memos now instead of at some later full collection.
             del dfs
 
     if detail:

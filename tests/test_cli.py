@@ -373,9 +373,8 @@ def test_too_deep_input_exits_two(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
 def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
-    # a numeral is that many nested applications; prove stops first, past
-    # p 487, and the other commands a few levels later (README gives the
-    # limit per command and input shape)
+    # a numeral is that many nested applications; every command stops past
+    # p 493 (README gives the limit per input shape)
     deep = tmp_path / "deep.dhol"
     deep.write_text(
         "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"
@@ -384,6 +383,41 @@ def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
     out = ["-o", str(tmp_path / "out")] if command in ("prove", "emit", "erase") else []
     assert main([command, str(deep), *out]) in (0, 1)
     assert "too deeply" not in capsys.readouterr().err
+
+
+DEEP_SHAPES = {
+    "numeral": lambda n: (
+        "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"
+        f"conjecture : p {n}\n"
+    ),
+    "conjunctions": lambda n: "const q : $o\nconjecture : " + " & ".join(["q"] * n) + "\n",
+    "implications": lambda n: "const q : $o\nconjecture : " + " => ".join(["q"] * n) + "\n",
+    "negations": lambda n: "const q : $o\nconjecture : " + "~ " * n + "q\n",
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_SHAPES)
+def test_oracle_and_prove_are_no_tighter_than_the_kernel(tmp_path, capsys, shape):
+    deep = tmp_path / "deep.dhol"
+
+    def processes(command, n):
+        """Whether command gets through n levels of the shape; every command
+        runs from this same frame, so at the same stack depth."""
+        deep.write_text(DEEP_SHAPES[shape](n))
+        out = ["-o", str(tmp_path / "out")] if command == "prove" else []
+        code = main([command, str(deep), *out])
+        err = capsys.readouterr().err
+        assert code in (0, 1) or (code == 2 and "too deeply" in err), (command, n, code, err)
+        return code in (0, 1)
+
+    # the deepest n that check processes, by bisection over [lo, hi]
+    lo, hi = 1, 1000
+    assert processes("check", lo) and not processes("check", hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if processes("check", mid) else (lo, mid)
+    assert processes("oracle", lo)
+    assert processes("prove", lo)
 
 
 # ---------------------------------------------------------------------------

@@ -263,7 +263,7 @@ def test_model_tables_and_json():
 
 
 # ---------------------------------------------------------------------------
-# closures vs a direct reference evaluator
+# compiled checks vs a direct reference evaluator
 
 
 def reference_eval(t, sizes, env):
@@ -606,8 +606,8 @@ def record_work(monkeypatch):
     reads, compiled, runs = {}, [], []
     compile_, run_ = Compiler.compile, CompiledTerms.run
 
-    def compile(self, t):
-        root, ty = compile_(self, t)
+    def compile(self, t, *free):
+        root, ty = compile_(self, t, *free)
         reads[root] = [self.slot_of[n] for n in free_vars(t)]
         compiled.append(t)
         return root, ty
@@ -669,6 +669,21 @@ def test_a_check_the_search_never_needs_is_never_compiled(monkeypatch):
     assert countermodel(thy, conjecture, SearchBudget(max_size=2)).status == "none"
     assert compiled == [neg(conjecture)] * 2  # once per carrier size
     assert len(runs) == 1 + 2
+
+
+def test_a_search_walks_each_check_for_its_free_symbols_once(monkeypatch):
+    walked = []
+
+    def counted(t):
+        walked.append(t)
+        return free_vars(t)
+
+    monkeypatch.setattr(oracle, "free_vars", counted)
+    for thy, conjecture, budget in memo_cases()[:6]:
+        walked.clear()
+        countermodel(thy, conjecture, budget)
+        checks = [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]
+        assert walked == checks
 
 
 def test_memo_rows_past_the_cap_are_used_but_not_kept(monkeypatch):
@@ -739,6 +754,22 @@ def test_max_seconds_holds_in_a_level_that_rejects_every_value():
     assert (r.status, r.detail) == ("exhausted", "wall-time budget exceeded at sizes (3,)")
 
 
+def test_a_memo_row_too_wide_to_keep_is_never_allocated():
+    # f ranges over 3^512 values at |a| = 3 (2^16 at |a| = 2), so a memo row
+    # with a byte per value can never be allocated; f's axiom runs without
+    # one until the deadline
+    F = arrows(arrows(A, A, BOOL), A)
+    f, c = Var("f"), Var("c")
+    thy = Theory(
+        (BaseTypeDecl("a"), ConstDecl("f", F), ConstDecl("c", A), AxiomDecl("f_refl", Eq(F, f, f)))
+    )
+    budget = SearchBudget(max_size=3, max_models=10**300, max_seconds=1.0)
+    start = time.monotonic()
+    r = countermodel(thy, Eq(A, c, c), budget)
+    assert time.monotonic() - start < 2.0
+    assert (r.status, r.detail) == ("exhausted", "wall-time budget exceeded at sizes (3,)")
+
+
 def test_size_tuples_come_by_total_then_lexicographically():
     for nbases in range(4):
         for max_size in range(1, 5):
@@ -768,85 +799,50 @@ def test_max_seconds_holds_across_many_size_tuples(consts, max_size, max_models)
 
 def test_only_binders_over_many_values_look_at_the_clock(monkeypatch):
     monotonic = time.monotonic
-    for first in (10**9, 0):  # closures, then generated functions
-        reads = []
+    reads = []
 
-        def clock():
-            reads.append(None)
-            return monotonic()
+    def clock():
+        reads.append(None)
+        return monotonic()
 
-        with monkeypatch.context() as m:
-            m.setattr(oracle, "_CLOSURE_COMPILES", first)
-            m.setattr(oracle, "_CODES", {})
-            past = Compiler({"a": 2}, {}, monotonic() - 1)
-            later = Compiler({"a": 2}, {}, monotonic() + 60)
-            p16 = Forall("p", arrows(A, A, BOOL), top())
-            p256 = Forall("p", arrows(A, A, A, BOOL), top())
-            roots = [comp.compile(t)[0] for comp in (past, later) for t in (p16, p256)]
-            m.setattr(time, "monotonic", clock)
-            # 16 values never read the clock, even past the deadline
-            assert roots[0]() == 1 and reads == []
-            # 256 values read it before each value, and stop once the deadline
-            # has passed
-            with pytest.raises(oracle._OutOfTime):
-                roots[1]()
-            assert len(reads) == 1
-            reads.clear()
-            assert roots[2]() == 1 and reads == []
-            assert roots[3]() == 1 and len(reads) == 256
+    past = Compiler({"a": 2}, {}, monotonic() - 1)
+    later = Compiler({"a": 2}, {}, monotonic() + 60)
+    p16 = Forall("p", arrows(A, A, BOOL), top())
+    p256 = Forall("p", arrows(A, A, A, BOOL), top())
+    roots = [comp.compile(t)[0] for comp in (past, later) for t in (p16, p256)]
+    monkeypatch.setattr(time, "monotonic", clock)
+    # 16 values never read the clock, even past the deadline
+    assert roots[0]() == 1 and reads == []
+    # 256 values read it before each value, and stop once the deadline has
+    # passed
+    with pytest.raises(oracle._OutOfTime):
+        roots[1]()
+    assert len(reads) == 1
+    reads.clear()
+    assert roots[2]() == 1 and reads == []
+    assert roots[3]() == 1 and len(reads) == 256
 
 
 # ---------------------------------------------------------------------------
-# closures, then generated code: CPython's limits and the code cache
+# generated code: CPython's limits and the code cache
 
 
 @pytest.fixture
-def generated(monkeypatch):
-    """Every check is generated, at its first compile, into an empty cache."""
-    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", 0)
+def codes(monkeypatch):
+    """An empty code cache, so that every check is generated afresh."""
     monkeypatch.setattr(oracle, "_CODES", {})
+    return oracle._CODES
 
 
-@pytest.fixture(params=["closures", "generated"])
-def either(request, monkeypatch):
-    """Runs a test once with closures for every check, once with generated
-    functions for every check."""
-    first = 10**9 if request.param == "closures" else 0
-    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", first)
-    monkeypatch.setattr(oracle, "_CODES", {})
-    return request.param
-
-
-def is_generated(root):
-    return root.__code__.co_filename == "<oracle check>"
-
-
-@pytest.mark.parametrize(
-    "agreement",
-    [test_closures_agree_with_reference_evaluator, test_specialised_closures_agree_with_reference_evaluator],
-    ids=["erased", "specialised"],
-)
-def test_generated_functions_agree_with_reference_evaluator(generated, agreement):
-    agreement()
-
-
-def test_a_check_is_generated_once_it_has_been_compiled_often(monkeypatch):
-    monkeypatch.setattr(oracle, "_CODES", {})
+def test_a_checks_first_compile_generates_it(codes):
     t = Forall("x", A, Implies(App(Var("p"), Var("x")), Eq(A, Var("x"), Var("c"))))
     symbols = {"p": arrows(A, BOOL), "c": A}
-    roots = []
-    for n in range(oracle._CLOSURE_COMPILES + 2):
-        size = 2 + n % 2
-        cards = [type_card(ty, {"a": size}) for ty in symbols.values()]
-        values = list(itertools.product(*(range(c) for c in cards)))
-        root, results = agrees_with_reference(t, {"a": size}, symbols, values)
-        assert set(results) == {0, 1}
-        roots.append(root)
-    first = oracle._CLOSURE_COMPILES
-    assert not any(is_generated(r) for r in roots[:first])
-    assert all(is_generated(r) for r in roots[first:])
-    assert roots[first].__code__ is roots[first + 1].__code__
-    assert len(oracle._CODES) == 1
+    cards = [type_card(ty, {"a": 2}) for ty in symbols.values()]
+    values = list(itertools.product(*(range(c) for c in cards)))
+    root, results = agrees_with_reference(t, {"a": 2}, symbols, values)
+    assert set(results) == {0, 1}
+    assert root.__code__.co_filename == "<oracle check>"
+    assert len(codes) == 1
 
 
 def agrees_with_reference(t, sizes, symbols, values):
@@ -876,7 +872,7 @@ def nested_foralls(n, ty, body):
 # CPython accepts 20 nested loops and 100 levels of indentation in one
 # function; the parser accepts 122 nested binders.
 @pytest.mark.parametrize("depth", [30, 110])
-def test_binders_nested_past_cpythons_limits(either, depth):
+def test_binders_nested_past_cpythons_limits(codes, depth):
     p = Var("p")
     symbols = {"p": arrows(A, BOOL)}
     # one binder per level, true and false; at |a| = 1 every loop runs once
@@ -901,7 +897,7 @@ def test_binders_nested_past_cpythons_limits(either, depth):
     assert agrees_with_reference(bottoms, {"a": 1}, symbols, [(0,), (1,)])[1] == [1, 1]
 
 
-def test_a_400_deep_implication_chain(either):
+def test_a_400_deep_implication_chain(codes):
     q = Var("q")
     chain = FALSE
     for _ in range(400):
@@ -912,7 +908,7 @@ def test_a_400_deep_implication_chain(either):
     assert agrees_with_reference(Eq(BOOL, chain, q), {}, symbols, [(0,), (1,)])[1] == [0, 0]
 
 
-def test_a_binder_whose_card_has_thousands_of_digits(either):
+def test_a_binder_whose_card_has_thousands_of_digits(codes):
     # |(a > a > a) > $o| = 2^19683 at |a| = 3: more digits than int() turns
     # into text, so no card may be written into the source
     aaa = arrows(A, A, A)
@@ -930,7 +926,7 @@ def test_a_binder_whose_card_has_thousands_of_digits(either):
     assert agrees_with_reference(u, {"a": 1}, {"c": A}, [(0,)])[1] == [1]
 
 
-def test_one_cache_entry_serves_every_size_tuple(generated):
+def test_one_cache_entry_serves_every_size_tuple(codes):
     x, y = Var("x"), Var("y")
     symbols = {"g": arrows(A, A, A), "c": A}
     g = Var("g")
@@ -943,37 +939,33 @@ def test_one_cache_entry_serves_every_size_tuple(generated):
         root, results = agrees_with_reference(t, {"a": size}, symbols, values)
         assert set(results) == {0, 1}
         roots.append(root)
-    assert is_generated(roots[0]) and roots[0].__code__ is roots[1].__code__
-    assert len(oracle._CODES) == 1
+    assert roots[0].__code__ is roots[1].__code__
+    assert len(codes) == 1
 
 
-def test_alpha_equivalent_checks_share_one_function(generated):
+def test_alpha_equivalent_checks_share_one_function(codes):
     comp = Compiler({"a": 2}, {"p": arrows(A, BOOL)})
     one, _ = comp.compile(Forall("x", A, App(Var("p"), Var("x"))))
     other, _ = comp.compile(Forall("y", A, App(Var("p"), Var("y"))))
-    assert one is not other and is_generated(one) and one.__code__ is other.__code__
-    assert len(oracle._CODES) == 1
+    assert one is not other and one.__code__ is other.__code__
+    assert len(codes) == 1
 
 
-def test_one_name_with_two_types_never_shares_a_function(generated):
+def test_one_name_with_two_types_never_shares_a_function(codes):
     # f c = c, with f : a > a in one theory and f : $o > $o in another
     t = Eq(None, App(Var("f"), Var("c")), Var("c"))
     on_a = [(f, c) for f in range(27) for c in range(3)]
     on_o = [(f, c) for f in range(4) for c in range(2)]
     over_a, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(A, A), "c": A}, on_a)
     over_o, _ = agrees_with_reference(t, {"a": 3}, {"f": arrows(BOOL, BOOL), "c": BOOL}, on_o)
-    assert is_generated(over_a) and over_a.__code__ is not over_o.__code__
-    assert len(oracle._CODES) == 2
+    assert over_a.__code__ is not over_o.__code__
+    assert len(codes) == 2
 
 
-@pytest.mark.parametrize("first", [0, 1])
-def test_the_code_cache_stays_within_its_bound(monkeypatch, first):
-    # with first = 1, the cache holds compile counts as well as functions
-    monkeypatch.setattr(oracle, "_CLOSURE_COMPILES", first)
-    monkeypatch.setattr(oracle, "_CODES", {})
+def test_the_code_cache_stays_within_its_bound(monkeypatch, codes):
     cases = memo_cases()
     want = [countermodel(*case) for case in cases]
-    assert len(oracle._CODES) > 3
+    assert len(codes) > 3
     monkeypatch.setattr(oracle, "_CODES", {})
     monkeypatch.setattr(oracle, "_CODE_CACHE_MAX", 3)
     for case, w in zip(cases, want):
@@ -984,13 +976,13 @@ def test_the_code_cache_stays_within_its_bound(monkeypatch, first):
         assert len(oracle._CODES) <= 3
 
 
-def test_an_ill_typed_check_raises_every_time_and_caches_nothing(either):
+def test_an_ill_typed_check_raises_every_time_and_caches_nothing(codes):
     comp = Compiler({"a": 2}, {"d": A})
     for t in (App(FALSE, FALSE), App(Var("d"), Var("d")), Forall("x", A, Var("x"))):
         for _ in range(2):
             with pytest.raises(OracleError):
                 comp.compile(t)
-    assert oracle._CODES == {}
+    assert codes == {}
 
 
 # ---------------------------------------------------------------------------
