@@ -834,6 +834,25 @@ def codes(monkeypatch):
     return oracle._CODES
 
 
+@pytest.fixture(params=["closures", "generated"])
+def either(request, monkeypatch, codes):
+    """Runs a test once with each check's function a fresh closure bound over
+    the code that an earlier compile of the check left in the cache, and once
+    with each check generated afresh into an empty cache."""
+    if request.param == "closures":
+        compile_ = Compiler.compile
+
+        def rebound(self, t, free=None):
+            first, _ = compile_(self, t, free)
+            entries = dict(codes)
+            root, ty = compile_(self, t, free)
+            assert root is not first and root.__code__ is first.__code__ and codes == entries
+            return root, ty
+
+        monkeypatch.setattr(Compiler, "compile", rebound)
+    return request.param
+
+
 def test_a_checks_first_compile_generates_it(codes):
     t = Forall("x", A, Implies(App(Var("p"), Var("x")), Eq(A, Var("x"), Var("c"))))
     symbols = {"p": arrows(A, BOOL), "c": A}
@@ -872,7 +891,7 @@ def nested_foralls(n, ty, body):
 # CPython accepts 20 nested loops and 100 levels of indentation in one
 # function; the parser accepts 122 nested binders.
 @pytest.mark.parametrize("depth", [30, 110])
-def test_binders_nested_past_cpythons_limits(codes, depth):
+def test_binders_nested_past_cpythons_limits(either, depth):
     p = Var("p")
     symbols = {"p": arrows(A, BOOL)}
     # one binder per level, true and false; at |a| = 1 every loop runs once
@@ -897,7 +916,7 @@ def test_binders_nested_past_cpythons_limits(codes, depth):
     assert agrees_with_reference(bottoms, {"a": 1}, symbols, [(0,), (1,)])[1] == [1, 1]
 
 
-def test_a_400_deep_implication_chain(codes):
+def test_a_400_deep_implication_chain(either):
     q = Var("q")
     chain = FALSE
     for _ in range(400):
@@ -908,7 +927,7 @@ def test_a_400_deep_implication_chain(codes):
     assert agrees_with_reference(Eq(BOOL, chain, q), {}, symbols, [(0,), (1,)])[1] == [0, 0]
 
 
-def test_a_binder_whose_card_has_thousands_of_digits(codes):
+def test_a_binder_whose_card_has_thousands_of_digits(either):
     # |(a > a > a) > $o| = 2^19683 at |a| = 3: more digits than int() turns
     # into text, so no card may be written into the source
     aaa = arrows(A, A, A)
@@ -962,11 +981,14 @@ def test_one_name_with_two_types_never_shares_a_function(codes):
     assert len(codes) == 2
 
 
-def test_the_code_cache_stays_within_its_bound(monkeypatch, codes):
+@pytest.mark.parametrize("full", [0, 1])
+def test_the_code_cache_stays_within_its_bound(monkeypatch, codes, full):
+    # with full = 1, the bounded cache starts with the last three entries of
+    # the unbounded run, so the first new check already evicts one
     cases = memo_cases()
     want = [countermodel(*case) for case in cases]
     assert len(codes) > 3
-    monkeypatch.setattr(oracle, "_CODES", {})
+    monkeypatch.setattr(oracle, "_CODES", dict(list(codes.items())[-3:]) if full else {})
     monkeypatch.setattr(oracle, "_CODE_CACHE_MAX", 3)
     for case, w in zip(cases, want):
         g = countermodel(*case)
@@ -976,7 +998,7 @@ def test_the_code_cache_stays_within_its_bound(monkeypatch, codes):
         assert len(oracle._CODES) <= 3
 
 
-def test_an_ill_typed_check_raises_every_time_and_caches_nothing(codes):
+def test_an_ill_typed_check_raises_every_time_and_caches_nothing(either, codes):
     comp = Compiler({"a": 2}, {"d": A})
     for t in (App(FALSE, FALSE), App(Var("d"), Var("d")), Forall("x", A, Var("x"))):
         for _ in range(2):
