@@ -1,5 +1,7 @@
 import copy
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from dholc import thf
+from dholc.corpus import gen_all
 from dholc.erasure import ErasedTheory, ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
 from dholc.parser import parse_term, parse_theory
@@ -321,3 +324,32 @@ def test_one_word_encoder_for_constants_labels_and_bound_variables(monkeypatch):
     fresh = SymbolTable()
     assert [fresh.mangle(n) for n in ("a", "b", "a", "b")] == ["a", "b", "a", "b"]
     assert seen == ["a", "b"]
+
+
+THF_CORPUS_PIN = Path(__file__).parent / "data" / "thf_corpus_pin.json"
+
+
+def corpus_thf_digests():
+    """[problem, mode, what, sha256 of the THF text] for every problem the
+    CLI emits over the corpus (29 problems x eps1/eps2): ``emit`` writes one
+    per obligation, named after it, and ``erase`` the erased theory with its
+    conjecture, named "theory"."""
+    rows = []
+    for entry in gen_all():
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            rep = check_theory(entry.theory, entry.conjecture, mode)
+            variant = mode.variant.value
+            problems = [(ob.id, emit_thf(ob, f"{entry.name}.{ob.id}.{variant}")) for ob in rep.obligations]
+            erased = ErasedTheory(rep.hol_theory, Context())
+            conjecture = rep.conjecture_obligation.conjecture
+            problems.append(("theory", emit_thf(erased, f"{entry.name}.{variant}", conjecture)))
+            for what, problem in problems:
+                digest = hashlib.sha256(problem.text.encode()).hexdigest()
+                rows.append([entry.name, mode.value, what, digest])
+    return rows
+
+
+def test_corpus_thf_is_pinned():
+    # pins the kernel's erasure and the printer over the whole corpus; a
+    # change that moves one row on purpose regenerates data/thf_corpus_pin.json
+    assert corpus_thf_digests() == json.loads(THF_CORPUS_PIN.read_text())
