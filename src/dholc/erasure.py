@@ -69,41 +69,40 @@ def per_name(base_name: str) -> str:
 def erase_type(A: Type) -> Type:
     """Forget dependencies: applied base types lose their arguments, dependent
     products become plain arrows.  Identical for both variants."""
-    match A:
-        case Bool():
-            return BOOL
-        case Base(name=n):
-            return Base(n)
-        case Pi(bound=x, domain=d, codomain=c):
-            return Pi(x, erase_type(d), erase_type(c))
-        case _:
-            raise ErasureError(f"not a type: {A!r}")
+    cls = type(A)
+    if cls is Base:
+        return Base(A.name)
+    if cls is Pi:
+        return Pi(A.bound, erase_type(A.domain), erase_type(A.codomain))
+    if cls is Bool:
+        return BOOL
+    raise ErasureError(f"not a type: {A!r}")
 
 
 def per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term) -> Term:
     """The PER of A applied to u and v, already beta-reduced."""
-    match A:
-        case Bool():
-            return Eq(BOOL, u, v)
-        case Base(name=n, args=args):
-            erased_args = [erase_term(t, variant) for t in args]
-            return apply(Var(per_name(n)), *erased_args, u, v)
-        case Pi(bound=x, domain=d, codomain=c):
-            # ∀x,y over the erased domain; the codomain PER sees the first one.
-            base = "x" if x == "_" else x
-            avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(d))
-            avoid |= set(free_vars(c)) - {x}
-            x1 = fresh_name(base, avoid)
-            c1 = subst(c, x, Var(x1)) if x1 != x else c
-            y = fresh_name(f"{base}_2", avoid | {x1} | set(free_vars(c1)))
-            ed = erase_type(d)
-            inner = Implies(
-                per_apply(d, variant, Var(x1), Var(y)),
-                per_apply(c1, variant, App(u, Var(x1)), App(v, Var(y))),
-            )
-            return Forall(x1, ed, Forall(y, ed, inner))
-        case _:
-            raise ErasureError(f"not a type: {A!r}")
+    cls = type(A)
+    if cls is Base:
+        erased_args = [erase_term(t, variant) for t in A.args]
+        return apply(Var(per_name(A.name)), *erased_args, u, v)
+    if cls is Pi:
+        x, d, c = A.bound, A.domain, A.codomain
+        # ∀x,y over the erased domain; the codomain PER sees the first one.
+        base = "x" if x == "_" else x
+        avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(d))
+        avoid |= set(free_vars(c)) - {x}
+        x1 = fresh_name(base, avoid)
+        c1 = subst(c, x, Var(x1)) if x1 != x else c
+        y = fresh_name(f"{base}_2", avoid | {x1} | set(free_vars(c1)))
+        ed = erase_type(d)
+        inner = Implies(
+            per_apply(d, variant, Var(x1), Var(y)),
+            per_apply(c1, variant, App(u, Var(x1)), App(v, Var(y))),
+        )
+        return Forall(x1, ed, Forall(y, ed, inner))
+    if cls is Bool:
+        return Eq(BOOL, u, v)
+    raise ErasureError(f"not a type: {A!r}")
 
 
 def per(A: Type, variant: ErasureVariant = ErasureVariant.STRONG) -> Term:
@@ -126,53 +125,54 @@ def _rename_binder(x: str, annot: Type, body: Term) -> tuple[str, Term]:
 
 
 def erase_term(t: Term, variant: ErasureVariant) -> Term:
-    match t:
-        case Var():
-            return Var(t.name)
-        case App(fun=f, arg=a):
-            return App(erase_term(f, variant), erase_term(a, variant))
-        case Falsum():
-            return Falsum()
-        case Implies(lhs=l, rhs=r):
-            return Implies(erase_term(l, variant), erase_term(r, variant))
-        case Eq(ty=ty, lhs=l, rhs=r):
-            if ty is None:
-                raise ErasureError("equality without a type annotation (term not elaborated)")
-            return per_apply(ty, variant, erase_term(l, variant), erase_term(r, variant))
-        case Lambda(bound=x, annot=a, body=b):
-            return Lambda(x, erase_type(a), erase_term(b, variant))
-        case Forall(bound=x, annot=a, body=b):
-            x, b = _rename_binder(x, a, b)
-            guard = per_apply(a, variant, Var(x), Var(x))
-            return Forall(x, erase_type(a), Implies(guard, erase_term(b, variant)))
-        case Choice(bound=x, annot=a, body=b):
-            x, b = _rename_binder(x, a, b)
-            eA = erase_type(a)
-            guard = per_apply(a, variant, Var(x), Var(x))
-            guarded_body = conj(guard, erase_term(b, variant))
-            if variant is ErasureVariant.STRONG:
-                return Choice(x, eA, guarded_body)
-            # Weak: a choice-encoded conditional.  With a witness it behaves
-            # like the strong erasure, without one it still picks something
-            # PER-reflexive.  The inner equalities are primitive equalities at
-            # the erased simple type, not PER applications.
-            witness = exists(x, eA, guarded_body)
-            with_witness = Choice(x, eA, guarded_body)
-            without_witness = Choice(x, eA, guard)
-            z = fresh_name(
-                f"{x}_z",
-                set(free_vars(witness)) | set(free_vars(with_witness)) | {x},
-            )
-            return Choice(
-                z,
-                eA,
-                disj(
-                    conj(witness, Eq(eA, Var(z), with_witness)),
-                    conj(neg(witness), Eq(eA, Var(z), without_witness)),
-                ),
-            )
-        case _:
-            raise ErasureError(f"not a term: {t!r}")
+    cls = type(t)
+    if cls is Var:
+        return Var(t.name)
+    if cls is App:
+        return App(erase_term(t.fun, variant), erase_term(t.arg, variant))
+    if cls is Implies:
+        return Implies(erase_term(t.lhs, variant), erase_term(t.rhs, variant))
+    if cls is Lambda:
+        return Lambda(t.bound, erase_type(t.annot), erase_term(t.body, variant))
+    if cls is Forall:
+        a = t.annot
+        x, b = _rename_binder(t.bound, a, t.body)
+        guard = per_apply(a, variant, Var(x), Var(x))
+        return Forall(x, erase_type(a), Implies(guard, erase_term(b, variant)))
+    if cls is Choice:
+        a = t.annot
+        x, b = _rename_binder(t.bound, a, t.body)
+        eA = erase_type(a)
+        guard = per_apply(a, variant, Var(x), Var(x))
+        guarded_body = conj(guard, erase_term(b, variant))
+        if variant is ErasureVariant.STRONG:
+            return Choice(x, eA, guarded_body)
+        # Weak: a choice-encoded conditional.  With a witness it behaves
+        # like the strong erasure, without one it still picks something
+        # PER-reflexive.  The inner equalities are primitive equalities at
+        # the erased simple type, not PER applications.
+        witness = exists(x, eA, guarded_body)
+        with_witness = Choice(x, eA, guarded_body)
+        without_witness = Choice(x, eA, guard)
+        z = fresh_name(
+            f"{x}_z",
+            set(free_vars(witness)) | set(free_vars(with_witness)) | {x},
+        )
+        return Choice(
+            z,
+            eA,
+            disj(
+                conj(witness, Eq(eA, Var(z), with_witness)),
+                conj(neg(witness), Eq(eA, Var(z), without_witness)),
+            ),
+        )
+    if cls is Falsum:
+        return Falsum()
+    if cls is Eq:
+        if t.ty is None:
+            raise ErasureError("equality without a type annotation (term not elaborated)")
+        return per_apply(t.ty, variant, erase_term(t.lhs, variant), erase_term(t.rhs, variant))
+    raise ErasureError(f"not a term: {t!r}")
 
 
 @dataclass(frozen=True)
@@ -235,45 +235,48 @@ def beta_normalize(t: Term | Type) -> Term | Type:
     """Full beta-normalization (terminates on well-typed terms); also
     normalizes terms embedded in types and type annotations.  A node with
     nothing to reduce under it is returned itself, not rebuilt."""
-    match t:
-        case Var() | Falsum():
+    cls = type(t)
+    if cls is Var:
+        return t
+    if cls is App:
+        f, a = t.fun, t.arg
+        f2 = beta_normalize(f)
+        a2 = beta_normalize(a)
+        if type(f2) is Lambda:
+            return beta_normalize(subst(f2.body, f2.bound, a2))
+        if f2 is f and a2 is a:
             return t
-        case App(fun=f, arg=a):
-            f2 = beta_normalize(f)
-            a2 = beta_normalize(a)
-            if isinstance(f2, Lambda):
-                return beta_normalize(subst(f2.body, f2.bound, a2))
-            if f2 is f and a2 is a:
-                return t
-            return App(f2, a2, pos=t.pos)
-        case Implies(lhs=l, rhs=r):
-            l2, r2 = beta_normalize(l), beta_normalize(r)
-            if l2 is l and r2 is r:
-                return t
-            return Implies(l2, r2, pos=t.pos)
-        case Eq(ty=ty, lhs=l, rhs=r):
-            ty2 = beta_normalize(ty) if ty is not None else None
-            l2, r2 = beta_normalize(l), beta_normalize(r)
-            if ty2 is ty and l2 is l and r2 is r:
-                return t
-            return Eq(ty2, l2, r2, pos=t.pos)
-        case Lambda() | Forall() | Choice():
-            a2, b2 = beta_normalize(t.annot), beta_normalize(t.body)
-            if a2 is t.annot and b2 is t.body:
-                return t
-            return type(t)(t.bound, a2, b2, pos=t.pos)
-        # types last, so that term nodes pay no extra pattern test
-        case Bool():
+        return App(f2, a2, pos=t.pos)
+    if cls is Implies:
+        l, r = t.lhs, t.rhs
+        l2, r2 = beta_normalize(l), beta_normalize(r)
+        if l2 is l and r2 is r:
             return t
-        case Base(name=n, args=args):
-            args2 = [beta_normalize(a) for a in args]
-            if all(map(operator.is_, args2, args)):
-                return t
-            return Base(n, tuple(args2), pos=t.pos)
-        case Pi(bound=x, domain=d, codomain=c):
-            d2, c2 = beta_normalize(d), beta_normalize(c)
-            if d2 is d and c2 is c:
-                return t
-            return Pi(x, d2, c2, pos=t.pos)
-        case _:
-            raise ErasureError(f"not a term or type: {t!r}")
+        return Implies(l2, r2, pos=t.pos)
+    if cls is Lambda or cls is Forall or cls is Choice:
+        a2, b2 = beta_normalize(t.annot), beta_normalize(t.body)
+        if a2 is t.annot and b2 is t.body:
+            return t
+        return cls(t.bound, a2, b2, pos=t.pos)
+    if cls is Falsum or cls is Bool:
+        return t
+    if cls is Eq:
+        ty, l, r = t.ty, t.lhs, t.rhs
+        ty2 = beta_normalize(ty) if ty is not None else None
+        l2, r2 = beta_normalize(l), beta_normalize(r)
+        if ty2 is ty and l2 is l and r2 is r:
+            return t
+        return Eq(ty2, l2, r2, pos=t.pos)
+    if cls is Base:
+        args = t.args
+        args2 = [beta_normalize(a) for a in args]
+        if all(map(operator.is_, args2, args)):
+            return t
+        return Base(t.name, tuple(args2), pos=t.pos)
+    if cls is Pi:
+        d, c = t.domain, t.codomain
+        d2, c2 = beta_normalize(d), beta_normalize(c)
+        if d2 is d and c2 is c:
+            return t
+        return Pi(t.bound, d2, c2, pos=t.pos)
+    raise ErasureError(f"not a term or type: {t!r}")

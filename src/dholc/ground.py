@@ -74,20 +74,21 @@ def dn_normalize(t: Term) -> Term:
     """Collapse ((p => false) => false) to p along the connective spine and
     under quantifiers.  Atom-internal structure is left alone, and a node
     with no double negation under it is returned itself."""
-    match t:
-        case Implies(lhs=a, rhs=b):
-            a2 = dn_normalize(a)
-            b2 = dn_normalize(b)
-            if isinstance(b2, Falsum) and isinstance(a2, Implies) and isinstance(a2.rhs, Falsum):
-                return a2.lhs
-            if a2 is a and b2 is b:
-                return t
-            return Implies(a2, b2, pos=t.pos)
-        case Forall(bound=x, annot=a, body=b):
-            b2 = dn_normalize(b)
-            return t if b2 is b else Forall(x, a, b2, pos=t.pos)
-        case _:
+    cls = type(t)
+    if cls is Implies:
+        a, b = t.lhs, t.rhs
+        a2 = dn_normalize(a)
+        b2 = dn_normalize(b)
+        if type(b2) is Falsum and type(a2) is Implies and type(a2.rhs) is Falsum:
+            return a2.lhs
+        if a2 is a and b2 is b:
             return t
+        return Implies(a2, b2, pos=t.pos)
+    if cls is Forall:
+        b = t.body
+        b2 = dn_normalize(b)
+        return t if b2 is b else Forall(t.bound, t.annot, b2, pos=t.pos)
+    return t
 
 
 def normal_form(t: Term) -> Term:
@@ -124,13 +125,12 @@ class _Atoms:
 
 
 def _abstract(t: Term, atoms: _Atoms):
-    match t:
-        case Falsum():
-            return PF_FALSE
-        case Implies(lhs=a, rhs=b):
-            return ("impl", _abstract(a, atoms), _abstract(b, atoms))
-        case _:
-            return ("atom", atoms.register(t))
+    cls = type(t)
+    if cls is Implies:
+        return ("impl", _abstract(t.lhs, atoms), _abstract(t.rhs, atoms))
+    if cls is Falsum:
+        return PF_FALSE
+    return ("atom", atoms.register(t))
 
 
 def _universe(thy: Theory, ctx: Context) -> list[tuple[str, Type]]:

@@ -228,132 +228,135 @@ class _Checker:
     # -- well-formedness of types
 
     def wf_type(self, ctx: tuple, A: Type) -> Type:
-        match A:
-            case Bool():
-                return BOOL
-            case Base(name=a, args=args, pos=pos):
-                decl = self.lookup_base(a)
-                if decl is None:
-                    raise self.unknown(f"unknown base type {a!r}", a, pos)
-                if len(args) != decl.arity:
-                    raise KernelError(
-                        f"base type {a!r} expects {decl.arity} argument(s), got {len(args)}", pos
-                    )
-                if self.mode is Mode.SIMPLE_HOL and args:
-                    raise KernelError(f"dependent base type {a!r} in simple-HOL mode", pos)
-                sigma: dict[str, Term] = {}
-                elaborated = []
-                for (x, ty), t in zip(decl.telescope, args):
-                    expected = subst_many(ty, sigma)
-                    t2 = self.check(ctx, t, expected)
-                    sigma[x] = t2
-                    elaborated.append(t2)
-                return Base(a, tuple(elaborated), pos=pos)
-            case Pi(bound=x, domain=d, codomain=c, pos=pos):
-                d2 = self.wf_type(ctx, d)
-                c2 = self.wf_type(ctx + (ConstDecl(x, d2),), c)
-                if self.mode is Mode.SIMPLE_HOL and x in free_vars(c2):
-                    raise KernelError("dependent product in simple-HOL mode", pos)
-                return Pi(x, d2, c2, pos=pos)
-            case _:
-                raise KernelError(f"not a type: {A!r}")
+        cls = type(A)
+        if cls is Base:
+            a, args, pos = A.name, A.args, A.pos
+            decl = self.lookup_base(a)
+            if decl is None:
+                raise self.unknown(f"unknown base type {a!r}", a, pos)
+            if len(args) != decl.arity:
+                raise KernelError(
+                    f"base type {a!r} expects {decl.arity} argument(s), got {len(args)}", pos
+                )
+            if self.mode is Mode.SIMPLE_HOL and args:
+                raise KernelError(f"dependent base type {a!r} in simple-HOL mode", pos)
+            sigma: dict[str, Term] = {}
+            elaborated = []
+            for (x, ty), t in zip(decl.telescope, args):
+                expected = subst_many(ty, sigma)
+                t2 = self.check(ctx, t, expected)
+                sigma[x] = t2
+                elaborated.append(t2)
+            return Base(a, tuple(elaborated), pos=pos)
+        if cls is Pi:
+            x, pos = A.bound, A.pos
+            d2 = self.wf_type(ctx, A.domain)
+            c2 = self.wf_type(ctx + (ConstDecl(x, d2),), A.codomain)
+            if self.mode is Mode.SIMPLE_HOL and x in free_vars(c2):
+                raise KernelError("dependent product in simple-HOL mode", pos)
+            return Pi(x, d2, c2, pos=pos)
+        if cls is Bool:
+            return BOOL
+        raise KernelError(f"not a type: {A!r}")
 
     # -- type equality up to provable equations
 
     def type_equal(self, ctx: tuple, A: Type, B: Type, pos=None) -> None:
         if alpha_eq(A, B):
             return
-        match (A, B):
-            case (Base(name=a, args=args1), Base(name=b, args=args2)):
-                if a != b:
-                    raise KernelError(f"type mismatch: {a!r} vs {b!r}", pos)
-                if len(args1) != len(args2):
-                    raise KernelError(f"arity mismatch on base type {a!r}", pos)
-                decl = self.lookup_base(a)
-                if decl is None:
-                    raise self.unknown(f"unknown base type {a!r}", a, pos)
-                sigma: dict[str, Term] = {}
-                for (x, ty), t1, t2 in zip(decl.telescope, args1, args2):
-                    expected = subst_many(ty, sigma)
-                    if not alpha_eq(t1, t2):
-                        self.emit(
-                            ObligationKind.TYPE_EQ,
-                            ctx,
-                            Eq(expected, t1, t2),
-                            rule="type-eq",
-                            pos=pos,
-                        )
-                    sigma[x] = t1
-            case (Pi(bound=x1, domain=d1, codomain=c1), Pi(bound=x2, domain=d2, codomain=c2)):
-                self.type_equal(ctx, d1, d2, pos)
-                z = fresh_name(x1, set(free_vars(c1)) | set(free_vars(c2)) | {x1, x2})
-                c1r = subst(c1, x1, Var(z))
-                c2r = subst(c2, x2, Var(z))
-                self.type_equal(ctx + (ConstDecl(z, d1),), c1r, c2r, pos)
-            case (Bool(), Bool()):
-                return
-            case _:
-                raise KernelError(
-                    f"type mismatch: {_type_head(A)} vs {_type_head(B)}", pos
-                )
+        cls = type(A)
+        if cls is Base and type(B) is Base:
+            a, args1, args2 = A.name, A.args, B.args
+            if a != B.name:
+                raise KernelError(f"type mismatch: {a!r} vs {B.name!r}", pos)
+            if len(args1) != len(args2):
+                raise KernelError(f"arity mismatch on base type {a!r}", pos)
+            decl = self.lookup_base(a)
+            if decl is None:
+                raise self.unknown(f"unknown base type {a!r}", a, pos)
+            sigma: dict[str, Term] = {}
+            for (x, ty), t1, t2 in zip(decl.telescope, args1, args2):
+                expected = subst_many(ty, sigma)
+                if not alpha_eq(t1, t2):
+                    self.emit(
+                        ObligationKind.TYPE_EQ,
+                        ctx,
+                        Eq(expected, t1, t2),
+                        rule="type-eq",
+                        pos=pos,
+                    )
+                sigma[x] = t1
+        elif cls is Pi and type(B) is Pi:
+            x1, d1, c1 = A.bound, A.domain, A.codomain
+            x2, d2, c2 = B.bound, B.domain, B.codomain
+            self.type_equal(ctx, d1, d2, pos)
+            z = fresh_name(x1, set(free_vars(c1)) | set(free_vars(c2)) | {x1, x2})
+            c1r = subst(c1, x1, Var(z))
+            c2r = subst(c2, x2, Var(z))
+            self.type_equal(ctx + (ConstDecl(z, d1),), c1r, c2r, pos)
+        elif not (cls is Bool and type(B) is Bool):
+            raise KernelError(f"type mismatch: {_type_head(A)} vs {_type_head(B)}", pos)
 
     # -- terms
 
     def infer(self, ctx: tuple, t: Term) -> tuple[Type, Term]:
-        match t:
-            case Var(name=n, pos=pos):
-                ty = self.lookup_var(ctx, n)
-                if ty is None:
-                    raise self.unknown(f"unbound name {n!r}", n, pos)
-                return ty, t
-            case Lambda(bound=x, annot=a, body=b, pos=pos):
-                a2 = self.wf_type(ctx, a)
-                x, b = self.fresh_binder(ctx, x, b)
-                bty, b2 = self.infer(ctx + (ConstDecl(x, a2),), b)
-                return Pi(x, a2, bty), Lambda(x, a2, b2, pos=pos)
-            case App(fun=f, arg=u, pos=pos):
-                fty, f2 = self.infer(ctx, f)
-                if not isinstance(fty, Pi):
-                    raise KernelError("application of a non-function", pos)
-                u2 = self.check(ctx, u, fty.domain)
-                return subst(fty.codomain, fty.bound, u2), App(f2, u2, pos=pos)
-            case Falsum():
-                return BOOL, t
-            case Implies(lhs=l, rhs=r, pos=pos):
-                l2 = self.check_bool(ctx, l)
-                r2 = self.check_bool(ctx, r)
-                return BOOL, Implies(l2, r2, pos=pos)
-            case Eq(ty=ty, lhs=l, rhs=r, pos=pos):
-                if ty is None:
-                    lty, l2 = self.infer(ctx, l)
-                    r2 = self.check(ctx, r, lty)
-                    return BOOL, Eq(lty, l2, r2, pos=pos)
-                ty2 = self.wf_type(ctx, ty)
-                l2 = self.check(ctx, l, ty2)
-                r2 = self.check(ctx, r, ty2)
-                return BOOL, Eq(ty2, l2, r2, pos=pos)
-            case Forall(bound=x, annot=a, body=b, pos=pos):
-                a2 = self.wf_type(ctx, a)
-                x, b = self.fresh_binder(ctx, x, b)
-                b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
-                return BOOL, Forall(x, a2, b2, pos=pos)
-            case Choice(bound=x, annot=a, body=b, pos=pos):
-                a2 = self.wf_type(ctx, a)
-                x, b = self.fresh_binder(ctx, x, b)
-                b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
-                elaborated = Choice(x, a2, b2, pos=pos)
-                if self.mode is Mode.SIMPLE_HOL:
-                    if not is_simple_type(a2):
-                        raise KernelError("choice over a dependent type in simple-HOL mode", pos)
-                elif self.mode is Mode.STRONG_EPSILON:
-                    witness = exists(x, a2, b2)
-                    self.emit(ObligationKind.CHOICE_WITNESS, ctx, witness, "eps1-witness", pos)
-                else:
-                    inhabited = neg(Forall(x, a2, FALSE))
-                    self.emit(ObligationKind.TYPE_INHABITED, ctx, inhabited, "eps2-inhabited", pos)
-                return a2, elaborated
-            case _:
-                raise KernelError(f"not a term: {t!r}")
+        cls = type(t)
+        if cls is Var:
+            n = t.name
+            ty = self.lookup_var(ctx, n)
+            if ty is None:
+                raise self.unknown(f"unbound name {n!r}", n, t.pos)
+            return ty, t
+        if cls is App:
+            pos = t.pos
+            fty, f2 = self.infer(ctx, t.fun)
+            if type(fty) is not Pi:
+                raise KernelError("application of a non-function", pos)
+            u2 = self.check(ctx, t.arg, fty.domain)
+            return subst(fty.codomain, fty.bound, u2), App(f2, u2, pos=pos)
+        if cls is Implies:
+            l2 = self.check_bool(ctx, t.lhs)
+            r2 = self.check_bool(ctx, t.rhs)
+            return BOOL, Implies(l2, r2, pos=t.pos)
+        if cls is Lambda:
+            a2 = self.wf_type(ctx, t.annot)
+            x, b = self.fresh_binder(ctx, t.bound, t.body)
+            bty, b2 = self.infer(ctx + (ConstDecl(x, a2),), b)
+            return Pi(x, a2, bty), Lambda(x, a2, b2, pos=t.pos)
+        if cls is Forall:
+            a2 = self.wf_type(ctx, t.annot)
+            x, b = self.fresh_binder(ctx, t.bound, t.body)
+            b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
+            return BOOL, Forall(x, a2, b2, pos=t.pos)
+        if cls is Choice:
+            pos = t.pos
+            a2 = self.wf_type(ctx, t.annot)
+            x, b = self.fresh_binder(ctx, t.bound, t.body)
+            b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
+            elaborated = Choice(x, a2, b2, pos=pos)
+            if self.mode is Mode.SIMPLE_HOL:
+                if not is_simple_type(a2):
+                    raise KernelError("choice over a dependent type in simple-HOL mode", pos)
+            elif self.mode is Mode.STRONG_EPSILON:
+                witness = exists(x, a2, b2)
+                self.emit(ObligationKind.CHOICE_WITNESS, ctx, witness, "eps1-witness", pos)
+            else:
+                inhabited = neg(Forall(x, a2, FALSE))
+                self.emit(ObligationKind.TYPE_INHABITED, ctx, inhabited, "eps2-inhabited", pos)
+            return a2, elaborated
+        if cls is Falsum:
+            return BOOL, t
+        if cls is Eq:
+            ty, l, r, pos = t.ty, t.lhs, t.rhs, t.pos
+            if ty is None:
+                lty, l2 = self.infer(ctx, l)
+                r2 = self.check(ctx, r, lty)
+                return BOOL, Eq(lty, l2, r2, pos=pos)
+            ty2 = self.wf_type(ctx, ty)
+            l2 = self.check(ctx, l, ty2)
+            r2 = self.check(ctx, r, ty2)
+            return BOOL, Eq(ty2, l2, r2, pos=pos)
+        raise KernelError(f"not a term: {t!r}")
 
     def check(self, ctx: tuple, t: Term, expected: Type) -> Term:
         ty, t2 = self.infer(ctx, t)

@@ -118,19 +118,19 @@ class FiniteModel:
 
 
 def type_card(ty: Type, sizes: dict[str, int]) -> int:
-    match ty:
-        case Bool():
-            return 2
-        case Base(name=n, args=args):
-            if args:
-                raise OracleError(f"dependent base type {n!r} reached the oracle")
-            if n not in sizes:
-                raise OracleError(f"no carrier size for base type {n!r}")
-            return sizes[n]
-        case Pi(domain=d, codomain=c):
-            return type_card(c, sizes) ** type_card(d, sizes)
-        case _:
-            raise OracleError(f"not a type: {ty!r}")
+    cls = type(ty)
+    if cls is Base:
+        n = ty.name
+        if ty.args:
+            raise OracleError(f"dependent base type {n!r} reached the oracle")
+        if n not in sizes:
+            raise OracleError(f"no carrier size for base type {n!r}")
+        return sizes[n]
+    if cls is Pi:
+        return type_card(ty.codomain, sizes) ** type_card(ty.domain, sizes)
+    if cls is Bool:
+        return 2
+    raise OracleError(f"not a type: {ty!r}")
 
 
 def decode_value(ty: Type, val: int, sizes: dict[str, int]):
@@ -351,54 +351,56 @@ class _Source:
     def _value(self, t: Term, benv: dict) -> tuple[str, Type]:
         """A local or literal holding the term's value, after the statements
         that compute it."""
-        match t:
-            case Var(name=n):
-                return self._lookup(n, benv)
-            case Falsum():
-                return "0", BOOL
-            case Eq(lhs=l, rhs=r):
-                a, _ = self._value(l, benv)
-                return self._let(f"{a} == {self._value(r, benv)[0]}"), BOOL
-            case Implies(lhs=Eq(lhs=l, rhs=r), rhs=Falsum()):
-                a, _ = self._value(l, benv)
-                return self._let(f"{a} != {self._value(r, benv)[0]}"), BOOL
-            case Implies(lhs=l, rhs=Falsum()):
-                return self._let(f"not {_boolean(*self._value(l, benv), 'implication')}"), BOOL
-            case App():
-                return self._spine(t, benv)
+        cls = type(t)
+        if cls is Var:
+            return self._lookup(t.name, benv)
+        if cls is App:
+            return self._spine(t, benv)
+        if cls is Implies and type(t.rhs) is Falsum:
+            l = t.lhs
+            if type(l) is Eq:
+                a, _ = self._value(l.lhs, benv)
+                return self._let(f"{a} != {self._value(l.rhs, benv)[0]}"), BOOL
+            return self._let(f"not {_boolean(*self._value(l, benv), 'implication')}"), BOOL
+        if cls is Falsum:
+            return "0", BOOL
+        if cls is Eq:
+            a, _ = self._value(t.lhs, benv)
+            return self._let(f"{a} == {self._value(t.rhs, benv)[0]}"), BOOL
         if self._nests_too_deep(t):
             return self._outline(t, benv)
-        match t:
-            case Implies(lhs=l, rhs=r):
-                test = self._test(l, benv, "implication")
-                v = self._let("1")
-                self._emit(f"if {test}:")
-                self.indent += 1
-                self._emit(f"{v} = {_boolean(*self._value(r, benv), 'implication')}")
-                self.indent -= 1
-                return v, BOOL
-            case Forall(bound=x, annot=a, body=b):
-                v = self._let("1")
-                inner = self._loop(x, a, benv)
-                self._require(b, inner, (f"{v} = 0", "break"), False, "quantifier body")
-                self._end_loop()
-                return v, BOOL
-            case Choice(bound=x, annot=a, body=b):
-                v = self._let("0")
-                inner = self._loop(x, a, benv)
-                self._require(b, inner, ("continue",), False, "choice body")
-                self._emit(f"{v} = {inner[x][0]}")
-                self._emit("break")
-                self._end_loop()
-                return v, a
-            case Lambda(bound=x, annot=a, body=b):
-                v, pw = self._let("0"), self._let("1")
-                inner = self._loop(x, a, benv)
-                bv, bt = self._value(b, inner)
-                self._emit(f"{v} += {bv} * {pw}")
-                self._emit(f"{pw} *= {self._card(bt)}")
-                self._end_loop()
-                return v, Pi(x, a, bt)
+        if cls is Implies:
+            test = self._test(t.lhs, benv, "implication")
+            v = self._let("1")
+            self._emit(f"if {test}:")
+            self.indent += 1
+            self._emit(f"{v} = {_boolean(*self._value(t.rhs, benv), 'implication')}")
+            self.indent -= 1
+            return v, BOOL
+        if cls is Forall:
+            v = self._let("1")
+            inner = self._loop(t.bound, t.annot, benv)
+            self._require(t.body, inner, (f"{v} = 0", "break"), False, "quantifier body")
+            self._end_loop()
+            return v, BOOL
+        if cls is Choice:
+            x, a = t.bound, t.annot
+            v = self._let("0")
+            inner = self._loop(x, a, benv)
+            self._require(t.body, inner, ("continue",), False, "choice body")
+            self._emit(f"{v} = {inner[x][0]}")
+            self._emit("break")
+            self._end_loop()
+            return v, a
+        if cls is Lambda:
+            x, a = t.bound, t.annot
+            v, pw = self._let("0"), self._let("1")
+            inner = self._loop(x, a, benv)
+            bv, bt = self._value(t.body, inner)
+            self._emit(f"{v} += {bv} * {pw}")
+            self._emit(f"{pw} *= {self._card(bt)}")
+            self._end_loop()
+            return v, Pi(x, a, bt)
         raise OracleError(f"not a term: {t!r}")
 
     def _spine(self, t: Term, benv: dict) -> tuple[str, Type]:
@@ -442,42 +444,46 @@ class _Source:
 
     def _test(self, t: Term, benv: dict, what: str) -> str:
         """An expression that is true where the boolean term is."""
-        match t:
-            case Eq(lhs=l, rhs=r):
-                a, _ = self._value(l, benv)
-                return f"{a} == {self._value(r, benv)[0]}"
-            case Implies(lhs=Eq(lhs=l, rhs=r), rhs=Falsum()):
-                a, _ = self._value(l, benv)
-                return f"{a} != {self._value(r, benv)[0]}"
-            case Implies(lhs=l, rhs=Falsum()):
-                return f"not {_boolean(*self._value(l, benv), 'implication')}"
+        cls = type(t)
+        if cls is Eq:
+            a, _ = self._value(t.lhs, benv)
+            return f"{a} == {self._value(t.rhs, benv)[0]}"
+        if cls is Implies and type(t.rhs) is Falsum:
+            l = t.lhs
+            if type(l) is Eq:
+                a, _ = self._value(l.lhs, benv)
+                return f"{a} != {self._value(l.rhs, benv)[0]}"
+            return f"not {_boolean(*self._value(l, benv), 'implication')}"
         return _boolean(*self._value(t, benv), what)
 
     def _require(self, t: Term, benv: dict, fail: tuple[str, ...], escapes: bool, what: str):
         """Statements that run ``fail`` where the boolean term is false.  With
         ``escapes``, fail leaves the function; otherwise it leaves the loop
         being generated, so no loop may open between here and there."""
-        match t:
-            case Falsum():
-                for line in fail:
-                    self._emit(line)
-                return
-            case Implies(lhs=l, rhs=Falsum()):
+        cls = type(t)
+        if cls is Implies:
+            l, r = t.lhs, t.rhs
+            if type(r) is Falsum:
                 return self._fail_if(self._test(l, benv, "implication"), fail)
-            case Eq(lhs=l, rhs=r):
-                a, _ = self._value(l, benv)
-                return self._fail_if(f"{a} != {self._value(r, benv)[0]}", fail)
-            case Implies(lhs=l, rhs=r) if not self._nests_too_deep(t):
+            if not self._nests_too_deep(t):
                 self._emit(f"if {self._test(l, benv, 'implication')}:")
                 self.indent += 1
                 self._require(r, benv, fail, escapes, "implication")
                 self.indent -= 1
                 return
-            case Forall(bound=x, annot=a, body=b) if escapes and not self._nests_too_deep(t):
-                inner = self._loop(x, a, benv)
-                self._require(b, inner, fail, escapes, "quantifier body")
+        elif cls is Forall:
+            if escapes and not self._nests_too_deep(t):
+                inner = self._loop(t.bound, t.annot, benv)
+                self._require(t.body, inner, fail, escapes, "quantifier body")
                 self._end_loop()
                 return
+        elif cls is Eq:
+            a, _ = self._value(t.lhs, benv)
+            return self._fail_if(f"{a} != {self._value(t.rhs, benv)[0]}", fail)
+        elif cls is Falsum:
+            for line in fail:
+                self._emit(line)
+            return
         self._fail_if(f"not {_boolean(*self._value(t, benv), what)}", fail)
 
     def _fail_if(self, test: str, fail: tuple[str, ...]) -> None:
@@ -780,7 +786,8 @@ def countermodel(
     in the Compiler's process-wide cache.  A check is compiled when it is
     first evaluated at a carrier size, with the free symbols found here when
     it was placed on its level, so an ill-typed axiom that the search never
-    evaluates raises no OracleError.
+    evaluates raises no OracleError.  An axiom's free symbols are found once
+    per declaration object, for every search that shares it.
 
     The deadline is checked before each carrier-size tuple, before each run
     of _LEVEL_CLOCK_EVERY values of a level, and, through the Compiler, at
@@ -803,8 +810,8 @@ def countermodel(
     # been assigned, at that constant's level, and is memoised on the others.
     upfront: list[Term] = []  # closed checks: no free symbols
     levels: list[list[tuple[Term, tuple[str, ...], tuple[int, ...]]]] = [[] for _ in range(nconsts)]
-    for t in [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
-        symbols = free_vars(t)
+    for c in [d for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
+        t, symbols = (c.term, _free_symbols(c)) if isinstance(c, AxiomDecl) else (c, free_vars(c))
         for v in symbols:
             if v not in index:
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
@@ -886,6 +893,20 @@ def countermodel(
     if detail:
         return SearchResult("exhausted", detail=detail)
     return SearchResult("none", detail=f"exhaustive up to carrier size {budget.max_size}")
+
+
+def _free_symbols(d: AxiomDecl) -> tuple[str, ...]:
+    """``free_vars(d.term)``, kept in d's memo slot (see ``syntax``): the
+    obligations of one check share their erased axioms, so each axiom is
+    walked once over all their searches.  dholc searches from one thread
+    only; threads that share d may both walk it, and they store equal
+    tuples."""
+    try:
+        return d._free
+    except AttributeError:
+        free = free_vars(d.term)
+        object.__setattr__(d, "_free", free)
+        return free
 
 
 def _out_of_time(size_tuple: tuple[int, ...]) -> SearchResult:

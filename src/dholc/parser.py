@@ -54,13 +54,14 @@ class ParseError(Exception):
         super().__init__(f"{pos}: {msg}" if pos else msg)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Tok:
     kind: str  # NAME KEYWORD NUMBER SYM DOLLAR EOF
     text: str
     pos: Pos
 
 
+# Every character matches one group: bad matches the one that starts no token.
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>%[^\n]*)
@@ -68,40 +69,44 @@ _TOKEN_RE = re.compile(
       | (?P<number>[0-9]+)
       | (?P<dollar>\$[A-Za-z]+)
       | (?P<sym>=>|!=|[().:>=~&|!?^])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        m = _TOKEN_RE.match(text, i)
-        if not m:
-            raise ParseError(f"unexpected character {text[i]!r}", Pos(line, col))
-        pos = Pos(line, col)
-        lexeme = m.group(0)
-        if m.lastgroup == "name":
-            kind = "KEYWORD" if lexeme in KEYWORDS else "NAME"
-            toks.append(_Tok(kind, lexeme, pos))
-        elif m.lastgroup == "number":
-            toks.append(_Tok("NUMBER", lexeme, pos))
-        elif m.lastgroup == "dollar":
+    append = toks.append
+    # the current line's number and the offset of its first character; a
+    # position is made only for a token that is kept
+    line, start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group == "ws":
+            lexeme = m.group()
+            nl = lexeme.count("\n")
+            if nl:
+                line += nl
+                start = m.start() + lexeme.rfind("\n") + 1
+            continue
+        if group == "comment":
+            continue
+        lexeme = m.group()
+        pos = Pos(line, m.start() - start + 1)
+        if group == "name":
+            append(_Tok("KEYWORD" if lexeme in KEYWORDS else "NAME", lexeme, pos))
+        elif group == "sym":
+            append(_Tok("SYM", lexeme, pos))
+        elif group == "number":
+            append(_Tok("NUMBER", lexeme, pos))
+        elif group == "dollar":
             if lexeme not in ("$false", "$true", "$o"):
                 raise ParseError(f"unknown builtin {lexeme}", pos)
-            toks.append(_Tok("DOLLAR", lexeme, pos))
-        elif m.lastgroup == "sym":
-            toks.append(_Tok("SYM", lexeme, pos))
-        nl = lexeme.count("\n")
-        if nl:
-            line += nl
-            col = len(lexeme) - lexeme.rfind("\n")
+            append(_Tok("DOLLAR", lexeme, pos))
         else:
-            col += len(lexeme)
-        i = m.end()
-    toks.append(_Tok("EOF", "", Pos(line, col)))
+            raise ParseError(f"unexpected character {lexeme!r}", pos)
+    append(_Tok("EOF", "", Pos(line, len(text) - start + 1)))
     return toks
 
 

@@ -8,8 +8,15 @@ walk each have one entry point that takes a term or a type, and so does
 disjunction, existentials, disequality) are construction-time sugar: the trees
 only ever store the core nodes.
 
+The hot walkers over terms and types, here and in the erasure, ground
+prover, kernel, THF printer and oracle, dispatch on the exact class of a node
+(``type(t) is App``), which is about twice as fast as a ``match`` over class
+patterns; cold code such as the printer and the parser keeps ``match``.  So
+the node classes must not be subclassed: a hot walker refuses an instance of
+a subclass as it refuses any other non-node.
+
 Source positions are carried on every node for diagnostics but are excluded
-from equality and hashing.  So are the two memo slots, which are no dataclass
+from equality and hashing.  So are the memo slots, which are no dataclass
 fields: they take no part in equality, hashing or repr, and are neither
 copied nor pickled.
 - ``_nf``, on every term node: ``ground.normal_form`` keeps the node's normal
@@ -17,6 +24,9 @@ copied nor pickled.
 - ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
   the declaration's rendered THF body there, with the names it was rendered
   under, so that obligations sharing the declaration render it once.
+- ``_free``, on every ``AxiomDecl``: ``oracle.countermodel`` keeps the free
+  symbols of the axiom's formula there, so that the searches of obligations
+  sharing the declaration walk it once.
 """
 
 from __future__ import annotations
@@ -129,6 +139,9 @@ class Pi(Type):
 BOOL = Bool()
 FALSE = Falsum()
 
+# The binder classes, which share the fields bound, annot and body.
+_BINDERS = frozenset((Lambda, Forall, Choice))
+
 
 # ---------------------------------------------------------------------------
 # Declarations / theories / contexts
@@ -137,8 +150,9 @@ FALSE = Falsum()
 class BodyDecl:
     """Base class of the declarations that carry a term or type body."""
 
-    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text)
-    __slots__ = ("_thf",)
+    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text);
+    # _free, on an AxiomDecl, unset until oracle.countermodel fills it
+    __slots__ = ("_thf", "_free")
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,38 +260,34 @@ def free_vars(t: Term | Type) -> tuple[str, ...]:
 
 
 def _free_vars(t: Term | Type, bound: frozenset[str], out: dict[str, None]) -> None:
-    match t:
-        case Var(name=n):
-            if n not in bound:
-                out.setdefault(n)
-        case Lambda(bound=x, annot=a, body=b) | Forall(bound=x, annot=a, body=b) | Choice(
-            bound=x, annot=a, body=b
-        ):
+    cls = type(t)
+    if cls is Var:
+        if t.name not in bound:
+            out[t.name] = None
+    elif cls is App:
+        _free_vars(t.fun, bound, out)
+        _free_vars(t.arg, bound, out)
+    elif cls is Implies:
+        _free_vars(t.lhs, bound, out)
+        _free_vars(t.rhs, bound, out)
+    elif cls in _BINDERS:
+        _free_vars(t.annot, bound, out)
+        _free_vars(t.body, bound | {t.bound}, out)
+    elif cls is Falsum or cls is Bool:
+        pass
+    elif cls is Eq:
+        if t.ty is not None:
+            _free_vars(t.ty, bound, out)
+        _free_vars(t.lhs, bound, out)
+        _free_vars(t.rhs, bound, out)
+    elif cls is Base:
+        for a in t.args:
             _free_vars(a, bound, out)
-            _free_vars(b, bound | {x}, out)
-        case App(fun=f, arg=a):
-            _free_vars(f, bound, out)
-            _free_vars(a, bound, out)
-        case Falsum():
-            pass
-        case Implies(lhs=l, rhs=r):
-            _free_vars(l, bound, out)
-            _free_vars(r, bound, out)
-        case Eq(ty=ty, lhs=l, rhs=r):
-            if ty is not None:
-                _free_vars(ty, bound, out)
-            _free_vars(l, bound, out)
-            _free_vars(r, bound, out)
-        case Bool():
-            pass
-        case Base(args=args):
-            for a in args:
-                _free_vars(a, bound, out)
-        case Pi(bound=x, domain=d, codomain=c):
-            _free_vars(d, bound, out)
-            _free_vars(c, bound | {x}, out)
-        case _:
-            raise TypeError(f"not a term or type: {t!r}")
+    elif cls is Pi:
+        _free_vars(t.domain, bound, out)
+        _free_vars(t.codomain, bound | {t.bound}, out)
+    else:
+        raise TypeError(f"not a term or type: {t!r}")
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -315,48 +325,50 @@ def subst(t: Term | Type, x: str, u: Term) -> Term | Type:
 
 
 def _subst(t, mapping: dict[str, Term], reach: list[set[str]]):
-    match t:
-        case Var(name=n):
-            return mapping.get(n, t)
-        case Lambda() | Forall() | Choice():
-            annot = _subst(t.annot, mapping, reach)
-            x, b = _subst_binder(t.bound, t.body, mapping, reach)
-            if annot is t.annot and b is t.body and x == t.bound:
-                return t
-            return type(t)(x, annot, b, pos=t.pos)
-        case App(fun=f, arg=a):
-            f2, a2 = _subst(f, mapping, reach), _subst(a, mapping, reach)
-            if f2 is f and a2 is a:
-                return t
-            return App(f2, a2, pos=t.pos)
-        case Falsum():
+    cls = type(t)
+    if cls is Var:
+        return mapping.get(t.name, t)
+    if cls is App:
+        f, a = t.fun, t.arg
+        f2, a2 = _subst(f, mapping, reach), _subst(a, mapping, reach)
+        if f2 is f and a2 is a:
             return t
-        case Implies(lhs=l, rhs=r):
-            l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
-            if l2 is l and r2 is r:
-                return t
-            return Implies(l2, r2, pos=t.pos)
-        case Eq(ty=ty, lhs=l, rhs=r):
-            ty2 = _subst(ty, mapping, reach) if ty is not None else None
-            l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
-            if ty2 is ty and l2 is l and r2 is r:
-                return t
-            return Eq(ty2, l2, r2, pos=t.pos)
-        case Bool():
+        return App(f2, a2, pos=t.pos)
+    if cls is Implies:
+        l, r = t.lhs, t.rhs
+        l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
+        if l2 is l and r2 is r:
             return t
-        case Base(name=n, args=args):
-            args2 = [_subst(a, mapping, reach) for a in args]
-            if all(map(operator.is_, args2, args)):
-                return t
-            return Base(n, tuple(args2), pos=t.pos)
-        case Pi(bound=x, domain=d, codomain=c):
-            d2 = _subst(d, mapping, reach)
-            x2, c2 = _subst_binder(x, c, mapping, reach)
-            if d2 is d and c2 is c and x2 == x:
-                return t
-            return Pi(x2, d2, c2, pos=t.pos)
-        case _:
-            raise TypeError(f"not a term or type: {t!r}")
+        return Implies(l2, r2, pos=t.pos)
+    if cls in _BINDERS:
+        annot = _subst(t.annot, mapping, reach)
+        x, b = _subst_binder(t.bound, t.body, mapping, reach)
+        if annot is t.annot and b is t.body and x == t.bound:
+            return t
+        return cls(x, annot, b, pos=t.pos)
+    if cls is Falsum or cls is Bool:
+        return t
+    if cls is Eq:
+        ty, l, r = t.ty, t.lhs, t.rhs
+        ty2 = _subst(ty, mapping, reach) if ty is not None else None
+        l2, r2 = _subst(l, mapping, reach), _subst(r, mapping, reach)
+        if ty2 is ty and l2 is l and r2 is r:
+            return t
+        return Eq(ty2, l2, r2, pos=t.pos)
+    if cls is Base:
+        args = t.args
+        args2 = [_subst(a, mapping, reach) for a in args]
+        if all(map(operator.is_, args2, args)):
+            return t
+        return Base(t.name, tuple(args2), pos=t.pos)
+    if cls is Pi:
+        d, c = t.domain, t.codomain
+        d2 = _subst(d, mapping, reach)
+        x2, c2 = _subst_binder(t.bound, c, mapping, reach)
+        if d2 is d and c2 is c and x2 == t.bound:
+            return t
+        return Pi(x2, d2, c2, pos=t.pos)
+    raise TypeError(f"not a term or type: {t!r}")
 
 
 def _subst_binder(x: str, body, mapping: dict[str, Term], reach: list[set[str]]):
@@ -399,41 +411,38 @@ def alpha_eq(t: Term | Type | None, u: Term | Type | None) -> bool:
 
 
 def _alpha(t, u, lm: dict, rm: dict, depth: int) -> bool:
-    if type(t) is not type(u):
+    cls = type(t)
+    if cls is not type(u):
         return False
-    match t:
-        case Var(name=n):
-            return lm.get(n, ("f", n)) == rm.get(u.name, ("f", u.name))
-        case Lambda() | Forall() | Choice():
-            return _alpha(t.annot, u.annot, lm, rm, depth) and _alpha(
-                t.body, u.body, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
-            )
-        case App():
-            return _alpha(t.fun, u.fun, lm, rm, depth) and _alpha(t.arg, u.arg, lm, rm, depth)
-        case Falsum():
-            return True
-        case Implies():
-            return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
-        case Eq():
-            if (t.ty is None) != (u.ty is None):
-                return False
-            if t.ty is not None and not _alpha(t.ty, u.ty, lm, rm, depth):
-                return False
-            return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
-        case Bool():
-            return True
-        case Base():
-            return (
-                t.name == u.name
-                and len(t.args) == len(u.args)
-                and all(_alpha(a, b, lm, rm, depth) for a, b in zip(t.args, u.args))
-            )
-        case Pi():
-            return _alpha(t.domain, u.domain, lm, rm, depth) and _alpha(
-                t.codomain, u.codomain, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
-            )
-        case _:
-            raise TypeError(f"not a term or type: {t!r}")
+    if cls is Var:
+        return lm.get(t.name, ("f", t.name)) == rm.get(u.name, ("f", u.name))
+    if cls is App:
+        return _alpha(t.fun, u.fun, lm, rm, depth) and _alpha(t.arg, u.arg, lm, rm, depth)
+    if cls is Implies:
+        return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
+    if cls in _BINDERS:
+        return _alpha(t.annot, u.annot, lm, rm, depth) and _alpha(
+            t.body, u.body, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
+        )
+    if cls is Falsum or cls is Bool:
+        return True
+    if cls is Eq:
+        if (t.ty is None) != (u.ty is None):
+            return False
+        if t.ty is not None and not _alpha(t.ty, u.ty, lm, rm, depth):
+            return False
+        return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
+    if cls is Base:
+        return (
+            t.name == u.name
+            and len(t.args) == len(u.args)
+            and all(_alpha(a, b, lm, rm, depth) for a, b in zip(t.args, u.args))
+        )
+    if cls is Pi:
+        return _alpha(t.domain, u.domain, lm, rm, depth) and _alpha(
+            t.codomain, u.codomain, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
+        )
+    raise TypeError(f"not a term or type: {t!r}")
 
 
 def alpha_key(t: Term | Type) -> str:
@@ -450,8 +459,7 @@ _BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E("}
 def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
     # env maps each bound name in scope to its binder's depth.  A binder
     # shadows an outer one of the same name in place and restores it after
-    # its body, so the walk copies no dict.  Dispatch is on the exact class,
-    # which is about twice as fast as a match over class patterns here.
+    # its body, so the walk copies no dict.
     cls = type(t)
     if cls is Var:
         n = t.name

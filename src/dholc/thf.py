@@ -121,45 +121,47 @@ def _mangle_bound(name: str, scope: dict[str, str]) -> str:
 
 
 def _fmt_type(ty: Type, table: SymbolTable) -> str:
-    match ty:
-        case Bool():
-            return "$o"
-        case Base(name=n, args=args):
-            if args:
-                raise ThfError(f"dependent base type {n!r} reached THF emission")
-            return table.mangle(n)
-        case Pi(domain=d, codomain=c):
-            # a dependent codomain embeds its bound variable in a Base
-            # argument, which is rejected above
-            return f"({_fmt_type(d, table)} > {_fmt_type(c, table)})"
-        case _:
-            raise ThfError(f"not a type: {ty!r}")
+    cls = type(ty)
+    if cls is Base:
+        if ty.args:
+            raise ThfError(f"dependent base type {ty.name!r} reached THF emission")
+        return table.mangle(ty.name)
+    if cls is Pi:
+        # a dependent codomain embeds its bound variable in a Base
+        # argument, which is rejected above
+        return f"({_fmt_type(ty.domain, table)} > {_fmt_type(ty.codomain, table)})"
+    if cls is Bool:
+        return "$o"
+    raise ThfError(f"not a type: {ty!r}")
+
+
+_BINDER_OPS = {Lambda: "^", Forall: "!", Choice: "@+"}
 
 
 def _fmt_term(t: Term, table: SymbolTable, scope: dict[str, str]) -> str:
-    match t:
-        case Var(name=n):
-            if n in scope:
-                return scope[n]
-            return table.mangle(n)
-        case Falsum():
-            return "$false"
-        case Implies(lhs=Falsum(), rhs=Falsum()):
+    cls = type(t)
+    if cls is Var:
+        n = t.name
+        if n in scope:
+            return scope[n]
+        return table.mangle(n)
+    if cls is App:
+        return f"({_fmt_term(t.fun, table, scope)} @ {_fmt_term(t.arg, table, scope)})"
+    if cls is Implies:
+        l, r = t.lhs, t.rhs
+        if type(l) is Falsum and type(r) is Falsum:
             return "$true"
-        case Implies(lhs=l, rhs=r):
-            return f"({_fmt_term(l, table, scope)} => {_fmt_term(r, table, scope)})"
-        case Eq(lhs=l, rhs=r):
-            return f"({_fmt_term(l, table, scope)} = {_fmt_term(r, table, scope)})"
-        case App(fun=f, arg=a):
-            return f"({_fmt_term(f, table, scope)} @ {_fmt_term(a, table, scope)})"
-        case Lambda() | Forall() | Choice():
-            op = {Lambda: "^", Forall: "!", Choice: "@+"}[type(t)]
-            v = _mangle_bound(t.bound, scope)
-            inner = {**scope, t.bound: v}
-            body = _fmt_term(t.body, table, inner)
-            return f"( {op} [{v}:{_fmt_type(t.annot, table)}] : {body} )"
-        case _:
-            raise ThfError(f"not a term: {t!r}")
+        return f"({_fmt_term(l, table, scope)} => {_fmt_term(r, table, scope)})"
+    if cls in _BINDER_OPS:
+        v = _mangle_bound(t.bound, scope)
+        inner = {**scope, t.bound: v}
+        body = _fmt_term(t.body, table, inner)
+        return f"( {_BINDER_OPS[cls]} [{v}:{_fmt_type(t.annot, table)}] : {body} )"
+    if cls is Falsum:
+        return "$false"
+    if cls is Eq:
+        return f"({_fmt_term(t.lhs, table, scope)} = {_fmt_term(t.rhs, table, scope)})"
+    raise ThfError(f"not a term: {t!r}")
 
 
 class _Recorder:

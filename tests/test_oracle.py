@@ -679,11 +679,19 @@ def test_a_search_walks_each_check_for_its_free_symbols_once(monkeypatch):
         return free_vars(t)
 
     monkeypatch.setattr(oracle, "free_vars", counted)
-    for thy, conjecture, budget in memo_cases()[:6]:
-        walked.clear()
-        countermodel(thy, conjecture, budget)
-        checks = [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]
-        assert walked == checks
+    # A search walks the axioms no earlier search walked, and ¬conjecture.
+    # The cases share some declarations, as the obligations of one check
+    # do, and each case is searched twice.
+    searched = set()  # ids of the axioms of the searches so far
+    cases = memo_cases()[:6]
+    for thy, conjecture, budget in cases:
+        axioms = [d for d in thy if isinstance(d, AxiomDecl)]
+        for _ in range(2):
+            walked.clear()
+            countermodel(thy, conjecture, budget)
+            fresh = [d.term for d in axioms if id(d) not in searched]
+            assert walked == fresh + [neg(conjecture)]
+            searched.update(map(id, axioms))
 
 
 def test_memo_rows_past_the_cap_are_used_but_not_kept(monkeypatch):

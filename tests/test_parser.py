@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from dholc.kernel import Mode, check_theory
@@ -163,3 +165,21 @@ def test_resugar_identity_on_sugar_layer():
     ]
     for src in cases:
         assert print_term(parse_term(src)) == src
+
+
+def test_every_corpus_token_sits_at_its_position():
+    from dholc.corpus import gen_all
+    from dholc.parser import _lex
+
+    gap = re.compile(r"(?:\s|%[^\n]*)*")
+    for entry in gen_all():
+        src = entry.source
+        line_starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+        end = 0
+        for tok in _lex(src):
+            at = line_starts[tok.pos.line - 1] + tok.pos.col - 1
+            assert src.startswith(tok.text, at), (entry.name, tok)
+            # only whitespace and comments lie between two tokens
+            assert gap.fullmatch(src, end, at), (entry.name, tok)
+            end = at + len(tok.text)
+        assert tok.kind == "EOF" and end == len(src)

@@ -1,9 +1,19 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from dholc import syntax
+from dholc import ground, oracle, syntax, thf
+from dholc.erasure import (
+    ErasureError,
+    ErasureVariant,
+    beta_normalize,
+    erase_term,
+    erase_type,
+    per_apply,
+)
+from dholc.kernel import KernelError, Mode, _Checker
 from dholc.syntax import (
     App,
     Base,
@@ -15,6 +25,7 @@ from dholc.syntax import (
     Implies,
     Lambda,
     Pi,
+    Pos,
     Var,
     alpha_eq,
     alpha_key,
@@ -351,3 +362,62 @@ def test_free_vars_first_occurrence_order():
 def test_print_numeral_resugar():
     assert print_term(numeral(3)) == "3"
     assert print_term(App(Var("s"), Var("k"))) == "s k"
+
+
+
+# ---------------------------------------------------------------------------
+# the hot walkers dispatch on the exact node class and refuse anything else
+
+
+class _SubVar(Var):
+    """A node subclass, which the walkers refuse like any other non-node."""
+
+
+def _checker():
+    return _Checker(Mode.STRONG_EPSILON)
+
+
+def _source():
+    return oracle._Source({})
+
+
+STRONG = ErasureVariant.STRONG
+# walker name -> (call on a non-node, the error it documents)
+HOT_WALKERS = {
+    "syntax.free_vars": (free_vars, TypeError),
+    "syntax.subst": (lambda t: subst(t, "x", Var("y")), TypeError),
+    "syntax.alpha_eq": (lambda t: alpha_eq(t, t), TypeError),
+    "syntax.alpha_key": (alpha_key, TypeError),
+    "erasure.beta_normalize": (beta_normalize, ErasureError),
+    "erasure.erase_term": (lambda t: erase_term(t, STRONG), ErasureError),
+    "erasure.per_apply": (lambda t: per_apply(t, STRONG, Var("u"), Var("v")), ErasureError),
+    "erasure.erase_type": (erase_type, ErasureError),
+    "ground.abstract": (lambda t: ground._abstract(t, ground._Atoms({}, [])), TypeError),
+    "kernel.infer": (lambda t: _checker().infer((), t), KernelError),
+    "kernel.wf_type": (lambda t: _checker().wf_type((), t), KernelError),
+    "kernel.type_equal": (lambda t: _checker().type_equal((), t, BOOL), KernelError),
+    "thf.fmt_term": (lambda t: thf._fmt_term(t, thf.SymbolTable(), {}), thf.ThfError),
+    "thf.fmt_type": (lambda t: thf._fmt_type(t, thf.SymbolTable()), thf.ThfError),
+    "oracle.type_card": (lambda t: oracle.type_card(t, {}), oracle.OracleError),
+    "oracle.value": (lambda t: _source()._value(t, {}), oracle.OracleError),
+    "oracle.test": (lambda t: _source()._test(t, {}, "check"), oracle.OracleError),
+    "oracle.require": (
+        lambda t: _source()._require(t, {}, ("return 0",), True, "check"),
+        oracle.OracleError,
+    ),
+}
+
+
+@pytest.mark.parametrize("non_node", [object(), Pos(1, 1), _SubVar("x")], ids=["object", "pos", "subclass"])
+@pytest.mark.parametrize("walker", sorted(HOT_WALKERS))
+def test_hot_walkers_raise_on_a_non_node(walker, non_node):
+    # an if chain without its final raise would return None instead
+    call, error = HOT_WALKERS[walker]
+    with pytest.raises(error):
+        call(non_node)
+
+
+def test_dn_normalize_leaves_a_non_node_alone():
+    # it rewrites the connective spine only; anything else is an atom
+    for non_node in (object(), Pos(1, 1)):
+        assert ground.dn_normalize(non_node) is non_node
