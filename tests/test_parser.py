@@ -1,4 +1,9 @@
+import hashlib
+import json
+import random
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +17,19 @@ from dholc.syntax import (
     Bool,
     Choice,
     ConstDecl,
+    Eq,
     FALSE,
+    Falsum,
     Forall,
     Implies,
+    Lambda,
     Pi,
+    Pos,
+    Term,
+    Type,
     Var,
     alpha_eq,
+    alpha_key,
     print_term,
     print_theory,
     print_type,
@@ -183,3 +195,176 @@ def test_every_corpus_token_sits_at_its_position():
             assert gap.fullmatch(src, end, at), (entry.name, tok)
             end = at + len(tok.text)
         assert tok.kind == "EOF" and end == len(src)
+
+
+# ---------------------------------------------------------------------------
+# The parser's trees, positions and errors, pinned: every corpus source, and a
+# seeded table of random token strings over the term alphabet with the outcome
+# of each.  A change that moves one entry on purpose regenerates
+# data/parse_pin.json with write_parse_pin().
+
+PARSE_PIN = Path(__file__).parent / "data" / "parse_pin.json"
+
+
+def _nodes(t):
+    """Every node of a term or type in pre-order, the nodes inside types
+    included."""
+    yield t
+    for f in fields(t):
+        value = getattr(t, f.name)
+        for child in value if isinstance(value, tuple) else (value,):
+            if isinstance(child, (Term, Type)):
+                yield from _nodes(child)
+
+
+def _record(t) -> str:
+    """The alpha key of a term or type, and the class and position of each of
+    its nodes."""
+    return alpha_key(t) + "|" + ",".join(f"{type(n).__name__}@{n.pos}" for n in _nodes(t))
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def theory_digest(thy, conjecture) -> str:
+    lines = []
+    for d in thy:
+        lines.append(f"{type(d).__name__} {getattr(d, 'name', None) or d.label}@{d.pos}")
+        if isinstance(d, BaseTypeDecl):
+            lines += [f"{x} {_record(a)}" for x, a in d.telescope]
+        else:
+            lines.append(_record(d.ty if isinstance(d, ConstDecl) else d.term))
+    if conjecture is not None:
+        lines.append("conjecture " + _record(conjecture))
+    return _digest(lines)
+
+
+def term_outcome(text: str) -> str:
+    """What parse_term makes of text: the digest of its tree, or its error."""
+    try:
+        return "tree " + _digest([_record(parse_term(text))])
+    except ParseError as e:
+        return f"error {e}"
+
+
+_ALPHABET = (
+    ["a", "b", "f", "x", "0", "2"] * 3
+    + ["(", ")"] * 2
+    + ["~", "&", "|", "=>", "=", "!=", "^", "!", "?", "eps", ":", ".", ">"]
+    + ["$false", "$true", "$o", "pi", "tp", "nat"]
+)
+
+
+def pin_inputs(seed: int = 19) -> list[str]:
+    """1,200 random token strings, and 800 printed random terms with one
+    token inserted or one character span deleted."""
+    rng = random.Random(seed)
+    out = [" ".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 14))) for _ in range(1200)]
+    gen = TermGen(seed)
+    while len(out) < 2000:
+        text = print_term(gen.boolean([], 2))
+        at = rng.randrange(len(text) + 1)
+        if rng.random() < 0.5:
+            text = f"{text[:at]} {rng.choice(_ALPHABET)} {text[at:]}"
+        else:
+            text = text[:at] + text[at + rng.randint(1, 4) :]
+        out.append(text)
+    return out
+
+
+def parse_pin_table(inputs) -> dict:
+    from dholc.corpus import gen_all
+
+    return {
+        "corpus": {e.name: theory_digest(*parse_theory(e.source)) for e in gen_all()},
+        "terms": [[text, term_outcome(text)] for text in inputs],
+    }
+
+
+def write_parse_pin() -> None:
+    PARSE_PIN.write_text(json.dumps(parse_pin_table(pin_inputs()), indent=0) + "\n")
+
+
+def test_parse_trees_positions_and_errors_are_pinned():
+    pinned = json.loads(PARSE_PIN.read_text())
+    assert len(pinned["corpus"]) == 29 and len(pinned["terms"]) == 2000
+    assert parse_pin_table([text for text, _ in pinned["terms"]]) == pinned
+
+
+# Corner cases of the term grammar, each with the tree it gives (printed with
+# every subterm in parentheses) or its error.
+
+
+def _bracketed(t) -> str:
+    match t:
+        case Var(name=n):
+            return n
+        case Implies(lhs=a, rhs=Falsum()):
+            return f"~({_bracketed(a)})"
+        case Implies(lhs=a, rhs=b):
+            return f"({_bracketed(a)} => {_bracketed(b)})"
+        case Eq(lhs=a, rhs=b):
+            return f"({_bracketed(a)} = {_bracketed(b)})"
+        case App(fun=f, arg=a):
+            return f"({_bracketed(f)} {_bracketed(a)})"
+        case Forall(bound=x, body=b) | Lambda(bound=x, body=b) | Choice(bound=x, body=b):
+            return f"{type(t).__name__}({x}. {_bracketed(b)})"
+        case Falsum():
+            return "F"
+
+
+CORNER_CASES = {
+    # the operands of = and != are applications: no ~, but a binder or (
+    "negation after =": ("a = ~ b", "error 1:5: expected a term, found '~'"),
+    "negation after !=": ("a != ~ b", "error 1:6: expected a term, found '~'"),
+    "binder after =": ("a = ! x : t . b", "(a = Forall(x. b))"),
+    "parentheses after =": ("a = (~ b)", "(a = ~(b))"),
+    "negated comparison": ("~ a = b", "~((a = b))"),
+    # a second comparison ends the innermost frame; a binder body that ends
+    # there is an operand one level out, which may take the =
+    "binder body ends at a second =": ("~ ! x : a . b = c = d", "~((Forall(x. (b = c)) = d))"),
+    "second = at top level": ("a = b = c", "error 1:7: trailing input '='"),
+    "second = in parentheses": ("(a = b = c)", "error 1:8: expected ')', found '='"),
+    "second = after a binder right of =": ("a = ! x : t . b = c = d", "error 1:21: trailing input '='"),
+    "nested binders take one = each": (
+        "! x : a . ! y : a . b = c = d = e",
+        "(Forall(x. (Forall(y. (b = c)) = d)) = e)",
+    ),
+    # a binder may start any operand but is never an application argument
+    "binder after &": ("a & ! x : t . b => c", "~((a => ~(Forall(x. (b => c)))))"),
+    "binder as an argument": ("f ! x : t . b", "error 1:3: trailing input '!'"),
+    "binder as an argument in parentheses": ("(f ^ x : t . b)", "error 1:4: expected ')', found '^'"),
+    "parenthesised binder as an argument": ("f (^ x : t . b) c", "((f Lambda(x. b)) c)"),
+    "operators bind tighter to the right": ("a => b | c & ~ d = e", "(a => (~(b) => ~((c => ~(~((d = e)))))))"),
+    "missing operand": ("a & => b", "error 1:5: expected a term, found '=>'"),
+    "unclosed parenthesis": ("f (a", "error 1:5: expected ')', found ''"),
+    "type after a binder": ("! x : $o", "error 1:9: expected '.', found ''"),
+}
+
+
+@pytest.mark.parametrize("case", CORNER_CASES)
+def test_term_grammar_corner_case(case):
+    text, expected = CORNER_CASES[case]
+    try:
+        got = _bracketed(parse_term(text))
+    except ParseError as e:
+        got = f"error {e}"
+    assert got == expected
+
+
+def test_node_positions():
+    # Implies and Eq sit at their operator token, a binder at its binder token
+    # and an application at its argument; sugar nodes have no position
+    t = parse_term("f (a) => ! x : t . b = c & ~ d")
+    assert t.pos == Pos(1, 7)
+    assert t.lhs.pos == Pos(1, 4) and t.lhs.arg.pos == Pos(1, 4)
+    assert t.rhs.pos == Pos(1, 10)
+    body = t.rhs.body
+    assert body.pos is None and body.lhs.pos is None
+    eq = body.lhs.lhs
+    assert type(eq) is Eq and eq.pos == Pos(1, 22)
+    assert parse_term("a != b").lhs.pos is None
+    assert parse_term("? x : t . b").pos is None
+    assert parse_term("eps x : t . b").pos == Pos(1, 1)
+    assert parse_term("(^ x : t . b)").pos == Pos(1, 2)
