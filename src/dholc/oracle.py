@@ -348,25 +348,26 @@ class _Source:
             local = self.fixed[expr] = name or self._fresh("t")
         return local
 
-    def _value(self, t: Term, benv: dict) -> tuple[str, Type]:
+    def _value(self, t: Term, benv: dict, local: bool = True) -> tuple[str, Type]:
         """A local or literal holding the term's value, after the statements
-        that compute it."""
+        that compute it.  Without ``local``, a comparison or a negation is
+        given as its expression, in no local."""
         cls = type(t)
         if cls is Var:
             return self._lookup(t.name, benv)
         if cls is App:
             return self._spine(t, benv)
-        if cls is Implies and type(t.rhs) is Falsum:
-            l = t.lhs
-            if type(l) is Eq:
-                a, _ = self._value(l.lhs, benv)
-                return self._let(f"{a} != {self._value(l.rhs, benv)[0]}"), BOOL
-            return self._let(f"not {_boolean(*self._value(l, benv), 'implication')}"), BOOL
+        if cls is Eq or (cls is Implies and type(t.rhs) is Falsum):
+            # a comparison, a negated one (!=), or another negation
+            u = t if cls is Eq else t.lhs
+            if type(u) is Eq:
+                a, _ = self._value(u.lhs, benv)
+                expr = f"{a} {'==' if u is t else '!='} {self._value(u.rhs, benv)[0]}"
+            else:
+                expr = f"not {_boolean(*self._value(u, benv), 'implication')}"
+            return (self._let(expr) if local else expr), BOOL
         if cls is Falsum:
             return "0", BOOL
-        if cls is Eq:
-            a, _ = self._value(t.lhs, benv)
-            return self._let(f"{a} == {self._value(t.rhs, benv)[0]}"), BOOL
         if self._nests_too_deep(t):
             return self._outline(t, benv)
         if cls is Implies:
@@ -444,17 +445,7 @@ class _Source:
 
     def _test(self, t: Term, benv: dict, what: str) -> str:
         """An expression that is true where the boolean term is."""
-        cls = type(t)
-        if cls is Eq:
-            a, _ = self._value(t.lhs, benv)
-            return f"{a} == {self._value(t.rhs, benv)[0]}"
-        if cls is Implies and type(t.rhs) is Falsum:
-            l = t.lhs
-            if type(l) is Eq:
-                a, _ = self._value(l.lhs, benv)
-                return f"{a} != {self._value(l.rhs, benv)[0]}"
-            return f"not {_boolean(*self._value(l, benv), 'implication')}"
-        return _boolean(*self._value(t, benv), what)
+        return _boolean(*self._value(t, benv, local=False), what)
 
     def _require(self, t: Term, benv: dict, fail: tuple[str, ...], escapes: bool, what: str):
         """Statements that run ``fail`` where the boolean term is false.  With

@@ -8,6 +8,14 @@ comments run from ``%`` to end of line.  Numerals are sugar for iterated ``s``
 applied to the constant ``0``.  The parser builds trees only: whether a name,
 a base type and its arity are declared, and declared once, is the kernel's
 check.
+
+Terms are parsed by one operator-precedence loop (Pratt, *Top Down Operator
+Precedence*, 1973) over ``syntax.OPERATORS``, and nesting costs it no Python
+frames: a ``(`` or a binder head opens a frame on an explicit stack.  A frame
+holds the operators still waiting for their right operand and the application
+being built.  Parentheses and binders are atoms, and a binder's body reaches
+as far right as it can.  Types are parsed by recursive descent; a type's term
+argument in parentheses starts the term loop afresh.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .syntax import (
     Forall,
     Implies,
     Lambda,
+    OPERATORS,
     Pi,
     Pos,
     Term,
@@ -232,113 +241,104 @@ class _Parser:
         if t.kind == "NAME":
             self.next()
             args = []
-            while self._at_atom_start():
-                args.append(self.parse_atom())
+            while (arg := self._atom(self.peek())) is not None:
+                args.append(arg)
             return Base(t.text, tuple(args), pos=t.pos)
         raise ParseError(f"expected a type, found {t.text!r}", t.pos)
 
     # -- terms
 
     def parse_term(self) -> Term:
-        return self.parse_impl()
+        """A term, by the loop the module's docstring describes."""
+        stack: list = []  # the enclosing frames: (opener, head, ops, app)
+        opener: Optional[_Tok] = None  # None in the frame of the whole term
+        head: Optional[tuple[_Tok, Type]] = None  # a binder's variable and type
+        ops: list = []  # operators waiting for a right operand: (prec, token, left)
+        app: Optional[Term] = None  # the application being built; None before one
+        toks = self.toks
+        while True:
+            t = toks[self.i]
+            op = OPERATORS.get(t.text)  # only a SYM token has an operator's text
+            if op is None:
+                # a binder may start any operand, but is never an argument
+                if t.text == "(" or (app is None and t.text in _BINDERS):
+                    self.i += 1
+                    stack.append((opener, head, ops, app))
+                    opener, ops, app = t, [], None
+                    head = None if t.text == "(" else self._binder_head()
+                    continue
+                atom = self._atom(t)
+                if atom is not None:
+                    app = atom if app is None else App(app, atom, pos=atom.pos)
+                    continue
+            elif app is None:
+                # no operand binds looser than its operator: "~" is no operand of "="
+                if op[1] == "prefix" and (not ops or ops[-1][0] <= op[0]):
+                    self.i += 1
+                    ops.append((op[0], t, None))
+                    continue
+            elif op[1] != "prefix":
+                while ops and ops[-1][0] > op[0]:
+                    _, o, lhs = ops.pop()
+                    app = _NODES[o.text](lhs, app, o.pos)
+                # a comparison is no operand of another, so a second one ends the frame
+                if not (op[1] == "none" and ops and ops[-1][0] == op[0]):
+                    self.i += 1
+                    ops.append((op[0], t, app))
+                    app = None
+                    continue
+            if app is None:
+                raise ParseError(f"expected a term, found {t.text!r}", t.pos)
+            # t ends the frame
+            while ops:
+                _, o, lhs = ops.pop()
+                app = _NODES[o.text](lhs, app, o.pos)
+            if opener is None:
+                return app
+            if head is None:
+                self.expect_sym(")")
+            else:
+                app = _BINDERS[opener.text](head[0].text, head[1], app, pos=opener.pos)
+            opener, head, ops, fun = stack.pop()
+            app = app if fun is None else App(fun, app, pos=app.pos)
 
-    def parse_impl(self) -> Term:
-        lhs = self.parse_disj()
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "=>":
-            self.next()
-            return Implies(lhs, self.parse_impl(), pos=t.pos)
-        return lhs
-
-    def parse_disj(self) -> Term:
-        lhs = self.parse_conj()
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "|":
-            self.next()
-            return disj(lhs, self.parse_disj())
-        return lhs
-
-    def parse_conj(self) -> Term:
-        lhs = self.parse_neg()
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "&":
-            self.next()
-            return conj(lhs, self.parse_conj())
-        return lhs
-
-    def parse_neg(self) -> Term:
-        t = self.peek()
-        if t.kind == "SYM" and t.text == "~":
-            self.next()
-            return neg(self.parse_neg())
-        return self.parse_cmp()
-
-    def parse_cmp(self) -> Term:
-        lhs = self.parse_app()
-        t = self.peek()
-        if t.kind == "SYM" and t.text in ("=", "!="):
-            self.next()
-            rhs = self.parse_app()
-            # The equality's type annotation is filled in by the kernel.
-            return Eq(None, lhs, rhs, pos=t.pos) if t.text == "=" else neq(None, lhs, rhs)
-        return lhs
-
-    def parse_app(self) -> Term:
-        t = self.parse_atom()
-        while self._at_atom_start():
-            arg = self.parse_atom()
-            t = App(t, arg, pos=getattr(arg, "pos", None))
-        return t
-
-    def _at_atom_start(self) -> bool:
-        t = self.peek()
-        if t.kind in ("NAME", "NUMBER"):
-            return True
-        if t.kind == "DOLLAR" and t.text in ("$false", "$true"):
-            return True
-        if t.kind == "SYM" and t.text == "(":
-            return True
-        return False
-
-    def parse_atom(self) -> Term:
-        t = self.peek()
+    def _atom(self, t: _Tok) -> Optional[Term]:
+        """The atom that token t starts, consumed, or None.  Only a base type's
+        argument reads a term in parentheses here; the term loop opens a frame."""
         if t.kind == "NAME":
-            self.next()
-            return Var(t.text, pos=t.pos)
-        if t.kind == "NUMBER":
-            self.next()
-            return self._numeral(int(t.text), t.pos)
-        if t.kind == "DOLLAR" and t.text == "$false":
-            self.next()
-            return Falsum(pos=t.pos)
-        if t.kind == "DOLLAR" and t.text == "$true":
-            self.next()
-            return Implies(Falsum(pos=t.pos), FALSE, pos=t.pos)
-        if t.kind == "SYM" and t.text == "(":
-            self.next()
-            inner = self.parse_term()
+            atom = Var(t.text, pos=t.pos)
+        elif t.kind == "NUMBER":
+            atom = Var("0", pos=t.pos)
+            for _ in range(int(t.text)):
+                atom = App(Var("s", pos=t.pos), atom, pos=t.pos)
+        elif t.text == "$false":
+            atom = Falsum(pos=t.pos)
+        elif t.text == "$true":
+            atom = Implies(Falsum(pos=t.pos), FALSE, pos=t.pos)
+        elif t.text == "(":
+            self.i += 1
+            atom = self.parse_term()
             self.expect_sym(")")
-            return inner
-        if (t.kind == "SYM" and t.text in ("^", "!", "?")) or (
-            t.kind == "KEYWORD" and t.text == "eps"
-        ):
-            self.next()
-            x, ty = self._binder_head()
-            body = self.parse_term()
-            if t.text == "^":
-                return Lambda(x.text, ty, body, pos=t.pos)
-            if t.text == "!":
-                return Forall(x.text, ty, body, pos=t.pos)
-            if t.text == "?":
-                return exists(x.text, ty, body)
-            return Choice(x.text, ty, body, pos=t.pos)
-        raise ParseError(f"expected a term, found {t.text!r}", t.pos)
+            return atom
+        else:
+            return None
+        self.i += 1
+        return atom
 
-    def _numeral(self, n: int, pos: Pos) -> Term:
-        t: Term = Var("0", pos=pos)
-        for _ in range(n):
-            t = App(Var("s", pos=pos), t, pos=pos)
-        return t
+
+# The node each operator makes of its operands, given its token's position;
+# of these only Implies and Eq keep the position.
+_NODES = {
+    "=>": lambda l, r, pos: Implies(l, r, pos=pos),
+    "|": lambda l, r, pos: disj(l, r),
+    "&": lambda l, r, pos: conj(l, r),
+    "~": lambda l, r, pos: neg(r),
+    "=": lambda l, r, pos: Eq(None, l, r, pos=pos),  # the kernel fills in the type
+    "!=": lambda l, r, pos: neq(None, l, r),
+}
+
+# The node each binder token makes; "?" is sugar, which has no position.
+_BINDERS = {"^": Lambda, "!": Forall, "eps": Choice, "?": lambda x, a, b, pos: exists(x, a, b)}
 
 
 def parse_theory(text: str) -> tuple[Theory, Optional[Term]]:

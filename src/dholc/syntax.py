@@ -247,6 +247,19 @@ def apply(fun: Term, *args: Term) -> Term:
     return fun
 
 
+# The operators of the surface syntax, for the parser and the printer: token
+# -> (precedence, fixity), loosest first.  The comparisons ("none") do not
+# chain; application binds tighter than any operator.
+OPERATORS = {
+    "=>": (1, "right"),
+    "|": (2, "right"),
+    "&": (3, "right"),
+    "~": (4, "prefix"),
+    "=": (5, "none"),
+    "!=": (5, "none"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Free variables
 
@@ -453,7 +466,7 @@ def alpha_key(t: Term | Type) -> str:
     return "".join(parts)
 
 
-_BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E("}
+_BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E(", Pi: "P("}
 
 
 def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
@@ -476,8 +489,17 @@ def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
         parts.append(")")
     elif cls in _BINDER_TAGS:
         parts.append(_BINDER_TAGS[cls])
-        _alpha_key(t.annot, env, depth, parts)
-        _alpha_key_bound(t.bound, t.body, env, depth, parts)
+        # a Pi's domain and codomain stand where a binder's annot and body do
+        annot, body = (t.domain, t.codomain) if cls is Pi else (t.annot, t.body)
+        _alpha_key(annot, env, depth, parts)
+        x = t.bound
+        outer = env.get(x, -1)
+        env[x] = depth
+        _alpha_key(body, env, depth + 1, parts)
+        if outer < 0:
+            del env[x]
+        else:
+            env[x] = outer
         parts.append(")")
     elif cls is Falsum:
         parts.append("F;")
@@ -497,24 +519,8 @@ def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
         for a in t.args:
             _alpha_key(a, env, depth, parts)
         parts.append(")")
-    elif cls is Pi:
-        parts.append("P(")
-        _alpha_key(t.domain, env, depth, parts)
-        _alpha_key_bound(t.bound, t.codomain, env, depth, parts)
-        parts.append(")")
     else:
         raise TypeError(f"not a term or type: {t!r}")
-
-
-def _alpha_key_bound(x: str, body, env: dict[str, int], depth: int, parts: list[str]) -> None:
-    """The key of ``body`` under a binder of ``x`` at ``depth``."""
-    outer = env.get(x, -1)
-    env[x] = depth
-    _alpha_key(body, env, depth + 1, parts)
-    if outer < 0:
-        del env[x]
-    else:
-        env[x] = outer
 
 
 # ---------------------------------------------------------------------------
@@ -600,13 +606,8 @@ def subterms(t: Term | Type) -> Iterator[Term]:
 # ---------------------------------------------------------------------------
 # Printing (surface syntax; inverse of dholc.parser)
 
-_PREC_IMPL = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_NEG = 4
-_PREC_CMP = 5
-_PREC_APP = 6
-_PREC_ATOM = 7
+# application binds tighter than any operator
+_APP = 1 + max(prec for prec, _ in OPERATORS.values())
 
 
 def print_term(t: Term) -> str:
@@ -615,6 +616,12 @@ def print_term(t: Term) -> str:
 
 def _wrap(s: str, prec: int, at: int) -> str:
     return f"({s})" if prec < at else s
+
+
+def _infix(l: Term, op: str, r: Term, at: int) -> str:
+    prec, fixity = OPERATORS[op]
+    rhs = _pt(r, prec if fixity == "right" else prec + 1)
+    return _wrap(f"{_pt(l, prec + 1)} {op} {rhs}", prec, at)
 
 
 def _as_numeral(t: Term) -> Optional[int]:
@@ -644,27 +651,25 @@ def _pt(t: Term, at: int) -> str:
         case Implies(lhs=Forall(bound=x, annot=a, body=Implies(lhs=b, rhs=Falsum())), rhs=Falsum()):
             return _wrap(f"? {x} : {print_type(a)} . {_pt(b, 0)}", 0, at)
         case Implies(lhs=Implies(lhs=a, rhs=Implies(lhs=b, rhs=Falsum())), rhs=Falsum()):
-            return _wrap(f"{_pt(a, _PREC_AND + 1)} & {_pt(b, _PREC_AND)}", _PREC_AND, at)
+            return _infix(a, "&", b, at)
         case Implies(lhs=Eq(ty=_, lhs=l, rhs=r), rhs=Falsum()):
-            return _wrap(f"{_pt(l, _PREC_CMP + 1)} != {_pt(r, _PREC_CMP + 1)}", _PREC_CMP, at)
+            return _infix(l, "!=", r, at)
         case Implies(lhs=a, rhs=Falsum()):
-            return _wrap(f"~ {_pt(a, _PREC_NEG)}", _PREC_NEG, at)
+            prec = OPERATORS["~"][0]
+            return _wrap(f"~ {_pt(a, prec)}", prec, at)
         case Implies(lhs=Implies(lhs=a, rhs=Falsum()), rhs=b):
-            return _wrap(f"{_pt(a, _PREC_OR + 1)} | {_pt(b, _PREC_OR)}", _PREC_OR, at)
+            return _infix(a, "|", b, at)
         case Implies(lhs=a, rhs=b):
-            return _wrap(f"{_pt(a, _PREC_IMPL + 1)} => {_pt(b, _PREC_IMPL)}", _PREC_IMPL, at)
+            return _infix(a, "=>", b, at)
         case Eq(lhs=l, rhs=r):
-            return _wrap(f"{_pt(l, _PREC_CMP + 1)} = {_pt(r, _PREC_CMP + 1)}", _PREC_CMP, at)
+            return _infix(l, "=", r, at)
         case App():
             head, args = spine(t)
-            parts = [_pt(head, _PREC_APP + 1)] + [_pt(a, _PREC_APP + 1) for a in args]
-            return _wrap(" ".join(parts), _PREC_APP, at)
-        case Lambda(bound=x, annot=a, body=b):
-            return _wrap(f"^ {x} : {print_type(a)} . {_pt(b, 0)}", 0, at)
-        case Forall(bound=x, annot=a, body=b):
-            return _wrap(f"! {x} : {print_type(a)} . {_pt(b, 0)}", 0, at)
-        case Choice(bound=x, annot=a, body=b):
-            return _wrap(f"eps {x} : {print_type(a)} . {_pt(b, 0)}", 0, at)
+            parts = [_pt(head, _APP + 1)] + [_pt(a, _APP + 1) for a in args]
+            return _wrap(" ".join(parts), _APP, at)
+        case Lambda() | Forall() | Choice():
+            binder = {Lambda: "^", Forall: "!", Choice: "eps"}[type(t)]
+            return _wrap(f"{binder} {t.bound} : {print_type(t.annot)} . {_pt(t.body, 0)}", 0, at)
         case _:
             raise TypeError(f"not a term: {t!r}")
 
@@ -676,7 +681,7 @@ def print_type(A: Type) -> str:
         case Base(name=n, args=args):
             if not args:
                 return n
-            return " ".join([n] + [_pt(a, _PREC_APP + 1) for a in args])
+            return " ".join([n] + [_pt(a, _APP + 1) for a in args])
         case Pi(bound=x, domain=d, codomain=c):
             dom = print_type(d)
             if isinstance(d, Pi):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -383,6 +384,16 @@ def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
     out = ["-o", str(tmp_path / "out")] if command in ("prove", "emit", "erase") else []
     assert main([command, str(deep), *out]) in (0, 1)
     assert "too deeply" not in capsys.readouterr().err
+
+
+def test_check_takes_a_conjecture_in_10000_parentheses(tmp_path, capsys):
+    # parentheses make no node, so only the parser sees how deep they nest
+    deep = tmp_path / "deep.dhol"
+    deep.write_text("const q : $o\nconjecture : " + "(" * 10_000 + "q" + ")" * 10_000 + "\n")
+    start = time.perf_counter()
+    assert main(["check", str(deep)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
 
 
 DEEP_SHAPES = {

@@ -326,7 +326,10 @@ CORNER_CASES = {
     "binder body ends at a second =": ("~ ! x : a . b = c = d", "~((Forall(x. (b = c)) = d))"),
     "second = at top level": ("a = b = c", "error 1:7: trailing input '='"),
     "second = in parentheses": ("(a = b = c)", "error 1:8: expected ')', found '='"),
-    "second = after a binder right of =": ("a = ! x : t . b = c = d", "error 1:21: trailing input '='"),
+    "second = after a binder right of =": (
+        "a = ! x : t . b = c = d",
+        "error 1:21: trailing input '='",
+    ),
     "nested binders take one = each": (
         "! x : a . ! y : a . b = c = d = e",
         "(Forall(x. (Forall(y. (b = c)) = d)) = e)",
@@ -334,9 +337,15 @@ CORNER_CASES = {
     # a binder may start any operand but is never an application argument
     "binder after &": ("a & ! x : t . b => c", "~((a => ~(Forall(x. (b => c)))))"),
     "binder as an argument": ("f ! x : t . b", "error 1:3: trailing input '!'"),
-    "binder as an argument in parentheses": ("(f ^ x : t . b)", "error 1:4: expected ')', found '^'"),
+    "binder as an argument in parentheses": (
+        "(f ^ x : t . b)",
+        "error 1:4: expected ')', found '^'",
+    ),
     "parenthesised binder as an argument": ("f (^ x : t . b) c", "((f Lambda(x. b)) c)"),
-    "operators bind tighter to the right": ("a => b | c & ~ d = e", "(a => (~(b) => ~((c => ~(~((d = e)))))))"),
+    "operators bind tighter to the right": (
+        "a => b | c & ~ d = e",
+        "(a => (~(b) => ~((c => ~(~((d = e)))))))",
+    ),
     "missing operand": ("a & => b", "error 1:5: expected a term, found '=>'"),
     "unclosed parenthesis": ("f (a", "error 1:5: expected ')', found ''"),
     "type after a binder": ("! x : $o", "error 1:9: expected '.', found ''"),
@@ -368,3 +377,44 @@ def test_node_positions():
     assert parse_term("? x : t . b").pos is None
     assert parse_term("eps x : t . b").pos == Pos(1, 1)
     assert parse_term("(^ x : t . b)").pos == Pos(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Nesting costs the term loop no Python frames, so no depth is refused.
+
+DEEP = 10_000
+
+
+NESTED = {
+    "parentheses": lambda n: "(" * n + "q" + ")" * n,
+    "binders": lambda n: "! x : a . " * n + "q",
+    "arguments": lambda n: "f (" * n + "q" + ")" * n,
+    "conjunctions": lambda n: " & ".join(["q"] * n),
+    "negations": lambda n: "~ " * n + "q",
+}
+
+
+def _descend(shape: str, t, n: int):
+    """Walks n levels of the shape down t, without recursion, and returns
+    what lies below them."""
+    for _ in range(n if shape != "conjunctions" else n - 1):
+        if shape == "binders":
+            assert type(t) is Forall and t.annot == Base("a")
+            t = t.body
+        elif shape == "arguments":
+            assert type(t) is App and t.fun == Var("f")
+            t = t.arg
+        elif shape == "conjunctions":
+            # q & rest is ~ (q => ~ rest)
+            assert t.rhs == FALSE and t.lhs.lhs == Var("q") and t.lhs.rhs.rhs == FALSE
+            t = t.lhs.rhs.lhs
+        elif shape == "negations":
+            assert type(t) is Implies and t.rhs == FALSE
+            t = t.lhs
+    return t
+
+
+@pytest.mark.parametrize("shape", NESTED)
+def test_parse_term_takes_deep_nesting(shape):
+    t = parse_term(NESTED[shape](DEEP))
+    assert _descend(shape, t, DEEP) == Var("q")
