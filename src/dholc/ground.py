@@ -2,18 +2,19 @@
 obligations.
 
 The obligation's axioms, assumptions and negated conjecture are abstracted to
-propositional formulas over alpha-normalized atoms.  Three families of valid
-clauses connect the atoms:
+propositional formulas over alpha-normalized atoms.  An equation is one
+atom whichever way round its sides are written, and an equation whose sides
+are alpha-equal is abstracted to truth; equality gets no other reasoning (no
+congruence).  Two families of valid clauses connect the atoms:
 
 * universal atoms are instantiated with a fixed universe consisting of the
   obligation's context variables plus base-typed theory constants — never
   compound terms and never function constants, which keeps the prover weak
   enough to leave genuinely search-hard obligations open;
 * every choice subterm contributes the HOL choice rule as a clause
-  (if a witness exists, the chosen element is one);
-* equality atoms get reflexivity (alpha-equal sides) and symmetry links.
+  (if a witness exists, the chosen element is one).
 
-The first two families are added in one forward pass over the atom list:
+Both families are added in one forward pass over the atom list:
 atoms that the new formulas register are appended and visited in turn, so
 every atom is instantiated and scanned for choice subterms exactly once.
 The clauses are Tseitin-encoded and handed to a small DPLL search, whose
@@ -111,11 +112,17 @@ PF_FALSE = ("false",)
 
 @dataclass
 class _Atoms:
-    by_key: dict[str, int]
+    by_key: dict[object, int]
     terms: list[Term]
 
     def register(self, t: Term) -> int:
-        key = alpha_key(t)
+        """The index of t's atom.  An equation is keyed by its type and its
+        sides as an unordered pair, so l = r and r = l are one atom."""
+        if type(t) is Eq:
+            ty = None if t.ty is None else alpha_key(t.ty)
+            key = (ty, *sorted((alpha_key(t.lhs), alpha_key(t.rhs))))
+        else:
+            key = alpha_key(t)
         if key in self.by_key:
             return self.by_key[key]
         idx = len(self.terms)
@@ -130,6 +137,8 @@ def _abstract(t: Term, atoms: _Atoms):
         return ("impl", _abstract(t.lhs, atoms), _abstract(t.rhs, atoms))
     if cls is Falsum:
         return PF_FALSE
+    if cls is Eq and alpha_eq(t.lhs, t.rhs):
+        return ("impl", PF_FALSE, PF_FALSE)
     return ("atom", atoms.register(t))
 
 
@@ -203,14 +212,15 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             break
         if isinstance(a_term, Forall):
             for name, ty in universe:
-                if not alpha_eq(ty, a_term.annot):
-                    continue
-                # Already normal: see the module docstring.
-                inst = subst(a_term.body, a_term.bound, Var(name))
-                formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
                 if len(formulas) >= MAX_FORMULAS:
                     break
+                if alpha_eq(ty, a_term.annot):
+                    # Already normal: see the module docstring.
+                    inst = subst(a_term.body, a_term.bound, Var(name))
+                    formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
         for sub in _choices(a_term):
+            if len(formulas) >= MAX_FORMULAS:
+                break
             key = alpha_key(sub)
             if key in done_choice:
                 continue
@@ -219,21 +229,6 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             conclusion = subst(sub.body, sub.bound, sub)
             schema = Implies(witness, conclusion)
             formulas.append(_abstract(normal_form(schema), atoms))
-            if len(formulas) >= MAX_FORMULAS:
-                break
-
-    # Equality atoms: reflexivity and symmetry only (no congruence).
-    eq_keys = {key: idx for key, idx in atoms.by_key.items() if isinstance(atoms.terms[idx], Eq)}
-    for idx, t in enumerate(atoms.terms):
-        if isinstance(t, Eq):
-            if alpha_eq(t.lhs, t.rhs):
-                formulas.append(("atom", idx))
-            flipped = alpha_key(Eq(t.ty, t.rhs, t.lhs))
-            other = eq_keys.get(flipped)
-            if other is not None and other != idx:
-                formulas.append(("impl", ("atom", idx), ("atom", other)))
-    # The formulas before this pass are within the cap; so are its own.
-    del formulas[MAX_FORMULAS:]
 
     return _unsat(formulas, len(atoms.terms))
 

@@ -28,6 +28,7 @@ from dholc.syntax import (
     Falsum,
     Forall,
     Implies,
+    Lambda,
     Pi,
     Theory,
     Var,
@@ -131,6 +132,47 @@ def test_equality_reflexivity_and_symmetry():
         ConstDecl("p", P), AxiomDecl("pc", App(Var("p"), Var("c")))
     )
     assert not prove_ground(cong_thy, Context(), App(Var("p"), Var("d")))
+
+
+def test_an_equation_is_one_atom_either_way_round():
+    atoms = ground._Atoms({}, [])
+    c, d = Var("c"), Var("d")
+    assert atoms.register(Eq(A, c, d)) == atoms.register(Eq(A, d, c)) == 0
+    # a reflexive equation is truth, with no atom of its own
+    assert ground._abstract(Eq(A, c, c), atoms) == ("impl", ground.PF_FALSE, ground.PF_FALSE)
+    assert atoms.terms == [Eq(A, c, d)]
+
+
+def _flip_equations(t):
+    """t with the two sides of every equation swapped, in types too."""
+    match t:
+        case Eq(ty=ty, lhs=l, rhs=r):
+            return Eq(_flip_equations(ty), _flip_equations(r), _flip_equations(l))
+        case App(fun=f, arg=a):
+            return App(_flip_equations(f), _flip_equations(a))
+        case Implies(lhs=l, rhs=r):
+            return Implies(_flip_equations(l), _flip_equations(r))
+        case Lambda() | Forall() | Choice():
+            return type(t)(t.bound, _flip_equations(t.annot), _flip_equations(t.body))
+        case Pi(bound=x, domain=a, codomain=b):
+            return Pi(x, _flip_equations(a), _flip_equations(b))
+        case Base(name=n, args=args):
+            return Base(n, tuple(map(_flip_equations, args)))
+        case _:
+            return t
+
+
+def test_answers_do_not_depend_on_the_orientation_of_equations():
+    flipped = proved = 0
+    for thy, ctx, goal in _genterm_obligations(60):
+        flip_ctx = Context(
+            tuple(AxiomDecl(d.label, _flip_equations(d.term)) if isinstance(d, AxiomDecl) else d for d in ctx)
+        )
+        answer = prove_ground(thy, ctx, goal)
+        assert prove_ground(thy, flip_ctx, _flip_equations(goal)) == answer, goal
+        flipped += flip_ctx != ctx or _flip_equations(goal) != goal
+        proved += answer
+    assert flipped > 30 and proved > 5, (flipped, proved)
 
 
 def test_soundness_spot_check():
@@ -319,8 +361,8 @@ def test_negated_conjecture_survives_the_formula_cap():
 
 
 def test_equality_pass_respects_the_formula_cap(monkeypatch):
-    # every axiom is a reflexive equation, so each capped assumption's atom
-    # asks the equality pass for one more formula
+    # every axiom is a reflexive equation, which abstracts to truth: the
+    # capped assumptions and the negated conjecture fill the cap exactly
     seen = []
     real = ground._unsat
     monkeypatch.setattr(ground, "_unsat", lambda fs, n: seen.append(len(fs)) or real(fs, n))
