@@ -450,32 +450,32 @@ class _Source:
     def _require(self, t: Term, benv: dict, fail: tuple[str, ...], escapes: bool, what: str):
         """Statements that run ``fail`` where the boolean term is false.  With
         ``escapes``, fail leaves the function; otherwise it leaves the loop
-        being generated, so no loop may open between here and there."""
-        cls = type(t)
-        if cls is Implies:
-            l, r = t.lhs, t.rhs
-            if type(r) is Falsum:
-                return self._fail_if(self._test(l, benv, "implication"), fail)
-            if not self._nests_too_deep(t):
-                self._emit(f"if {self._test(l, benv, 'implication')}:")
+        being generated, so no loop may open between here and there.  A
+        chain of implications, and of quantifiers with ``escapes``, is walked
+        in one loop; its ``if``s and loops all close after the leaf."""
+        indent, loops = self.indent, self.loops
+        while True:
+            cls = type(t)
+            if cls is Implies and type(t.rhs) is not Falsum and not self._nests_too_deep(t):
+                self._emit(f"if {self._test(t.lhs, benv, 'implication')}:")
                 self.indent += 1
-                self._require(r, benv, fail, escapes, "implication")
-                self.indent -= 1
-                return
-        elif cls is Forall:
-            if escapes and not self._nests_too_deep(t):
-                inner = self._loop(t.bound, t.annot, benv)
-                self._require(t.body, inner, fail, escapes, "quantifier body")
-                self._end_loop()
-                return
+                t, what = t.rhs, "implication"
+            elif cls is Forall and escapes and not self._nests_too_deep(t):
+                benv = self._loop(t.bound, t.annot, benv)
+                t, what = t.body, "quantifier body"
+            else:
+                break
+        if cls is Implies and type(t.rhs) is Falsum:
+            self._fail_if(self._test(t.lhs, benv, "implication"), fail)
         elif cls is Eq:
             a, _ = self._value(t.lhs, benv)
-            return self._fail_if(f"{a} != {self._value(t.rhs, benv)[0]}", fail)
+            self._fail_if(f"{a} != {self._value(t.rhs, benv)[0]}", fail)
         elif cls is Falsum:
             for line in fail:
                 self._emit(line)
-            return
-        self._fail_if(f"not {_boolean(*self._value(t, benv), what)}", fail)
+        else:
+            self._fail_if(f"not {_boolean(*self._value(t, benv), what)}", fail)
+        self.indent, self.loops = indent, loops
 
     def _fail_if(self, test: str, fail: tuple[str, ...]) -> None:
         self._emit(f"if {test}:")

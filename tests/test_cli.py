@@ -431,6 +431,27 @@ def test_oracle_and_prove_are_no_tighter_than_the_kernel(tmp_path, capsys, shape
     assert processes("prove", lo)
 
 
+@pytest.mark.parametrize("command", ["oracle", "prove"])
+def test_oracle_and_prove_take_480_nested_binders(tmp_path, command):
+    # the erasure puts an implication under each binder, and the oracle's code
+    # generator walks such a chain in one loop, not one frame per link.  A
+    # process of its own, as a user runs dholc, so the test runner's frames
+    # take no depth from the input.
+    deep = tmp_path / "deep.dhol"
+    binders = "".join(f"! x{i} : a . " for i in range(480))
+    deep.write_text(f"type a : tp\nconst q : $o\nconjecture : {binders}q\n")
+    out = ["-o", str(tmp_path / "out")] if command == "prove" else []
+    env = dict(os.environ, PYTHONPATH=str(Path(dholc.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "dholc.cli", command, str(deep), *out],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode in (0, 1) and "too deeply" not in proc.stderr, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # input is read as UTF-8, and outputs that cannot be written are errors
 
