@@ -21,6 +21,7 @@ argument in parentheses starts the term loop afresh.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,15 +71,17 @@ class _Tok:
     pos: Pos
 
 
-# Every character matches one group: bad matches the one that starts no token.
+# Each match is the blanks and comments before a token, then the token: one
+# group, bad for a character that starts no token, end at the end of the text.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
-      | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<number>[0-9]+)
-      | (?P<dollar>\$[A-Za-z]+)
-      | (?P<sym>=>|!=|[().:>=~&|!?^])
-      | (?P<bad>.)
+    r"""\s*(?:%[^\n]*\s*)*
+      (?: (?P<name>[A-Za-z_][A-Za-z0-9_]*)
+        | (?P<number>[0-9]+)
+        | (?P<dollar>\$[A-Za-z]+)
+        | (?P<sym>=>|!=|[().:>=~&|!?^])
+        | (?P<end>\Z)
+        | (?P<bad>.)
+      )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -87,22 +90,14 @@ _TOKEN_RE = re.compile(
 def _lex(text: str) -> list[_Tok]:
     toks: list[_Tok] = []
     append = toks.append
-    # the current line's number and the offset of its first character; a
-    # position is made only for a token that is kept
-    line, start = 1, 0
+    # the offset of each line's first character, for the positions of tokens
+    starts = [0] + [m.end() for m in re.finditer("\n", text)]
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
-        if group == "ws":
-            lexeme = m.group()
-            nl = lexeme.count("\n")
-            if nl:
-                line += nl
-                start = m.start() + lexeme.rfind("\n") + 1
-            continue
-        if group == "comment":
-            continue
-        lexeme = m.group()
-        pos = Pos(line, m.start() - start + 1)
+        lexeme = m.group(group)
+        offset = m.start(group)
+        line = bisect_right(starts, offset)
+        pos = Pos(line, offset - starts[line - 1] + 1)
         if group == "name":
             append(_Tok("KEYWORD" if lexeme in KEYWORDS else "NAME", lexeme, pos))
         elif group == "sym":
@@ -113,9 +108,11 @@ def _lex(text: str) -> list[_Tok]:
             if lexeme not in ("$false", "$true", "$o"):
                 raise ParseError(f"unknown builtin {lexeme}", pos)
             append(_Tok("DOLLAR", lexeme, pos))
+        elif group == "end":
+            break
         else:
             raise ParseError(f"unexpected character {lexeme!r}", pos)
-    append(_Tok("EOF", "", Pos(line, len(text) - start + 1)))
+    append(_Tok("EOF", "", pos))
     return toks
 
 
