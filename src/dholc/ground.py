@@ -20,6 +20,16 @@ every atom is instantiated and scanned for choice subterms exactly once.
 The clauses are Tseitin-encoded and handed to a small DPLL search, whose
 unit propagation watches two literals per clause (Eén & Sörensson, SAT 2003).
 
+An atom is held as ``(node, bindings)``: a subterm of a normal input
+formula or choice schema, and the constants its instantiated universal
+variables stand for.  Instantiating ``! x . body`` at c registers the atoms
+of the body under ``{**bindings, x: c}``; no instance term is built.  An
+atom's key is its node's key template (``syntax.key_template``, computed
+once per node) with its holes filled from the bindings, and an equation's
+reflexivity and the universe's type match compare such filled keys.  Only
+an atom whose template holds a choice is built, with ``subst_many``, to be
+scanned for its choice subterms.
+
 Everything asserted is HOL_ε-valid, so an UNSAT answer is a real proof.
 Classical double negations are collapsed at formula positions so that
 differently sugared statements of the same fact meet in the same atom.
@@ -28,11 +38,11 @@ Input formulas and choice schemas are beta- and double-negation-normalised
 before abstraction, once per node: ``normal_form`` keeps the result in the
 node's memo slot, so an erased axiom that the kernel shares between
 obligations is normalised once, for the local stage and every ground run
-alike.  Instances are not normalised again.  Every atom is a
-subterm of a normal formula, and substituting a constant for a bound
-variable creates neither a beta-redex (the constant is no lambda) nor a
-double negation (the connective spine is unchanged), so an instance of a
-normal body is normal already.
+alike.  Instances are not normalised again.  An atom's node is a
+subterm of a normal formula, and substituting constants for the variables
+that the quantifiers above it bind creates neither a beta-redex (a constant is no lambda) nor a
+double negation (the connective spine is unchanged), so the instance of a
+node under its bindings is normal already.
 """
 
 from __future__ import annotations
@@ -59,11 +69,12 @@ from .syntax import (
     Theory,
     Type,
     Var,
-    alpha_eq,
     alpha_key,
     exists,
+    key_template,
     neg,
     subst,
+    subst_many,
 )
 
 MAX_FORMULAS = 600
@@ -108,48 +119,63 @@ def normal_form(t: Term) -> Term:
 
 
 PF_FALSE = ("false",)
+PF_TRUE = ("impl", PF_FALSE, PF_FALSE)
+
+
+def _key(t: Term | Type, bindings: dict[str, str]) -> str:
+    """The alpha key of t with each free name in bindings replaced by the
+    constant it is bound to: the key of the instance, without building it."""
+    text, names, _ = key_template(t)
+    return text.format(*map(bindings.get, names, names)) if names else text
 
 
 @dataclass
 class _Atoms:
     by_key: dict[object, int]
-    terms: list[Term]
+    # (node, bindings) per atom, in order of registration
+    terms: list[tuple[Term, dict[str, str]]]
 
-    def register(self, t: Term) -> int:
-        """The index of t's atom.  An equation is keyed by its type and its
-        sides as an unordered pair, so l = r and r = l are one atom."""
-        if type(t) is Eq:
-            ty = None if t.ty is None else alpha_key(t.ty)
-            key = (ty, *sorted((alpha_key(t.lhs), alpha_key(t.rhs))))
-        else:
-            key = alpha_key(t)
-        if key in self.by_key:
-            return self.by_key[key]
-        idx = len(self.terms)
-        self.by_key[key] = idx
-        self.terms.append(t)
+    def register(self, key, t: Term, bindings: dict[str, str]) -> int:
+        """The index of the atom with this key, registered as t under
+        bindings if it is new."""
+        idx = self.by_key.get(key)
+        if idx is None:
+            idx = self.by_key[key] = len(self.terms)
+            self.terms.append((t, bindings))
         return idx
 
 
-def _abstract(t: Term, atoms: _Atoms):
+def _abstract(t: Term, bindings: dict[str, str], atoms: _Atoms):
+    """The propositional formula of the instance of t under bindings.  An
+    equation is keyed by its type and its sides as an unordered pair, so
+    l = r and r = l are one atom, and one whose sides are alpha-equal is
+    truth."""
     cls = type(t)
     if cls is Implies:
-        return ("impl", _abstract(t.lhs, atoms), _abstract(t.rhs, atoms))
+        return ("impl", _abstract(t.lhs, bindings, atoms), _abstract(t.rhs, bindings, atoms))
     if cls is Falsum:
         return PF_FALSE
-    if cls is Eq and alpha_eq(t.lhs, t.rhs):
-        return ("impl", PF_FALSE, PF_FALSE)
-    return ("atom", atoms.register(t))
+    if cls is Eq:
+        lhs, rhs = _key(t.lhs, bindings), _key(t.rhs, bindings)
+        if lhs == rhs:
+            return PF_TRUE
+        ty = None if t.ty is None else _key(t.ty, bindings)
+        key = (ty, lhs, rhs) if lhs < rhs else (ty, rhs, lhs)
+    else:
+        key = _key(t, bindings)
+    return ("atom", atoms.register(key, t, bindings))
 
 
-def _universe(thy: Theory, ctx: Context) -> list[tuple[str, Type]]:
-    out: list[tuple[str, Type]] = []
+def _universe(thy: Theory, ctx: Context) -> list[tuple[str, str]]:
+    """(name, alpha key of its type) of each constant a universal atom is
+    instantiated with."""
+    out: list[tuple[str, str]] = []
     for d in thy:
         if isinstance(d, ConstDecl) and isinstance(d.ty, (Base, Bool)):
-            out.append((d.name, d.ty))
+            out.append((d.name, alpha_key(d.ty)))
     for d in ctx:
         if isinstance(d, ConstDecl):
-            out.append((d.name, d.ty))
+            out.append((d.name, alpha_key(d.ty)))
     return out
 
 
@@ -197,7 +223,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
     atoms = _Atoms({}, [])
     # The negated conjecture always goes in: the assumptions leave room for it.
     formulas = [
-        _abstract(normal_form(t), atoms)
+        _abstract(normal_form(t), {}, atoms)
         for t in assumptions[: MAX_FORMULAS - 1] + [neg(conjecture)]
     ]
 
@@ -207,18 +233,22 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
     # reaches them in turn.  The universe never grows, so this terminates
     # quickly; caps guard the pathological cases.
     done_choice: set[str] = set()
-    for idx, a_term in enumerate(atoms.terms):
+    for idx, (node, bindings) in enumerate(atoms.terms):
         if len(formulas) >= MAX_FORMULAS or len(atoms.terms) >= MAX_ATOMS:
             break
-        if isinstance(a_term, Forall):
-            for name, ty in universe:
+        if type(node) is Forall:
+            annot = _key(node.annot, bindings)
+            for name, ty_key in universe:
                 if len(formulas) >= MAX_FORMULAS:
                     break
-                if alpha_eq(ty, a_term.annot):
-                    # Already normal: see the module docstring.
-                    inst = subst(a_term.body, a_term.bound, Var(name))
-                    formulas.append(("impl", ("atom", idx), _abstract(inst, atoms)))
-        for sub in _choices(a_term):
+                if ty_key == annot:
+                    body = _abstract(node.body, {**bindings, node.bound: name}, atoms)
+                    formulas.append(("impl", ("atom", idx), body))
+        if not key_template(node)[2]:
+            continue
+        # Already normal: see the module docstring.
+        inst = subst_many(node, {x: Var(c) for x, c in bindings.items()})
+        for sub in _choices(inst):
             if len(formulas) >= MAX_FORMULAS:
                 break
             key = alpha_key(sub)
@@ -228,7 +258,7 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
             witness = exists(sub.bound, sub.annot, sub.body)
             conclusion = subst(sub.body, sub.bound, sub)
             schema = Implies(witness, conclusion)
-            formulas.append(_abstract(normal_form(schema), atoms))
+            formulas.append(_abstract(normal_form(schema), {}, atoms))
 
     return _unsat(formulas, len(atoms.terms))
 

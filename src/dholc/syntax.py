@@ -21,6 +21,9 @@ fields: they take no part in equality, hashing or repr, and are neither
 copied nor pickled.
 - ``_nf``, on every term node: ``ground.normal_form`` keeps the node's normal
   form there.
+- ``_key``, on every term and type node: ``key_template`` keeps the node's
+  alpha key there, with its free names as holes, so that ``alpha_key`` and
+  the ground prover's instance keys walk a node once.
 - ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
   the declaration's rendered THF body there, with the names it was rendered
   under, so that obligations sharing the declaration render it once.
@@ -48,14 +51,16 @@ class Pos:
 class Term:
     """Base class of the term union."""
 
-    # unset until ground.normal_form fills it; None means "normal already"
-    __slots__ = ("_nf",)
+    # _nf is unset until ground.normal_form fills it; None means "normal
+    # already".  _key is unset until key_template fills it.
+    __slots__ = ("_nf", "_key")
 
 
 class Type:
     """Base class of the type union."""
 
-    __slots__ = ()
+    # unset until key_template fills it
+    __slots__ = ("_key",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -461,41 +466,65 @@ def _alpha(t, u, lm: dict, rm: dict, depth: int) -> bool:
 def alpha_key(t: Term | Type) -> str:
     """Canonical string key: equal iff alpha-equivalent.  Bound variables are
     numbered in traversal order, so the key is stable across renamings."""
-    parts: list[str] = []
-    _alpha_key(t, {}, 0, parts)
-    return "".join(parts)
+    text, names, _ = key_template(t)
+    return text.format(*names) if names else text
 
 
-_BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E(", Pi: "P("}
+def key_template(t, env=None, depth=0, parts=None, holes=None):
+    """(text, names, holds_choice), computed once per node and kept in its
+    memo slot.  ``text.format(*names)`` is t's alpha key: each free name is
+    a hole, ``names`` lists them in order of first occurrence, and the rest
+    of the text is escaped for ``str.format``.  Filling the holes with other
+    names instead gives the key of t with those free names renamed, which is
+    the key of t with constants substituted for its free variables.
+    ``holds_choice`` is whether a ``Choice`` occurs in t, in a type
+    annotation included.  A closed t's text is its key, unescaped.  dholc
+    calls it from one thread only; threads that share a node may both
+    compute it, and they store equal tuples.
 
-
-def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
-    # env maps each bound name in scope to its binder's depth.  A binder
-    # shadows an outer one of the same name in place and restores it after
-    # its body, so the walk copies no dict.
+    Called with t alone.  The walk calls it again for each subterm, with
+    the walk's state: env maps each bound name in scope to its binder's
+    depth, parts collects the text and holes maps each free name to its
+    hole.  The call for t itself walks t, so that a key costs one Python
+    frame per level of nesting."""
+    top = parts is None
+    if top:
+        try:
+            return t._key
+        except AttributeError:
+            pass
+        env, parts, holes = {}, [], {}
+    # A binder shadows an outer one of the same name in env in place and
+    # restores it after its body, so the walk copies no dict.
     cls = type(t)
     if cls is Var:
         n = t.name
-        parts.append(f"b{env[n]};" if n in env else f"v{n};")
+        if n in env:
+            parts.append(f"b{env[n]};")
+        else:
+            hole = holes.get(n)
+            if hole is None:
+                hole = holes[n] = f"v{{{len(holes)}}};"
+            parts.append(hole)
     elif cls is App:
         parts.append("@(")
-        _alpha_key(t.fun, env, depth, parts)
-        _alpha_key(t.arg, env, depth, parts)
+        key_template(t.fun, env, depth, parts, holes)
+        key_template(t.arg, env, depth, parts, holes)
         parts.append(")")
     elif cls is Implies:
         parts.append("I(")
-        _alpha_key(t.lhs, env, depth, parts)
-        _alpha_key(t.rhs, env, depth, parts)
+        key_template(t.lhs, env, depth, parts, holes)
+        key_template(t.rhs, env, depth, parts, holes)
         parts.append(")")
     elif cls in _BINDER_TAGS:
         parts.append(_BINDER_TAGS[cls])
         # a Pi's domain and codomain stand where a binder's annot and body do
         annot, body = (t.domain, t.codomain) if cls is Pi else (t.annot, t.body)
-        _alpha_key(annot, env, depth, parts)
+        key_template(annot, env, depth, parts, holes)
         x = t.bound
         outer = env.get(x, -1)
         env[x] = depth
-        _alpha_key(body, env, depth + 1, parts)
+        key_template(body, env, depth + 1, parts, holes)
         if outer < 0:
             del env[x]
         else:
@@ -506,21 +535,34 @@ def _alpha_key(t, env: dict[str, int], depth: int, parts: list[str]) -> None:
     elif cls is Eq:
         parts.append("=(")
         if t.ty is not None:
-            _alpha_key(t.ty, env, depth, parts)
+            key_template(t.ty, env, depth, parts, holes)
         else:
             parts.append("?;")
-        _alpha_key(t.lhs, env, depth, parts)
-        _alpha_key(t.rhs, env, depth, parts)
+        key_template(t.lhs, env, depth, parts, holes)
+        key_template(t.rhs, env, depth, parts, holes)
         parts.append(")")
     elif cls is Bool:
         parts.append("o;")
     elif cls is Base:
-        parts.append(f"B{t.name}(")
+        n = t.name
+        if "{" in n or "}" in n:
+            n = n.replace("{", "{{").replace("}", "}}")
+        parts.append(f"B{n}(")
         for a in t.args:
-            _alpha_key(a, env, depth, parts)
+            key_template(a, env, depth, parts, holes)
         parts.append(")")
     else:
         raise TypeError(f"not a term or type: {t!r}")
+    if top:
+        text = "".join(parts)
+        if not holes and ("{" in text or "}" in text):
+            text = text.format()
+        memo = (text, tuple(holes), "E(" in parts)
+        object.__setattr__(t, "_key", memo)
+        return memo
+
+
+_BINDER_TAGS = {Lambda: "L(", Forall: "A(", Choice: "E(", Pi: "P("}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -33,10 +34,13 @@ from dholc.syntax import (
     Theory,
     Var,
     alpha_eq,
+    alpha_key,
     apply,
     conj,
     exists,
+    key_template,
     neg,
+    subst_many,
     subterms,
     top,
 )
@@ -137,10 +141,10 @@ def test_equality_reflexivity_and_symmetry():
 def test_an_equation_is_one_atom_either_way_round():
     atoms = ground._Atoms({}, [])
     c, d = Var("c"), Var("d")
-    assert atoms.register(Eq(A, c, d)) == atoms.register(Eq(A, d, c)) == 0
+    assert ground._abstract(Eq(A, c, d), {}, atoms) == ground._abstract(Eq(A, d, c), {}, atoms) == ("atom", 0)
     # a reflexive equation is truth, with no atom of its own
-    assert ground._abstract(Eq(A, c, c), atoms) == ("impl", ground.PF_FALSE, ground.PF_FALSE)
-    assert atoms.terms == [Eq(A, c, d)]
+    assert ground._abstract(Eq(A, c, c), {}, atoms) == ("impl", ground.PF_FALSE, ground.PF_FALSE)
+    assert atoms.terms == [(Eq(A, c, d), {})]
 
 
 def _flip_equations(t):
@@ -436,36 +440,143 @@ def _genterm_obligations(n):
         yield THEORY, Context(tuple(ctx)), gen.boolean(env, 3)
 
 
-def test_saturation_builds_normal_instances_and_walks_every_choice(monkeypatch):
-    # instances are not normalised again: substituting a constant for a
-    # bound variable of a normal atom leaves it normal.  _choices finds the
-    # choice subterms that syntax.subterms would, the same nodes in order.
-    counts = {"instances": 0, "walks": 0, "choices": 0}
-    real_subst, real_choices = ground.subst, ground._choices
+def _instance(node, bindings):
+    return subst_many(node, {x: Var(c) for x, c in bindings.items()})
 
-    def subst(t, x, u):
-        out = real_subst(t, x, u)
-        if isinstance(u, Var):  # an instance; the choice rule substitutes an ε
-            assert _is_normal(out), out
-            counts["instances"] += 1
-        return out
+
+def _saturations(monkeypatch, runs):
+    """Run prove_ground on each (theory, context, goal) of runs and yield
+    the atoms of each, as (node, bindings) pairs.  No run here reaches a
+    cap, so saturation visits every atom it registers."""
+    made, formulas = [], []
+    real_atoms, real_unsat = ground._Atoms, ground._unsat
+    monkeypatch.setattr(ground, "_Atoms", lambda *a: made.append(real_atoms(*a)) or made[-1])
+    monkeypatch.setattr(ground, "_unsat", lambda fs, n: formulas.append(len(fs)) or real_unsat(fs, n))
+    for thy, ctx, goal in runs:
+        prove_ground(thy, ctx, goal)
+        atoms = made.pop().terms
+        assert formulas.pop() < ground.MAX_FORMULAS and len(atoms) < ground.MAX_ATOMS
+        yield atoms
+
+
+def _ground_runs():
+    runs = [(ob.hol_theory, ob.hol_context, ob.conjecture) for _, _, ob in _corpus_obligations()]
+    return runs + list(_genterm_obligations(60))
+
+
+def test_instance_keys_are_the_keys_of_the_instances(monkeypatch):
+    # an atom's key, filled in from its node's template, is the alpha key of
+    # the instance built by substitution, walked afresh (a pickled copy
+    # carries no memo)
+    atoms = bound = 0
+    for run in _saturations(monkeypatch, _ground_runs()):
+        for node, bindings in run:
+            parts = [node.lhs, node.rhs, node.ty] if type(node) is Eq else [node]
+            parts += [node.annot] if type(node) is Forall else []
+            for t in filter(None, parts):
+                fresh = pickle.loads(pickle.dumps(_instance(t, bindings)))
+                assert ground._key(t, bindings) == alpha_key(fresh), (t, bindings)
+            atoms += 1
+            bound += bool(bindings)
+    assert atoms > 5000 and bound > 2000, (atoms, bound)
+
+
+def test_instance_keys_in_corner_cases():
+    c, d, x = Var("c"), Var("d"), Var("x")
+    p, r = Var("p"), Var("r")
+
+    def key(t, **bindings):
+        assert ground._key(t, bindings) == alpha_key(_instance(t, bindings)), t
+        return ground._key(t, bindings)
+
+    # an inner binder named like the constant: substitution renames it
+    inner = App(p, Lambda("c", A, apply(r, x, c)))
+    assert key(inner, x="c") == "@(vp;L(Ba()@(@(vr;vc;)b0;)))"
+    assert key(inner, x="c") != key(inner, x="d")
+    # the inner binder shadows the instantiated name
+    shadow = Forall("x", A, App(p, x))
+    assert key(shadow, x="c") == key(shadow) == "A(Ba()@(vp;b0;))"
+    assert key(shadow.body, x="d") == "@(vp;vd;)"
+    # reflexive only after instantiation: truth, with no atom
+    atoms = ground._Atoms({}, [])
+    for eq in (Eq(A, x, x), Eq(A, x, c), Eq(A, c, x)):
+        assert ground._abstract(eq, {"x": "c"}, atoms) == ground.PF_TRUE
+    assert ground._abstract(Eq(A, x, c), {"x": "d"}, atoms) == ("atom", 0)
+    assert ground._abstract(Eq(A, c, x), {"x": "d"}, atoms) == ("atom", 0)
+    assert ground._abstract(Eq(A, d, c), {}, atoms) == ("atom", 0)
+    assert atoms.terms == [(Eq(A, x, c), {"x": "d"})]
+    # names with format syntax in them, in types and as constants
+    for n in ("{0}", "}", "{", "%s", "%", "{}{{}}"):
+        odd = Forall("y", Base(n, (x,)), apply(Var(n), x, Var("y")))
+        assert key(odd, x=n) == f"A(B{n}(v{n};)@(@(v{n};v{n};)b0;))"
+        assert key(odd.body, x="c", y=n) == f"@(@(v{n};vc;)v{n};)"
+
+
+def test_saturation_builds_instances_only_for_choices(monkeypatch):
+    # Only an atom whose instance holds a choice is built, by substituting
+    # its bindings into its node.  Instances are not normalised again:
+    # substituting constants for bound variables of a normal atom leaves it
+    # normal.  _choices finds the choice subterms that syntax.subterms would,
+    # the same nodes in order, and walks every atom that holds one.
+    walked, built = [], []
+    real_choices, real_subst_many = ground._choices, ground.subst_many
 
     def choices(t):
         out = real_choices(t)
         _assert_walk_matches_subterms(t, out)
-        counts["walks"] += 1
-        counts["choices"] += len(out)
+        walked.append(t)
         return out
 
-    monkeypatch.setattr(ground, "subst", subst)
+    def subst_many(t, mapping):
+        out = real_subst_many(t, mapping)
+        built.append(out)
+        return out
+
     monkeypatch.setattr(ground, "_choices", choices)
-    for _, _, ob in _corpus_obligations():
-        prove_ground(ob.hol_theory, ob.hol_context, ob.conjecture)
-    corpus = dict(counts)
-    assert min(corpus.values()) > 100, corpus
-    for thy, ctx, goal in _genterm_obligations(60):
-        prove_ground(thy, ctx, goal)
-    assert all(counts[k] > corpus[k] for k in counts), (corpus, counts)
+    monkeypatch.setattr(ground, "subst_many", subst_many)
+    counts = {"atoms": 0, "built": 0}
+    for atoms in _saturations(monkeypatch, _ground_runs()):
+        expected = []
+        for node, bindings in atoms:
+            inst = _instance(node, bindings)
+            assert _is_normal(inst), inst
+            if any(isinstance(s, Choice) for s in subterms(inst)):
+                assert key_template(node)[2], node
+                expected.append(inst)
+        assert built == walked == expected
+        counts["atoms"] += len(atoms)
+        counts["built"] += len(built)
+        walked.clear()
+        built.clear()
+    assert counts["built"] > 300 and counts["atoms"] > 10 * counts["built"], counts
+
+
+def test_each_template_is_computed_once_per_check(monkeypatch):
+    # the obligations of one check share their erased axioms: no node's key
+    # template is computed twice, by the ground prover or anything else
+    from dholc import prover, syntax
+    from dholc.corpus import gen_problem
+    from dholc.kernel import Mode, check_theory
+
+    seen: dict[int, list] = {}  # id -> [node, computations]; the node keeps its id
+    real = syntax.key_template
+
+    def key_template(t, *walk):
+        # a call with the walk's state is the walk of a subterm
+        if not walk and not hasattr(t, "_key"):
+            seen.setdefault(id(t), [t, 0])[1] += 1
+        return real(t, *walk)
+
+    monkeypatch.setattr(syntax, "key_template", key_template)
+    monkeypatch.setattr(ground, "key_template", key_template)
+    for name in ("choice_def1", "list_head", "no_fp_fin3_reg"):
+        e = gen_problem(name)
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            rep = check_theory(e.theory, e.conjecture, mode)
+            assert len(rep.obligations) > 1
+            prover.discharge(rep.obligations, oracle_fallback=False)
+    assert len(seen) > 300
+    assert max(calls for _, calls in seen.values()) == 1
 
 
 def test_choice_walk_matches_subterms_on_generated_terms():

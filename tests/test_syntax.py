@@ -332,6 +332,103 @@ def test_alpha_eq_agrees_with_alpha_key():
     assert len(shadows) > 100
 
 
+def test_key_template_holes_are_the_free_names():
+    # alpha_key fills each hole with its name; other names give the key of
+    # the term with those constants substituted
+    x, y, c = Var("x"), Var("y"), Var("c")
+    t = Forall("y", FIN(x), Eq(NAT, App(x, y), App(Var("f"), x)))
+    text, names, holds_choice = syntax.key_template(t)
+    assert names == ("x", "f") and not holds_choice
+    assert text.format(*names) == alpha_key(t) == "A(Bfin(vx;)=(Bnat()@(vx;b0;)@(vf;vx;)))"
+    assert text.format("c", "f") == alpha_key(subst(t, "x", c))
+    assert syntax.key_template(Lambda("z", Base("fin", (Choice("y", NAT, y),)), c))[2]
+    # names with format syntax in them: free names fill holes, base-type
+    # names are escaped in the text
+    odd = ["{0}", "}", "{", "%s", "%", "{}{{}}", "a{b}%c"]
+    for n in odd:
+        assert alpha_key(Var(n)) == f"v{n};"
+        assert alpha_key(Base(n)) == f"B{n}()"
+        assert alpha_key(Forall(n, Base(n, (Var(n),)), App(Var(n), Var(n)))) == f"A(B{n}(v{n};)@(b0;b0;))"
+        t = Lambda("z", Base(n, (Var("x"),)), App(Var(n), Var("z")))
+        text, names, _ = syntax.key_template(t)
+        assert names == ("x", n)
+        assert text.format(*names) == alpha_key(t) == f"L(B{n}(vx;)@(v{n};b0;))"
+        for m in odd:
+            assert text.format("x", m) == alpha_key(subst(t, n, Var(m))) == f"L(B{n}(vx;)@(v{m};b0;))"
+
+
+def _term_and_type_nodes(t):
+    """Every term and type node of t, those in annotations included."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        for f in ("fun", "arg", "lhs", "rhs", "annot", "body", "ty", "domain", "codomain"):
+            child = getattr(t, f, None)
+            if child is not None:
+                stack.append(child)
+        stack.extend(getattr(t, "args", ()))
+
+
+def _keyed_corpus_nodes():
+    from dholc.corpus import gen_problem
+    from dholc.kernel import check_theory
+    from dholc.prover import discharge
+
+    nodes = {}
+    for name in ("choice_def1", "list_head", "no_fp_fin3_reg"):
+        e = gen_problem(name)
+        rep = check_theory(e.theory, e.conjecture, Mode.STRONG_EPSILON)
+        discharge(rep.obligations, oracle_fallback=False)
+        for ob in rep.obligations:
+            roots = [ob.conjecture, ground.normal_form(ob.conjecture)]
+            for d in tuple(ob.hol_theory) + tuple(ob.hol_context):
+                if isinstance(d, syntax.AxiomDecl):
+                    roots += [d.term, ground.normal_form(d.term)]
+                elif isinstance(d, syntax.ConstDecl):
+                    roots.append(d.ty)
+            for t in roots:
+                nodes.update((id(n), n) for n in _term_and_type_nodes(t))
+    return list(nodes.values())
+
+
+def test_key_memo_is_invisible():
+    import copy
+    import dataclasses
+    import pickle
+
+    nodes = _keyed_corpus_nodes()
+    assert sum(hasattr(n, "_key") for n in nodes) > 150
+    for n in nodes:
+        alpha_key(n)
+    kinds = {type(n) for n in nodes}
+    assert len(nodes) > 500 and kinds == {Var, Lambda, App, syntax.Falsum, Implies, Eq, Forall, Choice, syntax.Bool, Base, Pi}, kinds
+    for n in nodes:
+        twin = type(n)(*(getattr(n, f.name) for f in dataclasses.fields(n)))
+        assert not hasattr(twin, "_key")
+        assert n == twin and hash(n) == hash(twin) and repr(n) == repr(twin)
+        assert "_key" not in {f.name for f in dataclasses.fields(n)}
+        for copied in (copy.copy(n), pickle.loads(pickle.dumps(n))):
+            assert copied == n and not hasattr(copied, "_key")
+        assert alpha_key(twin) == alpha_key(n)
+
+
+def test_the_key_memo_refers_to_no_node():
+    # the memo holds strings and a flag only: a node kept there would keep
+    # a term tree alive, or itself, through its key
+    import gc
+
+    nodes = _keyed_corpus_nodes()
+    for n in nodes:
+        alpha_key(n)
+    assert len(nodes) > 500
+    for n in nodes:
+        assert not any(r is n for r in gc.get_referents(n)), n
+        text, names, holds_choice = n._key
+        assert type(text) is str and type(holds_choice) is bool
+        assert type(names) is tuple and all(type(x) is str for x in names)
+
+
 # ---------------------------------------------------------------------------
 # free variables
 
@@ -392,7 +489,7 @@ HOT_WALKERS = {
     "erasure.erase_term": (lambda t: erase_term(t, STRONG), ErasureError),
     "erasure.per_apply": (lambda t: per_apply(t, STRONG, Var("u"), Var("v")), ErasureError),
     "erasure.erase_type": (erase_type, ErasureError),
-    "ground.abstract": (lambda t: ground._abstract(t, ground._Atoms({}, [])), TypeError),
+    "ground.abstract": (lambda t: ground._abstract(t, {}, ground._Atoms({}, [])), TypeError),
     "kernel.infer": (lambda t: _checker().infer((), t), KernelError),
     "kernel.wf_type": (lambda t: _checker().wf_type((), t), KernelError),
     "kernel.type_equal": (lambda t: _checker().type_equal((), t, BOOL), KernelError),
