@@ -89,11 +89,11 @@ def per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term) -> Term:
         x, d, c = A.bound, A.domain, A.codomain
         # ∀x,y over the erased domain; the codomain PER sees the first one.
         base = "x" if x == "_" else x
-        avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(d))
-        avoid |= set(free_vars(c)) - {x}
+        # fv(A) = fv(d) ∪ (fv(c) − {x}), and fv(c1) ⊆ fv(A) ∪ {x1}
+        avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(A))
         x1 = fresh_name(base, avoid)
         c1 = subst(c, x, Var(x1)) if x1 != x else c
-        y = fresh_name(f"{base}_2", avoid | {x1} | set(free_vars(c1)))
+        y = fresh_name(f"{base}_2", avoid | {x1})
         ed = erase_type(d)
         inner = Implies(
             per_apply(d, variant, Var(x1), Var(y)),
@@ -154,10 +154,8 @@ def erase_term(t: Term, variant: ErasureVariant) -> Term:
         witness = exists(x, eA, guarded_body)
         with_witness = Choice(x, eA, guarded_body)
         without_witness = Choice(x, eA, guard)
-        z = fresh_name(
-            f"{x}_z",
-            set(free_vars(witness)) | set(free_vars(with_witness)) | {x},
-        )
+        # witness binds x over the annotation and body that with_witness does
+        z = fresh_name(f"{x}_z", set(free_vars(with_witness)) | {x})
         return Choice(
             z,
             eA,

@@ -8,9 +8,10 @@ are alpha-equal is abstracted to truth; equality gets no other reasoning (no
 congruence).  Two families of valid clauses connect the atoms:
 
 * universal atoms are instantiated with a fixed universe consisting of the
-  obligation's context variables plus base-typed theory constants — never
-  compound terms and never function constants, which keeps the prover weak
-  enough to leave genuinely search-hard obligations open;
+  obligation's context variables, whatever their types, plus the theory
+  constants of base or boolean type — never compound terms and never a
+  theory's function constants, which keeps the prover weak enough to leave
+  genuinely search-hard obligations open;
 * every choice subterm contributes the HOL choice rule as a clause
   (if a witness exists, the chosen element is one).
 

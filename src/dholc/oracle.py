@@ -58,6 +58,7 @@ from .syntax import (
     Theory,
     Type,
     free_vars,
+    key_template,
     is_simple_type,
     neg,
     spine,
@@ -506,9 +507,10 @@ class _Code:
         self.specs = tuple(gen.params)
 
 
-# The function of each check is kept for the whole process under the alpha
-# key of the term and the slot and type of each free symbol, at most
-# _CODE_CACHE_MAX entries; past that bound the oldest goes.
+# The function of each check is kept for the whole process under the key
+# template of the term (its alpha key, unfilled) and the slot and type of each
+# free symbol, at most _CODE_CACHE_MAX entries; past that bound the oldest
+# goes.
 _CODE_CACHE_MAX = 512
 _CODES: dict[tuple, _Code] = {}
 
@@ -535,7 +537,6 @@ class Compiler:
         sizes: dict[str, int],
         symbols: dict[str, Type],
         deadline: Optional[float] = None,
-        terms: Optional[dict] = None,
     ):
         self.sizes = sizes
         self.deadline = deadline
@@ -543,20 +544,11 @@ class Compiler:
         self.slot_of = {name: i for i, name in enumerate(symbols)}
         self.env: list[int] = [0] * len(symbols)
         self._tables: dict[tuple[int, int], list[int]] = {}
-        # id(term) -> (term, its code key, the slot and type of each of its
-        # free symbols), for the terms compiled so far.  A search passes one
-        # dict to the Compilers of all its carrier-size tuples, which have the
-        # same symbols and compile the same terms.
-        self._terms = {} if terms is None else terms
 
-    def compile(self, t: Term, free: Optional[tuple[str, ...]] = None) -> tuple[Closure, Type]:
+    def compile(self, t: Term) -> tuple[Closure, Type]:
         """Returns (function computing the term's value, simple type of the
-        term).  A caller that has walked the term already passes its free
-        symbols, ``free_vars(t)``, as ``free``."""
-        seen = self._terms.get(id(t))
-        if seen is None or seen[0] is not t:
-            seen = self._terms[id(t)] = (t, *self._key(t, free_vars(t) if free is None else free))
-        _, key, symbols = seen
+        term)."""
+        key, symbols = self._key(t)
         code = _CODES.get(key)
         if code is None:
             code = _Code(t, symbols)
@@ -565,17 +557,19 @@ class Compiler:
             _CODES[key] = code
         return code.bind(self.env, *map(self._argument, code.specs)), code.type
 
-    def _key(self, t: Term, free: tuple[str, ...]) -> tuple[tuple, dict[str, tuple[int, Type]]]:
-        """The code key of a term with free symbols ``free``, made of its
-        alpha key and the slot and the alpha key of the type of each free
-        symbol; and those slots and types."""
+    def _key(self, t: Term) -> tuple[tuple, dict[str, tuple[int, Type]]]:
+        """The code key of a term, made of its key template and the slot and
+        the alpha key of the type of each free symbol; and those slots and
+        types.  Alpha-equivalent terms have one template, and the template,
+        kept on the node, costs no walk and no string after the first."""
+        template = key_template(t)
         symbols: dict[str, tuple[int, Type]] = {}
-        for n in free:
+        for n in template[1]:
             if n not in self.slot_of:
                 raise OracleError(f"unbound symbol {n!r} in oracle term")
             symbols[n] = (self.slot_of[n], self.symbol_types[n])
         signature = tuple((slot, alpha_key(ty)) for slot, ty in symbols.values())
-        return (alpha_key(t), signature), symbols
+        return (template, signature), symbols
 
     def _argument(self, spec: tuple):
         """The value of one run-time parameter of a generated function at this
@@ -700,23 +694,21 @@ def _no_slots(env: list[int]) -> tuple:
     return ()
 
 
-def _compile_bool(comp: Compiler, t: Term, free: tuple[str, ...]) -> Closure:
-    fn, ty = comp.compile(t, free)
+def _compile_bool(comp: Compiler, t: Term) -> Closure:
+    fn, ty = comp.compile(t)
     if not isinstance(ty, Bool):
         raise OracleError("non-boolean axiom or conjecture reached the oracle")
     return fn
 
 
 class _Check:
-    """One check at one carrier-size tuple: its term and free symbols, the
-    key of the earlier slots it reads, its memo, and its function once first
-    needed."""
+    """One check at one carrier-size tuple: its term, the key of the earlier
+    slots it reads, its memo, and its function once first needed."""
 
-    __slots__ = ("term", "free", "key", "memo", "root")
+    __slots__ = ("term", "key", "memo", "root")
 
-    def __init__(self, term: Term, free: tuple[str, ...], reads: tuple[int, ...]):
+    def __init__(self, term: Term, reads: tuple[int, ...]):
         self.term = term
-        self.free = free
         self.key = itemgetter(*reads) if reads else _no_slots
         self.memo: dict = {}
         self.root: Optional[Closure] = None
@@ -775,10 +767,8 @@ def countermodel(
     read, level value).  Rows are kept up to MEMO_MAX_BYTES per size tuple,
     and no row outlives the call; the generated function of each check does,
     in the Compiler's process-wide cache.  A check is compiled when it is
-    first evaluated at a carrier size, with the free symbols found here when
-    it was placed on its level, so an ill-typed axiom that the search never
-    evaluates raises no OracleError.  An axiom's free symbols are found once
-    per declaration object, for every search that shares it.
+    first evaluated at a carrier size, so an ill-typed axiom that the search
+    never evaluates raises no OracleError.
 
     The deadline is checked before each carrier-size tuple, before each run
     of _LEVEL_CLOCK_EVERY values of a level, and, through the Compiler, at
@@ -800,21 +790,20 @@ def countermodel(
     # A check runs right after the highest-indexed constant it mentions has
     # been assigned, at that constant's level, and is memoised on the others.
     upfront: list[Term] = []  # closed checks: no free symbols
-    levels: list[list[tuple[Term, tuple[str, ...], tuple[int, ...]]]] = [[] for _ in range(nconsts)]
-    for c in [d for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
-        t, symbols = (c.term, _free_symbols(c)) if isinstance(c, AxiomDecl) else (c, free_vars(c))
+    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
+    for t in [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
+        symbols = free_vars(t)
         for v in symbols:
             if v not in index:
                 raise OracleError(f"free symbol {v!r} not declared for the oracle")
         slots = sorted(index[v] for v in symbols)
         if slots:
-            levels[slots[-1]].append((t, symbols, tuple(slots[:-1])))
+            levels[slots[-1]].append((t, tuple(slots[:-1])))
         else:
             upfront.append(t)
 
     deadline = time.monotonic() + budget.max_seconds
     detail = ""
-    terms: dict = {}  # shared by the Compilers of every size tuple
 
     for size_tuple in _size_tuples(len(bases), budget.max_size):
         if time.monotonic() > deadline:
@@ -829,12 +818,12 @@ def countermodel(
             detail = f"interpretation space exceeds {budget.max_models} at sizes {size_tuple}"
             continue
 
-        comp = Compiler(sizes, dict(consts), deadline, terms)
+        comp = Compiler(sizes, dict(consts), deadline)
         ct = CompiledTerms(comp)
         run = ct.run
         env = ct.env
         cards = [type_card(ty, sizes) for _, ty in consts]
-        checks = [[_Check(t, free, reads) for t, free, reads in level] for level in levels]
+        checks = [[_Check(t, reads) for t, reads in level] for level in levels]
         new_row = _Rows().new
 
         def dfs(i: int) -> bool:
@@ -857,7 +846,7 @@ def countermodel(
                         r = row[v]
                         if r == _UNKNOWN:
                             if check.root is None:
-                                check.root = _compile_bool(comp, check.term, check.free)
+                                check.root = _compile_bool(comp, check.term)
                             r = row[v] = run(check.root)
                         if not r:
                             break
@@ -867,7 +856,7 @@ def countermodel(
             return False
 
         try:
-            if all(run(_compile_bool(comp, t, ())) for t in upfront) and dfs(0):
+            if all(run(_compile_bool(comp, t)) for t in upfront) and dfs(0):
                 model = FiniteModel(
                     sizes=sizes,
                     consts={n: env[comp.slot_of[n]] for n, _ in consts},
@@ -884,20 +873,6 @@ def countermodel(
     if detail:
         return SearchResult("exhausted", detail=detail)
     return SearchResult("none", detail=f"exhaustive up to carrier size {budget.max_size}")
-
-
-def _free_symbols(d: AxiomDecl) -> tuple[str, ...]:
-    """``free_vars(d.term)``, kept in d's memo slot (see ``syntax``): the
-    obligations of one check share their erased axioms, so each axiom is
-    walked once over all their searches.  dholc searches from one thread
-    only; threads that share d may both walk it, and they store equal
-    tuples."""
-    try:
-        return d._free
-    except AttributeError:
-        free = free_vars(d.term)
-        object.__setattr__(d, "_free", free)
-        return free
 
 
 def _out_of_time(size_tuple: tuple[int, ...]) -> SearchResult:

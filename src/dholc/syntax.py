@@ -22,14 +22,12 @@ copied nor pickled.
 - ``_nf``, on every term node: ``ground.normal_form`` keeps the node's normal
   form there.
 - ``_key``, on every term and type node: ``key_template`` keeps the node's
-  alpha key there, with its free names as holes, so that ``alpha_key`` and
-  the ground prover's instance keys walk a node once.
+  alpha key there, with its free names as holes, so that ``alpha_key``,
+  ``free_vars`` (the holes) and the ground prover's instance keys walk a
+  node once.
 - ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
   the declaration's rendered THF body there, with the names it was rendered
   under, so that obligations sharing the declaration render it once.
-- ``_free``, on every ``AxiomDecl``: ``oracle.countermodel`` keeps the free
-  symbols of the axiom's formula there, so that the searches of obligations
-  sharing the declaration walk it once.
 """
 
 from __future__ import annotations
@@ -155,9 +153,8 @@ _BINDERS = frozenset((Lambda, Forall, Choice))
 class BodyDecl:
     """Base class of the declarations that carry a term or type body."""
 
-    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text);
-    # _free, on an AxiomDecl, unset until oracle.countermodel fills it
-    __slots__ = ("_thf", "_free")
+    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text)
+    __slots__ = ("_thf",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -271,41 +268,9 @@ OPERATORS = {
 
 def free_vars(t: Term | Type) -> tuple[str, ...]:
     """Free variables in first-occurrence order, including those inside
-    embedded type annotations and base-type arguments."""
-    out: dict[str, None] = {}
-    _free_vars(t, frozenset(), out)
-    return tuple(out)
-
-
-def _free_vars(t: Term | Type, bound: frozenset[str], out: dict[str, None]) -> None:
-    cls = type(t)
-    if cls is Var:
-        if t.name not in bound:
-            out[t.name] = None
-    elif cls is App:
-        _free_vars(t.fun, bound, out)
-        _free_vars(t.arg, bound, out)
-    elif cls is Implies:
-        _free_vars(t.lhs, bound, out)
-        _free_vars(t.rhs, bound, out)
-    elif cls in _BINDERS:
-        _free_vars(t.annot, bound, out)
-        _free_vars(t.body, bound | {t.bound}, out)
-    elif cls is Falsum or cls is Bool:
-        pass
-    elif cls is Eq:
-        if t.ty is not None:
-            _free_vars(t.ty, bound, out)
-        _free_vars(t.lhs, bound, out)
-        _free_vars(t.rhs, bound, out)
-    elif cls is Base:
-        for a in t.args:
-            _free_vars(a, bound, out)
-    elif cls is Pi:
-        _free_vars(t.domain, bound, out)
-        _free_vars(t.codomain, bound | {t.bound}, out)
-    else:
-        raise TypeError(f"not a term or type: {t!r}")
+    embedded type annotations and base-type arguments: the holes of t's key
+    template, read from its memo slot."""
+    return key_template(t)[1]
 
 
 def fresh_name(base: str, avoid) -> str:
@@ -489,10 +454,9 @@ def key_template(t, env=None, depth=0, parts=None, holes=None):
     frame per level of nesting."""
     top = parts is None
     if top:
-        try:
-            return t._key
-        except AttributeError:
-            pass
+        memo = getattr(t, "_key", None)
+        if memo is not None:
+            return memo
         env, parts, holes = {}, [], {}
     # A binder shadows an outer one of the same name in env in place and
     # restores it after its body, so the walk copies no dict.

@@ -10,7 +10,7 @@ import pytest
 from dholc.corpus import gen_all
 from dholc.erasure import ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, check_theory
-from dholc import oracle
+from dholc import oracle, syntax
 from dholc.oracle import (
     CompiledTerms,
     Compiler,
@@ -40,6 +40,7 @@ from dholc.syntax import (
     Implies,
     Lambda,
     Pi,
+    Term,
     Theory,
     Var,
     apply,
@@ -606,8 +607,8 @@ def record_work(monkeypatch):
     reads, compiled, runs = {}, [], []
     compile_, run_ = Compiler.compile, CompiledTerms.run
 
-    def compile(self, t, *free):
-        root, ty = compile_(self, t, *free)
+    def compile(self, t):
+        root, ty = compile_(self, t)
         reads[root] = [self.slot_of[n] for n in free_vars(t)]
         compiled.append(t)
         return root, ty
@@ -672,25 +673,31 @@ def test_a_check_the_search_never_needs_is_never_compiled(monkeypatch):
 
 
 def test_a_search_walks_each_check_for_its_free_symbols_once(monkeypatch):
+    # A check's key template, kept on its node, gives the search the check's
+    # free symbols and the Compiler its code key.  Count the templates
+    # computed, not read from the memo: a search walks the axioms that no
+    # earlier search walked, then ¬conjecture, a node of its own, once.
     walked = []
+    key_template = syntax.key_template
 
-    def counted(t):
-        walked.append(t)
-        return free_vars(t)
+    def counted(t, *walk):
+        if not walk and not hasattr(t, "_key"):
+            walked.append(t)
+        return key_template(t, *walk)
 
-    monkeypatch.setattr(oracle, "free_vars", counted)
-    # A search walks the axioms no earlier search walked, and ¬conjecture.
+    monkeypatch.setattr(syntax, "key_template", counted)
+    monkeypatch.setattr(oracle, "key_template", counted)
     # The cases share some declarations, as the obligations of one check
     # do, and each case is searched twice.
-    searched = set()  # ids of the axioms of the searches so far
+    searched = set()  # ids of the axiom terms of the searches so far
     cases = memo_cases()[:6]
     for thy, conjecture, budget in cases:
-        axioms = [d for d in thy if isinstance(d, AxiomDecl)]
+        axioms = [d.term for d in thy if isinstance(d, AxiomDecl)]
         for _ in range(2):
             walked.clear()
             countermodel(thy, conjecture, budget)
-            fresh = [d.term for d in axioms if id(d) not in searched]
-            assert walked == fresh + [neg(conjecture)]
+            fresh = [t for t in axioms if id(t) not in searched]
+            assert [t for t in walked if isinstance(t, Term)] == fresh + [neg(conjecture)]
             searched.update(map(id, axioms))
 
 
@@ -850,10 +857,10 @@ def either(request, monkeypatch, codes):
     if request.param == "closures":
         compile_ = Compiler.compile
 
-        def rebound(self, t, free=None):
-            first, _ = compile_(self, t, free)
+        def rebound(self, t):
+            first, _ = compile_(self, t)
             entries = dict(codes)
-            root, ty = compile_(self, t, free)
+            root, ty = compile_(self, t)
             assert root is not first and root.__code__ is first.__code__ and codes == entries
             return root, ty
 

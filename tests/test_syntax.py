@@ -452,6 +452,78 @@ def test_free_vars_first_occurrence_order():
     assert free_vars(t) == ("f", "b", "a")
 
 
+def naive_free_vars(t):
+    """Free names in first-occurrence order, by a walk that carries the set
+    of names bound above each node."""
+    out = {}
+
+    def go(t, bound):
+        match t:
+            case Var(name=n):
+                if n not in bound:
+                    out.setdefault(n)
+            case Lambda() | Forall() | Choice():
+                go(t.annot, bound)
+                go(t.body, bound | {t.bound})
+            case Pi(bound=x, domain=d, codomain=c):
+                go(d, bound)
+                go(c, bound | {x})
+            case App(fun=f, arg=a):
+                go(f, bound)
+                go(a, bound)
+            case Implies(lhs=l, rhs=r):
+                go(l, bound)
+                go(r, bound)
+            case Eq(ty=ty, lhs=l, rhs=r):
+                if ty is not None:
+                    go(ty, bound)
+                go(l, bound)
+                go(r, bound)
+            case Base(args=args):
+                for a in args:
+                    go(a, bound)
+
+    go(t, frozenset())
+    return tuple(out)
+
+
+def test_free_vars_matches_a_reference_walk():
+    # free_vars reads the holes of a node's key template.  Ask every node
+    # three ways: before its key exists, after alpha_key filled its memo,
+    # and after a walk of the whole tree it is a subterm of.
+    import pickle
+
+    shadows: list[str] = []
+    roots = []
+    for seed in range(120):
+        gen, rng = TermGen(seed), random.Random(seed)
+        t = gen.boolean([("v", NAT)], 3)
+        n = gen.nat([("v", NAT)], 2)
+        ty = Pi("v", NAT, Pi("w", FIN(n), FIN(gen.nat([("v", NAT)], 2))))
+        for a in (t, ty):
+            roots.append(a)
+            roots.extend(rebind(a, ["x", "y", "v"], rng, shadows) for _ in range(2))
+    assert len(shadows) > 50
+    asked = 0
+    for root in roots:
+        fresh, keyed, inside = (pickle.loads(pickle.dumps(root)) for _ in range(3))
+        # children before parents, so that no node's own key exists yet; a
+        # node shared within the tree is asked once
+        nodes = {id(n): n for n in reversed(list(_term_and_type_nodes(fresh)))}
+        for node in nodes.values():
+            assert not hasattr(node, "_key")
+            assert free_vars(node) == naive_free_vars(node), node
+            asked += 1
+        for node in _term_and_type_nodes(keyed):
+            alpha_key(node)
+        for node in _term_and_type_nodes(keyed):
+            assert free_vars(node) == naive_free_vars(node), node
+        free_vars(inside)
+        for node in _term_and_type_nodes(inside):
+            assert free_vars(node) == naive_free_vars(node), node
+    assert asked > 10_000
+
+
 # ---------------------------------------------------------------------------
 # printing is covered by parser round-trips; spot-check numerals
 
