@@ -15,6 +15,11 @@ erased once, when it is accepted; an obligation's theory is the erased prefix
 accepted so far, and only its local binder context and its conjecture are
 erased when it is emitted.
 
+Binders and telescope entries keep their source names, so context entries
+may shadow constants and each other; ``emit``, which flattens theory and
+context into one signature, renames every such clash apart.  ``bind``
+renames a binder only where it would capture a free name of a type in use.
+
 Structural failures (unknown names, arity mismatches, head-type mismatches,
 non-boolean axiom bodies) are errors, not obligations.  In simple-HOL mode no
 obligation may arise at all: dependent base types and genuinely dependent
@@ -165,6 +170,29 @@ class _Checker:
     # -- obligation plumbing
 
     def emit(self, kind: ObligationKind, ctx: tuple, dhol_conjecture: Term, rule: str, pos) -> None:
+        # One signature holds the theory and ctx: a ctx entry that redeclares a
+        # name is renamed apart, in later entries and the conjecture too.
+        sigma: dict[str, Term] = {}
+        avoid: set[str] = set()  # every name, from the first clash on
+        taken: set[str] = set()
+        flat, keys = [], []  # the entries renamed apart, and their dedup keys
+        for d in ctx:
+            if type(d) is AxiomDecl:
+                d = AxiomDecl(d.label, subst_many(d.term, sigma), pos=d.pos)
+                keys.append(alpha_key(d.term))
+            else:
+                x, ty = d.name, subst_many(d.ty, sigma)
+                if x in self.names or x in taken:
+                    if not avoid:
+                        avoid = self.names.keys() | {e.name for e in ctx if type(e) is ConstDecl}
+                    x = fresh_name(x, avoid)
+                    avoid.add(x)
+                    sigma[d.name] = Var(x)
+                taken.add(x)
+                d = ConstDecl(x, ty, pos=d.pos)
+                keys.append((x, alpha_key(ty)))
+            flat.append(d)
+        dhol_conjecture = subst_many(dhol_conjecture, sigma)
         variant = self.mode.variant
         if variant is None:
             # Simple-HOL input is its own obligation language; no translation.
@@ -173,20 +201,15 @@ class _Checker:
             conjecture = dhol_conjecture
         else:
             conjecture = erase_term(dhol_conjecture, variant)
-        key = (
-            kind,
-            len(self.prefix),
-            tuple(_decl_key(d) for d in ctx),
-            alpha_key(conjecture),
-        )
+        key = (kind, len(self.prefix), tuple(keys), alpha_key(conjecture))
         if key in self._seen:
             return
         self._seen.add(key)
         if variant is None:
-            hol_context = Context(ctx)
+            hol_context = Context(tuple(flat))
         else:
             # The theory prefix is already erased; only the local binders are new.
-            hol_context = erase_theory(Theory(), Context(ctx), variant).hol_context
+            hol_context = erase_theory(Theory(), Context(tuple(flat)), variant).hol_context
         ob = Obligation(
             id=f"ob{len(self.obligations) + 1:03d}",
             kind=kind,
@@ -215,15 +238,26 @@ class _Checker:
         d = self.names.get(name)
         return d.ty if isinstance(d, ConstDecl) else None
 
-    def fresh_binder(self, ctx: tuple, x: str, body: Term) -> tuple[str, Term]:
-        """Rename a binder that shadows a visible name.  Obligations flatten
-        the context and theory into one signature (for the oracle and THF),
-        so shadowing must be resolved here, deterministically."""
-        local = {d.name for d in ctx if isinstance(d, ConstDecl)}
-        if x not in self.names and x not in local:
-            return x, body
-        x2 = fresh_name(x, self.names.keys() | local | set(free_vars(body)))
-        return x2, subst(body, x, Var(x2))
+    def bind(self, ctx: tuple, x: str, A: Type, *scope) -> str:
+        """The name of a new entry x : A over ``scope``: x, unless x is free in
+        a type in use under it (A, an entry's or a declaration's), which x
+        would capture; then a name that no visible or scope name uses."""
+        if x not in free_vars(A):
+            for d in reversed(ctx):
+                if type(d) is ConstDecl:
+                    if x in free_vars(d.ty):
+                        break
+                    if d.name == x:
+                        return x  # no type before d mentions x: d would capture it
+            else:
+                if x not in self.names or not any(
+                    x in free_vars(ty)
+                    for d in self.names.values()
+                    for ty in ((d.ty,) if type(d) is ConstDecl else (ty for _, ty in d.telescope))
+                ):
+                    return x
+        local = {d.name for d in ctx if type(d) is ConstDecl}
+        return fresh_name(x, self.names.keys() | local.union(*map(free_vars, scope)))
 
     # -- well-formedness of types
 
@@ -249,12 +283,12 @@ class _Checker:
                 elaborated.append(t2)
             return Base(a, tuple(elaborated), pos=pos)
         if cls is Pi:
-            x, pos = A.bound, A.pos
             d2 = self.wf_type(ctx, A.domain)
-            c2 = self.wf_type(ctx + (ConstDecl(x, d2),), A.codomain)
+            x = self.bind(ctx, A.bound, d2, A.codomain)
+            c2 = self.wf_type(ctx + (ConstDecl(x, d2),), subst(A.codomain, A.bound, Var(x)))
             if self.mode is Mode.SIMPLE_HOL and x in free_vars(c2):
-                raise KernelError("dependent product in simple-HOL mode", pos)
-            return Pi(x, d2, c2, pos=pos)
+                raise KernelError("dependent product in simple-HOL mode", A.pos)
+            return Pi(x, d2, c2, pos=A.pos)
         if cls is Bool:
             return BOOL
         raise KernelError(f"not a type: {A!r}")
@@ -291,6 +325,7 @@ class _Checker:
             x2, d2, c2 = B.bound, B.domain, B.codomain
             self.type_equal(ctx, d1, d2, pos)
             z = fresh_name(x1, set(free_vars(c1)) | set(free_vars(c2)) | {x1, x2})
+            z = self.bind(ctx, z, d1, c1, c2)
             c1r = subst(c1, x1, Var(z))
             c2r = subst(c2, x2, Var(z))
             self.type_equal(ctx + (ConstDecl(z, d1),), c1r, c2r, pos)
@@ -318,22 +353,16 @@ class _Checker:
             l2 = self.check_bool(ctx, t.lhs)
             r2 = self.check_bool(ctx, t.rhs)
             return BOOL, Implies(l2, r2, pos=t.pos)
-        if cls is Lambda:
-            a2 = self.wf_type(ctx, t.annot)
-            x, b = self.fresh_binder(ctx, t.bound, t.body)
-            bty, b2 = self.infer(ctx + (ConstDecl(x, a2),), b)
-            return Pi(x, a2, bty), Lambda(x, a2, b2, pos=t.pos)
-        if cls is Forall:
-            a2 = self.wf_type(ctx, t.annot)
-            x, b = self.fresh_binder(ctx, t.bound, t.body)
-            b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
-            return BOOL, Forall(x, a2, b2, pos=t.pos)
-        if cls is Choice:
-            pos = t.pos
-            a2 = self.wf_type(ctx, t.annot)
-            x, b = self.fresh_binder(ctx, t.bound, t.body)
-            b2 = self.check_bool(ctx + (ConstDecl(x, a2),), b)
-            elaborated = Choice(x, a2, b2, pos=pos)
+        if cls is Lambda or cls is Forall or cls is Choice:
+            pos, a2 = t.pos, self.wf_type(ctx, t.annot)
+            x = self.bind(ctx, t.bound, a2, t.body)
+            inner, b = ctx + (ConstDecl(x, a2),), subst(t.body, t.bound, Var(x))
+            if cls is Lambda:
+                bty, b2 = self.infer(inner, b)
+                return Pi(x, a2, bty), Lambda(x, a2, b2, pos=pos)
+            b2 = self.check_bool(inner, b)
+            if cls is Forall:
+                return BOOL, Forall(x, a2, b2, pos=pos)
             if self.mode is Mode.SIMPLE_HOL:
                 if not is_simple_type(a2):
                     raise KernelError("choice over a dependent type in simple-HOL mode", pos)
@@ -343,7 +372,7 @@ class _Checker:
             else:
                 inhabited = neg(Forall(x, a2, FALSE))
                 self.emit(ObligationKind.TYPE_INHABITED, ctx, inhabited, "eps2-inhabited", pos)
-            return a2, elaborated
+            return a2, Choice(x, a2, b2, pos=pos)
         if cls is Falsum:
             return BOOL, t
         if cls is Eq:
@@ -378,12 +407,15 @@ class _Checker:
                     raise KernelError(f"redeclaration of {a!r}", pos)
                 if self.mode is Mode.SIMPLE_HOL and tele:
                     raise KernelError(f"dependent base type {a!r} in simple-HOL mode", pos)
-                ctx: tuple = ()
+                # a telescope is checked as the product it abbreviates
+                chain = BOOL
+                for x, ty in reversed(tele):
+                    chain = Pi(x, ty, chain)
+                chain = self.wf_type((), chain)
                 elaborated = []
-                for x, ty in tele:
-                    ty2 = self.wf_type(ctx, ty)
-                    elaborated.append((x, ty2))
-                    ctx = ctx + (ConstDecl(x, ty2),)
+                while type(chain) is Pi:
+                    elaborated.append((chain.bound, chain.domain))
+                    chain = chain.codomain
                 d2 = BaseTypeDecl(a, tuple(elaborated), pos=pos)
                 self.names[a] = d2
             case ConstDecl(name=c, ty=ty, pos=pos):
@@ -401,17 +433,6 @@ class _Checker:
             self.erased.append(d2)
         else:
             self.erased.extend(erase_theory(Theory((d2,)), Context(), variant).hol_theory)
-
-
-def _decl_key(d) -> tuple:
-    match d:
-        case BaseTypeDecl(name=a, telescope=tele):
-            return ("t", a, tuple((x, alpha_key(ty)) for x, ty in tele))
-        case ConstDecl(name=c, ty=ty):
-            return ("c", c, alpha_key(ty))
-        case AxiomDecl(label=lbl, term=t):
-            return ("a", alpha_key(t))
-    raise TypeError(d)
 
 
 def _type_head(A: Type) -> str:

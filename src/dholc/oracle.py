@@ -208,13 +208,6 @@ class _ClockedRange:
 _LEVEL_CLOCK_EVERY = 1024
 
 
-def _check_argument(domain: Type, ty: Type) -> None:
-    """An argument's type must be its function's domain: a digit index
-    computed from an argument of another type reads the wrong digit, or none."""
-    if ty != domain and not alpha_eq(ty, domain):
-        raise OracleError("ill-typed application argument reached the oracle")
-
-
 class _Powers:
     """c**i on demand, indexed like a power table."""
 
@@ -417,7 +410,10 @@ class _Source:
                 raise OracleError("application of a non-function reached the oracle")
             # (straight to _spine for an argument spine: one frame per level)
             a, uty = self._spine(u, benv) if isinstance(u, App) else self._value(u, benv)
-            _check_argument(ty.domain, uty)
+            if not alpha_eq(uty, ty.domain):
+                # a digit index computed from an argument of another type
+                # reads the wrong digit, or none
+                raise OracleError("ill-typed application argument reached the oracle")
             digits.append(a)
             radices.append(ty.domain)
             ty = ty.codomain

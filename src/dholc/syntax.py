@@ -23,8 +23,8 @@ copied nor pickled.
   form there.
 - ``_key``, on every term and type node: ``key_template`` keeps the node's
   alpha key there, with its free names as holes, so that ``alpha_key``,
-  ``free_vars`` (the holes) and the ground prover's instance keys walk a
-  node once.
+  ``alpha_eq`` (two nodes of one class with equal templates), ``free_vars``
+  (the holes) and the ground prover's instance keys walk a node once.
 - ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
   the declaration's rendered THF body there, with the names it was rendered
   under, so that obligations sharing the declaration render it once.
@@ -387,45 +387,10 @@ def _subst_binder(x: str, body, mapping: dict[str, Term], reach: list[set[str]])
 
 def alpha_eq(t: Term | Type | None, u: Term | Type | None) -> bool:
     """Equality of terms or types up to consistent renaming of bound
-    variables."""
+    variables: the same class (compared first) and the same key template."""
     if t is None or u is None:
         return t is u
-    return _alpha(t, u, {}, {}, 0)
-
-
-def _alpha(t, u, lm: dict, rm: dict, depth: int) -> bool:
-    cls = type(t)
-    if cls is not type(u):
-        return False
-    if cls is Var:
-        return lm.get(t.name, ("f", t.name)) == rm.get(u.name, ("f", u.name))
-    if cls is App:
-        return _alpha(t.fun, u.fun, lm, rm, depth) and _alpha(t.arg, u.arg, lm, rm, depth)
-    if cls is Implies:
-        return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
-    if cls in _BINDERS:
-        return _alpha(t.annot, u.annot, lm, rm, depth) and _alpha(
-            t.body, u.body, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
-        )
-    if cls is Falsum or cls is Bool:
-        return True
-    if cls is Eq:
-        if (t.ty is None) != (u.ty is None):
-            return False
-        if t.ty is not None and not _alpha(t.ty, u.ty, lm, rm, depth):
-            return False
-        return _alpha(t.lhs, u.lhs, lm, rm, depth) and _alpha(t.rhs, u.rhs, lm, rm, depth)
-    if cls is Base:
-        return (
-            t.name == u.name
-            and len(t.args) == len(u.args)
-            and all(_alpha(a, b, lm, rm, depth) for a, b in zip(t.args, u.args))
-        )
-    if cls is Pi:
-        return _alpha(t.domain, u.domain, lm, rm, depth) and _alpha(
-            t.codomain, u.codomain, {**lm, t.bound: depth}, {**rm, u.bound: depth}, depth + 1
-        )
-    raise TypeError(f"not a term or type: {t!r}")
+    return type(t) is type(u) and key_template(t) == key_template(u)
 
 
 def alpha_key(t: Term | Type) -> str:

@@ -39,6 +39,13 @@ def test_check_open_obligation_exits_one(corpus_dir, capsys):
     assert "open" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["shadow_type_equal", "shadow_pi", "shadow_telescope"])
+def test_a_false_obligation_under_a_shadowing_context_exits_one(name, capsys):
+    code = main(["check", str(Path(__file__).parent / "data" / f"{name}.dhol")])
+    assert code == 1
+    assert capsys.readouterr().out.startswith("ob001 TypeEq refuted-countermodel method=oracle")
+
+
 def test_structural_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.dhol"
     bad.write_text("type a : tp\nconst c : a\nconst c : a\n")
@@ -375,7 +382,7 @@ def test_too_deep_input_exits_two(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["check", "prove", "oracle", "emit", "erase"])
 def test_nesting_well_below_the_limit_is_processed(tmp_path, capsys, command):
     # a numeral is that many nested applications; every command stops past
-    # p 493 (README gives the limit per input shape)
+    # p 494 (README gives the limit per input shape)
     deep = tmp_path / "deep.dhol"
     deep.write_text(
         "type nat : tp\nconst 0 : nat\nconst s : nat > nat\nconst p : nat > $o\n"

@@ -208,18 +208,86 @@ def test_obligation_deduplication():
 
 
 def test_shadowing_binder_renamed_in_obligations():
-    # a binder may shadow a theory constant; the obligation's flattened
-    # signature must stay collision-free
+    # a binder may shadow a theory constant; it keeps its name in the term,
+    # and the obligation's flattened signature renames it apart
     from dholc.prover import discharge_one
 
     thy, _ = parse_theory("type u : tp\nconst h : u > $o\nconst d : u\n")
     t = parse_term("^ d : u . eps y : u . ~(y = d)")
     ty, obs, elaborated = infer_type_elaborated(thy, Context(), t, E2)
-    assert elaborated.bound != "d"
+    assert elaborated.bound == "d"
     (ob,) = obs
+    assert [c.name for c in ob.hol_context if isinstance(c, ConstDecl)] == ["d_1"]
     names = [c.name for c in tuple(ob.hol_theory) + tuple(ob.hol_context) if isinstance(c, ConstDecl)]
     assert len(names) == len(set(names))
     assert discharge_one(ob).discharged  # the lambda's variable witnesses u
+    # the eps1 witness statement mentions the binder: it reads the new name
+    _, (witness,), _ = infer_type_elaborated(thy, Context(), t, E1)
+    assert "d_1" in free_vars(witness.conjecture) and "d" not in free_vars(witness.conjecture)
+
+
+SHADOW_INPUTS = ["shadow_type_equal", "shadow_pi", "shadow_telescope"]
+
+
+@pytest.mark.parametrize("mode", [E1, E2])
+@pytest.mark.parametrize("name", SHADOW_INPUTS)
+def test_a_context_entry_named_like_a_constant_is_renamed_apart(name, mode):
+    # Each input opens a context entry named like a constant that axiom h
+    # constrains: type_equal's variable, a product's binder or a telescope
+    # entry.  Read as that constant, ob001 would follow from h; it says that
+    # s and one agree on every argument, which is false.
+    from dholc.prover import discharge_one
+
+    thy, conjecture = parse_theory((Path(__file__).parent / "data" / f"{name}.dhol").read_text())
+    rep = check_theory(thy, conjecture, mode)
+    assert rep.ok and rep.obligations
+    for ob in rep.obligations:
+        names = [d.name for d in tuple(ob.hol_theory) + tuple(ob.hol_context) if isinstance(d, ConstDecl)]
+        assert len(names) == len(set(names)), (ob.id, names)
+    ob = rep.obligations[0]
+    assert (ob.id, ob.kind) == ("ob001", ObligationKind.TYPE_EQ)
+    assert discharge_one(ob).status == "refuted-countermodel"
+
+
+def test_a_repeated_context_name_is_renamed_in_the_obligation():
+    # the inner x keeps its name in the term; the obligation's context
+    # declares it apart, and the conjecture reads the inner one
+    t = parse_term("! x : nat . ! x : nat . (eps y : fin x . q x) = (eps y : fin x . q x)")
+    _, (ob,), elaborated = infer_type_elaborated(THEORY, Context(), t, E2)
+    assert elaborated.bound == elaborated.body.bound == "x"
+    assert [d.name for d in ob.hol_context if isinstance(d, ConstDecl)] == ["x", "x_1"]
+    assert free_vars(ob.conjecture) == ("fin*", "x_1")
+
+
+def test_a_binder_that_would_capture_is_renamed():
+    # the type of the bound s, fin (s 0), mentions the constant s: under a
+    # binder named s it would read the bound s, so the binder is renamed
+    from dholc.prover import discharge_one
+
+    t = parse_term("(eps s : fin (s 0) . s = fz 0) = fz 0")
+    _, obs, elaborated = infer_type_elaborated(THEORY, Context(), t, E1)
+    choice = elaborated.lhs
+    assert choice.bound == "s_1"
+    assert alpha_eq(choice.body.ty, Base("fin", (numeral(1),)))
+    # read under the binder, the erased witness statement would apply the
+    # bound s, and the oracle would refuse it as an ill-typed application
+    assert [discharge_one(ob).status for ob in obs] == ["open"]
+    # the type of y, fin n, mentions the outer n, which each inner n would
+    # capture
+    t = parse_term("! n : nat . ! y : fin n . ! n : nat . ! n : nat . y = y")
+    _, _, elaborated = infer_type_elaborated(THEORY, Context(), t, E1)
+    inner = elaborated.body.body
+    assert (inner.bound, inner.body.bound) == ("n_1", "n_2")
+    assert alpha_eq(inner.body.body.ty, Base("fin", (Var("n"),)))
+    # under a product binder s, the type of g s, fin (s s), would apply the
+    # bound s
+    thy, _ = parse_theory(
+        "type nat : tp\nconst s : nat > nat\nconst one : nat > nat\ntype fin : pi n : nat . tp\n"
+        "type arr : pi m : nat . pi i : fin (one m) . tp\nconst g : pi m : nat . fin (s m)\n"
+        "const k : pi s : nat . arr s (g s)\n"
+    )
+    (ob,) = check_theory(thy, None, E1).obligations
+    assert print_term(ob.conjecture) == "nat* (s s_1) (one s_1)"
 
 
 def test_context_shadows_theory_in_lookups():

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import signal
 import stat
 import tempfile
@@ -9,13 +10,35 @@ from pathlib import Path
 
 import pytest
 
+from dholc.corpus import gen_all
 from dholc.erasure import ErasureVariant, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
 from dholc.oracle import SearchBudget
 from dholc.parser import parse_term, parse_theory
 from dholc.prover import ProverConfig, discharge, discharge_one, run_atp
-from dholc.syntax import Context, FALSE, Theory, top
+from dholc.syntax import (
+    App,
+    AxiomDecl,
+    Base,
+    BaseTypeDecl,
+    BOOL,
+    Choice,
+    ConstDecl,
+    Context,
+    Eq,
+    FALSE,
+    Forall,
+    Implies,
+    Lambda,
+    Pi,
+    Theory,
+    Var,
+    free_vars,
+    top,
+)
 from dholc.thf import emit_thf
+
+from genterms import THEORY, TermGen
 
 
 def _fake_prover(tmp_path, name, script_body):
@@ -356,3 +379,91 @@ def test_report_formats():
     assert list(js) == [o.id for o in rep.obligations]
     for entry in js.values():
         assert set(entry) == {"kind", "status", "method", "time"}
+
+
+# ---------------------------------------------------------------------------
+# verdicts do not depend on the names of bound variables
+
+
+def shadow_binders(thy, conjecture, rng):
+    """thy and conjecture with each λ/∀/ε/Π binder and telescope entry renamed
+    to a constant declared before it that is not free in its scope, chosen
+    by rng, and the number of binders so renamed.  The meaning is the same;
+    now the binders shadow constants."""
+    visible: list[str] = []
+    renamed = 0
+
+    def go(t, env):
+        nonlocal renamed
+        cls = type(t)
+        if cls is Var:
+            return Var(env.get(t.name, t.name))
+        if cls is App:
+            return App(go(t.fun, env), go(t.arg, env))
+        if cls is Implies:
+            return Implies(go(t.lhs, env), go(t.rhs, env))
+        if cls is Eq:
+            return Eq(None if t.ty is None else go(t.ty, env), go(t.lhs, env), go(t.rhs, env))
+        if cls is Base:
+            return Base(t.name, tuple(go(a, env) for a in t.args))
+        if cls in (Lambda, Forall, Choice, Pi):
+            x = t.bound
+            annot, body = (t.domain, t.codomain) if cls is Pi else (t.annot, t.body)
+            scope = {env.get(y, y) for y in free_vars(body) if y != x}
+            options = [c for c in visible if c not in scope]
+            c = rng.choice(options) if options else x
+            renamed += c != x
+            return cls(c, go(annot, env), go(body, {**env, x: c}))
+        return t  # Falsum, Bool
+
+    decls = []
+    for d in thy:
+        if isinstance(d, BaseTypeDecl):
+            # a telescope is a chain of products
+            chain = BOOL
+            for x, ty in reversed(d.telescope):
+                chain = Pi(x, ty, chain)
+            chain, tele = go(chain, {}), []
+            while isinstance(chain, Pi):
+                tele.append((chain.bound, chain.domain))
+                chain = chain.codomain
+            decls.append(BaseTypeDecl(d.name, tuple(tele)))
+        elif isinstance(d, ConstDecl):
+            decls.append(ConstDecl(d.name, go(d.ty, {})))
+            visible.append(d.name)
+        else:
+            decls.append(AxiomDecl(d.label, go(d.term, {})))
+    conjecture = None if conjecture is None else go(conjecture, {})
+    return Theory(tuple(decls)), conjecture, renamed
+
+
+def _genterm_problems():
+    for seed in range(4):
+        gen = TermGen(700 + seed)
+        axioms = tuple(AxiomDecl(f"g{i}", gen.boolean([], 3)) for i in range(3))
+        yield f"genterms{seed}", THEORY.extended(*axioms), gen.boolean([], 2), random.Random(seed)
+
+
+def test_verdicts_do_not_depend_on_bound_names():
+    problems = [(e.name, e.theory, e.conjecture, random.Random(e.name)) for e in gen_all()]
+    problems += list(_genterm_problems())
+    renamed = compared = 0
+    for name, thy, conjecture, rng in problems:
+        thy2, conjecture2, n = shadow_binders(thy, conjecture, rng)
+        renamed += n
+        for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+            rep, rep2 = check_theory(thy, conjecture, mode), check_theory(thy2, conjecture2, mode)
+            assert rep.ok and rep2.ok, (name, mode, rep.diagnostics, rep2.diagnostics)
+            kinds = [(ob.id, ob.kind) for ob in rep.obligations]
+            assert [(ob.id, ob.kind) for ob in rep2.obligations] == kinds, (name, mode)
+            for ob, ob2 in zip(rep.obligations, rep2.obligations):
+                declared = [
+                    d.name
+                    for d in tuple(ob2.hol_theory) + tuple(ob2.hol_context)
+                    if isinstance(d, (ConstDecl, BaseTypeDecl))
+                ]
+                assert len(declared) == len(set(declared)), (name, mode, ob2.id, declared)
+                v, v2 = discharge_one(ob), discharge_one(ob2)
+                assert (v2.status, v2.method) == (v.status, v.method), (name, mode, ob.id)
+                compared += 1
+    assert renamed > 100 and compared > 100

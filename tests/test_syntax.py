@@ -300,9 +300,42 @@ def rebind(t, names, rng, shadows):
     return go(t, {})
 
 
+def naive_alpha_eq(t, u, lm=None, rm=None, depth=0):
+    """Reference alpha-equivalence: a walk of both trees side by side that
+    numbers each binder by its depth.  alpha_eq compares key templates."""
+    lm, rm = lm or {}, rm or {}
+    if type(t) is not type(u):
+        return False
+    match t:
+        case Var(name=n):
+            return lm.get(n, ("f", n)) == rm.get(u.name, ("f", u.name))
+        case App():
+            return naive_alpha_eq(t.fun, u.fun, lm, rm, depth) and naive_alpha_eq(t.arg, u.arg, lm, rm, depth)
+        case Implies() | Eq():
+            if type(t) is Eq:
+                if (t.ty is None) != (u.ty is None):
+                    return False
+                if t.ty is not None and not naive_alpha_eq(t.ty, u.ty, lm, rm, depth):
+                    return False
+            return naive_alpha_eq(t.lhs, u.lhs, lm, rm, depth) and naive_alpha_eq(t.rhs, u.rhs, lm, rm, depth)
+        case Lambda() | Forall() | Choice() | Pi():
+            (a1, b1), (a2, b2) = [(v.domain, v.codomain) if type(v) is Pi else (v.annot, v.body) for v in (t, u)]
+            inner_l, inner_r = {**lm, t.bound: depth}, {**rm, u.bound: depth}
+            return naive_alpha_eq(a1, a2, lm, rm, depth) and naive_alpha_eq(b1, b2, inner_l, inner_r, depth + 1)
+        case Base(name=n, args=args):
+            return (
+                n == u.name
+                and len(args) == len(u.args)
+                and all(naive_alpha_eq(a, b, lm, rm, depth) for a, b in zip(args, u.args))
+            )
+        case _:
+            return True  # Falsum, Bool
+
+
 def test_alpha_eq_agrees_with_alpha_key():
     # Ground atoms and kernel dedup compare alpha_key strings; the local stage
-    # calls alpha_eq.  Both must draw the same line, on terms and on types.
+    # calls alpha_eq.  Both must draw the same line, on terms and on types,
+    # and the line of a walk that compares the two trees directly.
     x, y = Var("x"), Var("y")
     pairs = [
         (Lambda("x", BOOL, Lambda("x", BOOL, x)), Lambda("y", BOOL, Lambda("z", BOOL, Var("z")))),
@@ -325,7 +358,7 @@ def test_alpha_eq_agrees_with_alpha_key():
     verdicts = []
     for a, b in pairs:
         same = alpha_eq(a, b)
-        assert same == (alpha_key(a) == alpha_key(b)), (a, b)
+        assert same == (alpha_key(a) == alpha_key(b)) == naive_alpha_eq(a, b), (a, b)
         assert alpha_eq(b, a) == same
         verdicts.append(same)
     assert verdicts.count(True) > 300 and verdicts.count(False) > 300
