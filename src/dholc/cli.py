@@ -7,7 +7,8 @@ conjecture, input that cannot be read (or is not UTF-8 text) or nested too
 deeply to process, and output that cannot be written, 64 usage errors (a bad flag, or
 a budget, prover command, prover time limit, --jobs value or config file that is
 rejected), 70 internal errors (a one-line diagnostic instead of a traceback).
-Diagnostics go to stderr, results to stdout and files.
+Diagnostics go to stderr, results to stdout and files.  A stdout whose reader
+has gone away changes no exit code.
 
 Each subcommand names its handler in the parser; main reads, parses and checks
 the input once and hands the handler the check report.
@@ -191,6 +192,19 @@ def _check(args) -> Optional[CheckReport]:
     return report if report.ok else None
 
 
+def _say(text: object) -> None:
+    """Write one line of results to stdout.  A reader that has gone away (a
+    closed pipe, as under ``| head -1``) is not an error: stdout is pointed at
+    os.devnull, so that no later write and no flush at exit fails, and the
+    command runs on to its verdict and exit code."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _write_text(path: Path, text: str) -> None:
     try:
         path.write_text(text, encoding="utf-8")
@@ -222,9 +236,9 @@ def _discharge(args, report: CheckReport, obligations, label: str, open_word: st
         budget=args.budget,
         jobs=args.jobs,
     )
-    print(dis.to_text())
+    _say(dis.to_text())
     ok = dis.all_discharged
-    print(f"{label}: {'ok' if ok else open_word} ({args.input})")
+    _say(f"{label}: {'ok' if ok else open_word} ({args.input})")
     _write_report(args, report, verdict="ok" if ok else "open", obligations=dis.to_json_dict())
     return EXIT_OK if ok else EXIT_OPEN
 
@@ -259,14 +273,14 @@ def _write_erased(args, report: CheckReport) -> Path:
 
 
 def _cmd_erase(args, report: CheckReport) -> int:
-    print(_write_erased(args, report))
+    _say(_write_erased(args, report))
     return EXIT_OK
 
 
 def _cmd_emit(args, report: CheckReport) -> int:
     out_dir = _output_dir(args)
     for ob in report.obligations:
-        print(_write_problem(out_dir, f"{args.input.stem}.{ob.id}.{report.mode.variant.value}", ob))
+        _say(_write_problem(out_dir, f"{args.input.stem}.{ob.id}.{report.mode.variant.value}", ob))
     return EXIT_OK
 
 
@@ -277,9 +291,9 @@ def _cmd_oracle(args, report: CheckReport) -> int:
         return EXIT_STRUCTURAL
     merged = merge_context(ob.hol_theory, ob.hol_context)
     result = countermodel(merged, ob.conjecture, args.budget)
-    print(f"oracle: {result.status}" + (f" ({result.detail})" if result.detail else ""))
+    _say(f"oracle: {result.status}" + (f" ({result.detail})" if result.detail else ""))
     if result.found:
-        print(result.model.describe())
+        _say(result.model.describe())
     model = result.model.to_json_dict() if result.found else None
     _write_report(args, report, status=result.status, model=model)
     return EXIT_OK if result.status != "exhausted" else EXIT_OPEN
@@ -290,7 +304,7 @@ def _cmd_gen_corpus(args) -> int:
         written = write_corpus(args.output_dir)
     except OSError as e:
         raise _WriteError(e.filename or args.output_dir, e) from None
-    print(f"wrote {len(written)} files under {args.output_dir}")
+    _say(f"wrote {len(written)} files under {args.output_dir}")
     return EXIT_OK
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from typing import Optional
 
 from .syntax import (
     App,
@@ -81,6 +82,12 @@ def erase_type(A: Type) -> Type:
 
 def per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term) -> Term:
     """The PER of A applied to u and v, already beta-reduced."""
+    return _per_apply(A, variant, u, v, None)
+
+
+def _per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term, uv: Optional[set[str]]) -> Term:
+    # uv is fv(u) ∪ fv(v), or None until a Π asks for it: the recursion
+    # passes it down rather than keying the arguments it builds itself
     cls = type(A)
     if cls is Base:
         erased_args = [erase_term(t, variant) for t in A.args]
@@ -89,15 +96,17 @@ def per_apply(A: Type, variant: ErasureVariant, u: Term, v: Term) -> Term:
         x, d, c = A.bound, A.domain, A.codomain
         # ∀x,y over the erased domain; the codomain PER sees the first one.
         base = "x" if x == "_" else x
+        if uv is None:
+            uv = set(free_vars(u)) | set(free_vars(v))
         # fv(A) = fv(d) ∪ (fv(c) − {x}), and fv(c1) ⊆ fv(A) ∪ {x1}
-        avoid = set(free_vars(u)) | set(free_vars(v)) | set(free_vars(A))
+        avoid = uv | set(free_vars(A))
         x1 = fresh_name(base, avoid)
         c1 = subst(c, x, Var(x1)) if x1 != x else c
         y = fresh_name(f"{base}_2", avoid | {x1})
         ed = erase_type(d)
         inner = Implies(
-            per_apply(d, variant, Var(x1), Var(y)),
-            per_apply(c1, variant, App(u, Var(x1)), App(v, Var(y))),
+            _per_apply(d, variant, Var(x1), Var(y), {x1, y}),
+            _per_apply(c1, variant, App(u, Var(x1)), App(v, Var(y)), uv | {x1, y}),
         )
         return Forall(x1, ed, Forall(y, ed, inner))
     if cls is Bool:
@@ -137,13 +146,15 @@ def erase_term(t: Term, variant: ErasureVariant) -> Term:
     if cls is Forall:
         a = t.annot
         x, b = _rename_binder(t.bound, a, t.body)
-        guard = per_apply(a, variant, Var(x), Var(x))
+        vx = Var(x)
+        guard = _per_apply(a, variant, vx, vx, {x})
         return Forall(x, erase_type(a), Implies(guard, erase_term(b, variant)))
     if cls is Choice:
         a = t.annot
         x, b = _rename_binder(t.bound, a, t.body)
         eA = erase_type(a)
-        guard = per_apply(a, variant, Var(x), Var(x))
+        vx = Var(x)
+        guard = _per_apply(a, variant, vx, vx, {x})
         guarded_body = conj(guard, erase_term(b, variant))
         if variant is ErasureVariant.STRONG:
             return Choice(x, eA, guarded_body)
@@ -209,7 +220,8 @@ def _erase_declaration(d, variant: ErasureVariant, out: list) -> None:
         case ConstDecl(name=c, ty=ty):
             out.append(ConstDecl(c, erase_type(ty)))
             label = f"{c}_typed"
-            out.append(AxiomDecl(label, per_apply(ty, variant, Var(c), Var(c))))
+            vc = Var(c)
+            out.append(AxiomDecl(label, _per_apply(ty, variant, vc, vc, {c})))
         case AxiomDecl(label=lbl, term=t):
             out.append(AxiomDecl(lbl, erase_term(t, variant)))
         case _:

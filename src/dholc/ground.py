@@ -114,7 +114,7 @@ def normal_form(t: Term) -> Term:
         nf = t._nf
     except AttributeError:
         nf = dn_normalize(beta_normalize(t))
-        object.__setattr__(t, "_nf", None if nf is t else nf)
+        t._nf = None if nf is t else nf
         return nf
     return t if nf is None else nf
 

@@ -451,7 +451,9 @@ def _type_head(A: Type) -> str:
 
 
 def _checker_in(thy: Theory, ctx: Context, mode: Mode) -> tuple[_Checker, tuple]:
-    """A checker that has accepted ``thy``, and ``ctx`` elaborated under it."""
+    """A checker that has accepted ``thy``, and ``ctx`` elaborated under it.
+    A context entry that would capture a free name of a type in use under
+    it (its own, an earlier entry's or a declaration's) is a KernelError."""
     ck = _Checker(mode)
     for d in thy:
         ck.add_declaration(d)
@@ -459,7 +461,12 @@ def _checker_in(thy: Theory, ctx: Context, mode: Mode) -> tuple[_Checker, tuple]
     for d in ctx:
         match d:
             case ConstDecl(name=x, ty=ty, pos=pos):
-                cctx = cctx + (ConstDecl(x, ck.wf_type(cctx, ty), pos=pos),)
+                ty2 = ck.wf_type(cctx, ty)
+                # the caller's terms name the entry, so it cannot be renamed
+                if ck.bind(cctx, x, ty2) != x:
+                    msg = f"context entry {x!r} would capture the free {x!r} of a type in scope"
+                    raise KernelError(msg, pos)
+                cctx = cctx + (ConstDecl(x, ty2, pos=pos),)
             case AxiomDecl(label=lbl, term=a, pos=pos):
                 cctx = cctx + (AxiomDecl(lbl, ck.check_bool(cctx, a), pos=pos),)
     return ck, cctx

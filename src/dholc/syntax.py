@@ -1,12 +1,13 @@
 """Abstract syntax for DHOL/HOL terms, types, declarations and theories.
 
-Terms and types are immutable trees.  Types embed terms (arguments of applied
-base types), so every operation on terms also walks types: substitution, free
-variables, alpha-equivalence, equality-annotation stripping and the subterm
-walk each have one entry point that takes a term or a type, and so does
-``erasure.beta_normalize``.  Derived connectives (negation, truth, conjunction,
-disjunction, existentials, disequality) are construction-time sugar: the trees
-only ever store the core nodes.
+Terms and types are trees, immutable by convention (see below).  Types embed
+terms (arguments of applied base types), so every operation on terms also
+walks types: substitution, free variables, alpha-equivalence,
+equality-annotation stripping and the subterm walk each have one entry point
+that takes a term or a type, and so does ``erasure.beta_normalize``.  Derived
+connectives (negation, truth, conjunction, disjunction, existentials,
+disequality) are construction-time sugar: the trees only ever store the core
+nodes.
 
 The hot walkers over terms and types, here and in the erasure, ground
 prover, kernel, THF printer and oracle, dispatch on the exact class of a node
@@ -28,16 +29,27 @@ copied nor pickled.
 - ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
   the declaration's rendered THF body there, with the names it was rendered
   under, so that obligations sharing the declaration render it once.
+
+The node, declaration, theory and context classes are not ``frozen``: a
+frozen dataclass stores each field through ``object.__setattr__``, which
+makes building a node more than twice as dear, and the erasure and the kernel
+build tens of thousands of nodes per run.  So nothing enforces immutability.
+No code may assign a field of a node once built (tests fingerprint the trees
+every stage reads, before and after it runs); only the memo slots above are
+written after construction, with plain stores.  ``unsafe_hash=True`` asks
+for the field-based ``__hash__`` that ``frozen`` implied, and the
+``__reduce__`` of the three memo-carrying bases copies and pickles a node by
+its fields alone.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Union
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pos:
     line: int
     col: int
@@ -46,12 +58,19 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
+def _reduce(node):
+    """(class, field values in order): what copy and pickle rebuild a node
+    from, so that a copy starts with empty memo slots."""
+    return type(node), tuple(getattr(node, f.name) for f in fields(node))
+
+
 class Term:
     """Base class of the term union."""
 
     # _nf is unset until ground.normal_form fills it; None means "normal
     # already".  _key is unset until key_template fills it.
     __slots__ = ("_nf", "_key")
+    __reduce__ = _reduce
 
 
 class Type:
@@ -59,15 +78,16 @@ class Type:
 
     # unset until key_template fills it
     __slots__ = ("_key",)
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Var(Term):
     name: str
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Lambda(Term):
     bound: str
     annot: Type
@@ -75,26 +95,26 @@ class Lambda(Term):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class App(Term):
     fun: Term
     arg: Term
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Falsum(Term):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Implies(Term):
     lhs: Term
     rhs: Term
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Eq(Term):
     # ty is None between parsing and kernel elaboration; erasure requires it.
     ty: Optional[Type]
@@ -103,7 +123,7 @@ class Eq(Term):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Forall(Term):
     bound: str
     annot: Type
@@ -111,7 +131,7 @@ class Forall(Term):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Choice(Term):
     bound: str
     annot: Type
@@ -119,19 +139,19 @@ class Choice(Term):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Bool(Type):
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Base(Type):
     name: str
     args: tuple[Term, ...] = ()
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Pi(Type):
     bound: str
     domain: Type
@@ -155,9 +175,10 @@ class BodyDecl:
 
     # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text)
     __slots__ = ("_thf",)
+    __reduce__ = _reduce
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class BaseTypeDecl:
     name: str
     telescope: tuple[tuple[str, Type], ...] = ()
@@ -168,14 +189,14 @@ class BaseTypeDecl:
         return len(self.telescope)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ConstDecl(BodyDecl):
     name: str
     ty: Type
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AxiomDecl(BodyDecl):
     label: str
     term: Term
@@ -185,7 +206,7 @@ class AxiomDecl(BodyDecl):
 Declaration = Union[BaseTypeDecl, ConstDecl, AxiomDecl]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Theory:
     decls: tuple[Declaration, ...] = ()
 
@@ -205,7 +226,7 @@ class Theory:
         return None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Context(Theory):
     """Like a theory but may not declare base types."""
 
@@ -487,7 +508,7 @@ def key_template(t, env=None, depth=0, parts=None, holes=None):
         if not holes and ("{" in text or "}" in text):
             text = text.format()
         memo = (text, tuple(holes), "E(" in parts)
-        object.__setattr__(t, "_key", memo)
+        t._key = memo
         return memo
 
 

@@ -194,7 +194,7 @@ def _fmt_body(d: Union[ConstDecl, AxiomDecl], table: SymbolTable) -> str:
             return text
     rec = _Recorder(table)
     text = _fmt_type(d.ty, rec) if isinstance(d, ConstDecl) else _fmt_term(d.term, rec, {})
-    object.__setattr__(d, "_thf", (tuple(rec.seen.items()), text))
+    d._thf = (tuple(rec.seen.items()), text)
     return text
 
 

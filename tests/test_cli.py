@@ -46,6 +46,30 @@ def test_a_false_obligation_under_a_shadowing_context_exits_one(name, capsys):
     assert capsys.readouterr().out.startswith("ob001 TypeEq refuted-countermodel method=oracle")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_keeps_the_verdict(tmp_path, unbuffered):
+    # as under `dholc check … | head -1`, but the reader is gone before the
+    # first write: a pipe whose read end is closed already
+    report = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(dholc.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
+    src = Path(__file__).parent / "data" / "shadow_pi.dhol"
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dholc.cli", "check", str(src), "--json-report", str(report)],
+            env=env,
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
+    assert json.loads(report.read_text())["verdict"] == "open"
+
+
 def test_structural_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "bad.dhol"
     bad.write_text("type a : tp\nconst c : a\nconst c : a\n")

@@ -297,6 +297,17 @@ def test_context_shadows_theory_in_lookups():
     assert alpha_eq(ty, Base("w"))
 
 
+def test_a_context_entry_may_not_capture_a_theory_constant():
+    # fz : pi n : nat . fin (s n); under a context entry s, fz s would have
+    # the type fin (s s), its first s the entry
+    ctx = Context((ConstDecl("s", Base("nat")),))
+    with pytest.raises(KernelError, match="would capture"):
+        infer_type(THEORY, ctx, App(Var("fz"), Var("s")), E1)
+    ctx = Context((ConstDecl("m", Base("nat")),))
+    ty, _ = infer_type(THEORY, ctx, App(Var("fz"), Var("m")), E1)
+    assert alpha_eq(ty, Base("fin", (App(Var("s"), Var("m")),)))
+
+
 def test_each_declaration_erased_once(monkeypatch):
     # Per obligation only the local binder context is erased; the theory
     # prefix was erased declaration by declaration as it was accepted.

@@ -446,6 +446,42 @@ def test_key_memo_is_invisible():
         assert alpha_key(twin) == alpha_key(n)
 
 
+def _fingerprint(v, seen):
+    """v's fields, recursively, pos included; seen maps id to the
+    fingerprint already taken of a shared node."""
+    import dataclasses
+
+    if isinstance(v, (tuple, list)):
+        return tuple(_fingerprint(x, seen) for x in v)
+    if not dataclasses.is_dataclass(v):
+        return v
+    fp = seen.get(id(v))
+    if fp is None:
+        fields = tuple((f.name, _fingerprint(getattr(v, f.name), seen)) for f in dataclasses.fields(v))
+        fp = seen[id(v)] = (type(v).__name__, fields)
+    return fp
+
+
+@pytest.mark.parametrize("mode", [Mode.STRONG_EPSILON, Mode.WEAK_EPSILON])
+def test_no_stage_mutates_its_input_trees(mode):
+    # the node classes are not frozen: immutability is a convention, which
+    # this guards for the kernel, the prover stages and the THF printer
+    from dholc.corpus import gen_all
+    from dholc.kernel import check_theory
+    from dholc.prover import discharge
+
+    for e in gen_all():
+        source = (e.theory, e.conjecture)
+        before = _fingerprint(source, {})
+        rep = check_theory(e.theory, e.conjecture, mode)
+        obligations = _fingerprint(rep.obligations, {})
+        discharge(rep.obligations)
+        for ob in rep.obligations:
+            thf.emit_thf(ob, f"{e.name}.{ob.id}")
+        assert _fingerprint(rep.obligations, {}) == obligations, e.name
+        assert _fingerprint(source, {}) == before, e.name
+
+
 def test_the_key_memo_refers_to_no_node():
     # the memo holds strings and a flag only: a node kept there would keep
     # a term tree alive, or itself, through its key
