@@ -192,13 +192,13 @@ def _check(args) -> Optional[CheckReport]:
     return report if report.ok else None
 
 
-def _say(text: object) -> None:
+def _say(text: object, end: str = "\n") -> None:
     """Write one line of results to stdout.  A reader that has gone away (a
     closed pipe, as under ``| head -1``) is not an error: stdout is pointed at
     os.devnull, so that no later write and no flush at exit fails, and the
     command runs on to its verdict and exit code."""
     try:
-        print(text, flush=True)
+        print(text, end=end, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -318,6 +318,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             return args.run(args)
         report = _check(args)
         return EXIT_STRUCTURAL if report is None else args.run(args, report)
+    except SystemExit:
+        # argparse wrote help or a version to stdout itself: flush it here,
+        # where a closed stdout is still no error
+        _say("", end="")
+        raise
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE

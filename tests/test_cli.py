@@ -46,28 +46,35 @@ def test_a_false_obligation_under_a_shadowing_context_exits_one(name, capsys):
     assert capsys.readouterr().out.startswith("ob001 TypeEq refuted-countermodel method=oracle")
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"])
-def test_a_closed_stdout_keeps_the_verdict(tmp_path, unbuffered):
-    # as under `dholc check … | head -1`, but the reader is gone before the
-    # first write: a pipe whose read end is closed already
-    report = tmp_path / "report.json"
+def _run_to_closed_stdout(args, unbuffered):
+    # as under `dholc … | head -1`, but the reader is gone before the first
+    # write: a pipe whose read end is closed already
     env = dict(os.environ, PYTHONPATH=str(Path(dholc.__file__).parents[1]), PYTHONUNBUFFERED=unbuffered)
-    src = Path(__file__).parent / "data" / "shadow_pi.dhol"
     r, w = os.pipe()
     os.close(r)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "dholc.cli", "check", str(src), "--json-report", str(report)],
-            env=env,
-            stdout=w,
-            stderr=subprocess.PIPE,
-            text=True,
-            timeout=60,
+        return subprocess.run(
+            [sys.executable, "-m", "dholc.cli", *args], env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60
         )
     finally:
         os.close(w)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_closed_stdout_keeps_the_verdict(tmp_path, unbuffered):
+    report = tmp_path / "report.json"
+    src = Path(__file__).parent / "data" / "shadow_pi.dhol"
+    proc = _run_to_closed_stdout(["check", str(src), "--json-report", str(report)], unbuffered)
     assert (proc.returncode, proc.stderr) == (1, ""), proc.stderr
     assert json.loads(report.read_text())["verdict"] == "open"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_to_a_closed_stdout_is_no_error(flag, unbuffered):
+    # argparse writes these itself, and exits through SystemExit
+    proc = _run_to_closed_stdout([flag], unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
 
 def test_structural_error_exits_two(tmp_path, capsys):
