@@ -26,9 +26,14 @@ copied nor pickled.
   alpha key there, with its free names as holes, so that ``alpha_key``,
   ``alpha_eq`` (two nodes of one class with equal templates), ``free_vars``
   (the holes) and the ground prover's instance keys walk a node once.
-- ``_thf``, on every ``ConstDecl`` and ``AxiomDecl``: ``thf.emit_thf`` keeps
-  the declaration's rendered THF body there, with the names it was rendered
-  under, so that obligations sharing the declaration render it once.
+- ``_erased``, on every declaration: ``erasure.erase_theory`` keeps the
+  declaration's erasure there with its variant, so that the kernel's
+  obligations, its ``hol_theory`` and a later ``erase_theory`` of the
+  elaborated theory share one set of erased declarations.
+- ``_thf``, on every declaration: ``thf.emit_thf`` keeps the record of the
+  declaration's THF line there (the record it followed, the line and the
+  symbol-table entries it added), so that problems sharing a prefix of
+  declarations replay it and render each declaration once.
 
 The node, declaration, theory and context classes are not ``frozen``: a
 frozen dataclass stores each field through ``object.__setattr__``, which
@@ -38,15 +43,15 @@ No code may assign a field of a node once built (tests fingerprint the trees
 every stage reads, before and after it runs); only the memo slots above are
 written after construction, with plain stores.  ``unsafe_hash=True`` asks
 for the field-based ``__hash__`` that ``frozen`` implied, and the
-``__reduce__`` of the three memo-carrying bases copies and pickles a node by
-its fields alone.
+``__reduce__`` of the three memo-carrying bases (``Term``, ``Type`` and
+``Declaration``) copies and pickles a node by its fields alone.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -170,16 +175,18 @@ _BINDERS = frozenset((Lambda, Forall, Choice))
 # Declarations / theories / contexts
 
 
-class BodyDecl:
-    """Base class of the declarations that carry a term or type body."""
+class Declaration:
+    """Base class of the declaration union."""
 
-    # unset until thf.emit_thf fills it: (((symbol, mangled name), ...), text)
-    __slots__ = ("_thf",)
+    # unset until filled: _erased by erasure.erase_theory with
+    # (variant, erased declarations), _thf by thf.emit_thf with the record
+    # of the declaration's line
+    __slots__ = ("_erased", "_thf")
     __reduce__ = _reduce
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class BaseTypeDecl:
+class BaseTypeDecl(Declaration):
     name: str
     telescope: tuple[tuple[str, Type], ...] = ()
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
@@ -190,20 +197,17 @@ class BaseTypeDecl:
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class ConstDecl(BodyDecl):
+class ConstDecl(Declaration):
     name: str
     ty: Type
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True, unsafe_hash=True)
-class AxiomDecl(BodyDecl):
+class AxiomDecl(Declaration):
     label: str
     term: Term
     pos: Optional[Pos] = field(default=None, compare=False, repr=False)
-
-
-Declaration = Union[BaseTypeDecl, ConstDecl, AxiomDecl]
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -12,15 +12,18 @@ the reader can restore original constant names — alpha-equivalence does not
 cover free constants.
 
 Every problem is self-contained, so the obligations of one check repeat the
-erased theory prefix, whose declaration objects they share.  The body of each
-``ConstDecl`` (its type) and ``AxiomDecl`` (its formula) is therefore rendered
-once per declaration and kept in the declaration's memo slot (see ``syntax``)
-together with the symbols the render looked up and the names they mangled to.
-A later problem reuses the text only when each of those symbols already
-mangles to the same name in its own table, and renders it again otherwise.
-Name reservation (declared names, ``_tp`` and formula names, ``goal``) and
-the conjecture run for every problem, so each problem's text and symbol map
-are the same as a render without the memo.
+erased theory prefix, whose declaration objects they share with each other
+and with the erased theory (see ``erasure``).  So each theory declaration
+keeps the record of its line in its ``_thf`` memo slot (see ``syntax``): the
+record of the declaration it followed, the line, and the ``fwd``, ``back``
+and ``used`` entries that ``SymbolTable`` noted as the line added them.  A
+problem replays the records for as long as each one follows the record
+replayed before it, since the table then holds what it held when the record
+was made; from the first that does not, it renders and records the rest.
+So each declaration of a check is rendered once, in any emission order, and
+each problem's text and symbol map are the same as a render without the
+memo.  Context declarations and the conjecture are rendered for every
+problem.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ class SymbolTable:
         self.fwd: dict[str, str] = {}
         self.back: dict[str, str] = {}
         self.used: set[str] = set()
+        # while emit_thf records a line: the fwd, back and used entries added
+        self._added: Optional[tuple[list, list, list]] = None
 
     def mangle(self, name: str) -> str:
         if name in self.fwd:
@@ -87,6 +92,9 @@ class SymbolTable:
         candidate = self.reserve(_word(name, "c", str.lower))
         self.fwd[name] = candidate
         self.back[candidate] = name
+        if self._added is not None:
+            self._added[0].append((name, candidate))
+            self._added[1].append((candidate, name))
         return candidate
 
     def reserve(self, raw: str) -> str:
@@ -96,12 +104,16 @@ class SymbolTable:
             k += 1
             candidate = f"{raw}_{k}"
         self.used.add(candidate)
+        if self._added is not None:
+            self._added[2].append(candidate)
         return candidate
 
     def formula_name(self, label: str) -> str:
         """Unique THF formula name for an axiom label, recoverable on read."""
         name = self.reserve(_word(label, "ax", str.lower))
         self.back[name] = label
+        if self._added is not None:
+            self._added[1].append((name, label))
         return name
 
 
@@ -164,38 +176,31 @@ def _fmt_term(t: Term, table: SymbolTable, scope: dict[str, str]) -> str:
     raise ThfError(f"not a term: {t!r}")
 
 
-class _Recorder:
-    """Stands in for a SymbolTable during one render and records the names
-    the render looked up."""
+def _decl_line(d, table: SymbolTable) -> str:
+    match d:
+        case BaseTypeDecl(name=a, telescope=tele):
+            if tele:
+                raise ThfError(f"dependent base type {a!r} reached THF emission")
+            m = table.mangle(a)
+            return f"thf({table.reserve(m + '_tp')}, type, {m}: $tType)."
+        case ConstDecl(name=c, ty=ty):
+            m = table.mangle(c)
+            return f"thf({table.reserve(m + '_tp')}, type, {m}: {_fmt_type(ty, table)})."
+        case AxiomDecl(label=lbl, term=t):
+            return f"thf({table.formula_name(lbl)}, axiom, {_fmt_term(t, table, {})})."
+    raise ThfError(f"not a declaration: {d!r}")
 
-    __slots__ = ("table", "seen")
 
-    def __init__(self, table: SymbolTable):
-        self.table = table
-        self.seen: dict[str, str] = {}
-
-    def mangle(self, name: str) -> str:
-        m = self.seen[name] = self.table.mangle(name)
-        return m
-
-
-def _fmt_body(d: Union[ConstDecl, AxiomDecl], table: SymbolTable) -> str:
-    """The THF text of d's type or formula under table, from d's memo slot
-    when every symbol it read mangles to the same name in table already.
-    dholc renders from one thread only; threads that share d may both render
-    it, and they store equivalent entries."""
-    try:
-        names, text = d._thf
-    except AttributeError:
-        pass
-    else:
-        fwd = table.fwd
-        if all(fwd.get(sym) == m for sym, m in names):
-            return text
-    rec = _Recorder(table)
-    text = _fmt_type(d.ty, rec) if isinstance(d, ConstDecl) else _fmt_term(d.term, rec, {})
-    d._thf = (tuple(rec.seen.items()), text)
-    return text
+def _record_line(d, table: SymbolTable, prev) -> tuple:
+    """Render d's line under table and keep its record in d's memo slot.
+    dholc renders from one thread only; threads that share d may both record
+    it, and each record holds the record it followed, so a problem replays
+    only a record made after the same prefix."""
+    table._added = (fwd, back, used) = ([], [], [])
+    line = _decl_line(d, table)
+    table._added = None
+    rec = d._thf = (prev, line, tuple(fwd), tuple(back), tuple(used))
+    return rec
 
 
 @dataclass
@@ -219,9 +224,10 @@ def emit_thf(
     conjecture: Optional[Term] = None,
 ) -> ThfProblem:
     """Render an erased theory (with optional conjecture) or an obligation as
-    a self-contained THF problem.  The type or formula of each declaration is
-    rendered once and reused by later problems that mangle the symbols it
-    reads to the same names (see the module docstring)."""
+    a self-contained THF problem.  The theory's lines are replayed from the
+    records of an earlier problem for as long as it shares that problem's
+    prefix, and rendered and recorded from there (see the module
+    docstring)."""
     if isinstance(source, Obligation):
         thy, ctx = source.hol_theory, source.hol_context
         conjecture = source.conjecture
@@ -236,19 +242,19 @@ def emit_thf(
 
     table = SymbolTable()
     lines: list[str] = []
-    for d in tuple(thy) + tuple(ctx):
-        match d:
-            case BaseTypeDecl(name=a, telescope=tele):
-                if tele:
-                    raise ThfError(f"dependent base type {a!r} reached THF emission")
-                m = table.mangle(a)
-                lines.append(f"thf({table.reserve(m + '_tp')}, type, {m}: $tType).")
-            case ConstDecl(name=c):
-                m = table.mangle(c)
-                lines.append(f"thf({table.reserve(m + '_tp')}, type, {m}: {_fmt_body(d, table)}).")
-            case AxiomDecl(label=lbl):
-                fname = table.formula_name(lbl)
-                lines.append(f"thf({fname}, axiom, {_fmt_body(d, table)}).")
+    rec = None  # the record of the theory declaration before d
+    for d in thy:
+        prev = rec
+        rec = getattr(d, "_thf", None)
+        if rec is None or rec[0] is not prev:
+            rec = _record_line(d, table, prev)
+        else:
+            table.fwd.update(rec[2])
+            table.back.update(rec[3])
+            table.used.update(rec[4])
+        lines.append(rec[1])
+    for d in ctx:
+        lines.append(_decl_line(d, table))
     conj_name = None
     if conjecture is not None:
         conj_name = table.reserve("goal")

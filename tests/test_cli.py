@@ -46,6 +46,22 @@ def test_a_false_obligation_under_a_shadowing_context_exits_one(name, capsys):
     assert capsys.readouterr().out.startswith("ob001 TypeEq refuted-countermodel method=oracle")
 
 
+def test_python_m_dholc_is_the_dholc_command():
+    env = dict(os.environ, PYTHONPATH=str(Path(dholc.__file__).parents[1]))
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "dholc", *args]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+
+    version = run("--version")
+    assert (version.returncode, version.stderr) == (0, ""), version.stderr
+    assert dholc.__version__ in version.stdout
+    verdict = run("check", str(Path(__file__).parent / "data" / "shadow_pi.dhol"))
+    assert (verdict.returncode, verdict.stderr) == (1, ""), verdict.stderr
+    assert verdict.stdout.startswith("ob001 TypeEq refuted-countermodel method=oracle")
+    assert "typecheck: open obligations" in verdict.stdout
+
+
 def _run_to_closed_stdout(args, unbuffered):
     # as under `dholc … | head -1`, but the reader is gone before the first
     # write: a pipe whose read end is closed already

@@ -188,21 +188,69 @@ def _identity_sources():
     return sources
 
 
+def _check_problems(rep, name):
+    """(name, source, conjecture) of every problem of one check: one per
+    obligation, then the erased theory with its conjecture, which
+    erase_theory returns from the kernel's own declarations."""
+    variant = rep.mode.variant
+    problems = [(f"{name}.{ob.id}", ob, None) for ob in rep.obligations]
+    erased = erase_theory(rep.theory_elaborated, Context(), variant)
+    goal = rep.conjecture_elaborated
+    conjecture = None if goal is None else erase_term(goal, variant)
+    problems.append((f"{name}.theory", erased, conjecture))
+    return problems
+
+
+def _render(problem):
+    return _problem_key(emit_thf(problem[1], problem[0], problem[2]))
+
+
+def _memo_free_render(problem):
+    # a pickled copy carries no memo, and nor do its declarations
+    name, source, conjecture = pickle.loads(pickle.dumps(problem))
+    for d in tuple(source.hol_theory) + tuple(source.hol_context):
+        assert not hasattr(d, "_thf"), d
+    return _problem_key(emit_thf(source, name, conjecture))
+
+
+def _orders(n):
+    """Named emission orders of a check's n problems, the theory last; each
+    gives the indices of this check's problems and of a second check's,
+    interleaved as they are emitted."""
+    forward = [("a", i) for i in range(n)]
+    return {
+        "forward": forward,
+        "reverse": [("a", i) for i in reversed(range(n - 1))] + [("a", n - 1)],
+        "interleaved": [p for i in range(n) for p in (("a", i), ("b", n - 1 - i))],
+        "prove": [("a", n - 1)] + forward[:-1],
+    }
+
+
 @pytest.mark.parametrize("mode", [Mode.STRONG_EPSILON, Mode.WEAK_EPSILON])
-def test_shared_declarations_render_byte_identically(mode):
-    def check(source):
-        return check_theory(*parse_theory(source), mode)
+def test_shared_declarations_render_byte_identically(mode, monkeypatch):
+    rendered = {}
+    real = thf._decl_line
+
+    def counting(d, table):
+        rendered[id(d)] = rendered.get(id(d), 0) + 1
+        return real(d, table)
 
     for name, source in _identity_sources():
-        n = len(check(source).obligations)
-        # obligation i emitted first from its own fresh check: no memo is set
-        want = [_memo_free(check(source).obligations[i]) for i in range(n)]
-        forward = check(source).obligations
-        backward = check(source).obligations
-        runs = [(forward, range(n)), (forward, range(n)), (backward, reversed(range(n))), (backward, range(n))]
-        for obligations, order in runs:
-            for i in order:
-                assert _problem_key(emit_thf(obligations[i], obligations[i].id)) == want[i], (name, i)
+        def problems():
+            return _check_problems(check_theory(*parse_theory(source), mode), name)
+
+        want = [_memo_free_render(p) for p in problems()]
+        for order_name, order in _orders(len(want)).items():
+            checks = {"a": problems(), "b": problems()}
+            monkeypatch.setattr(thf, "_decl_line", counting)
+            rendered.clear()
+            for side, i in order:
+                assert _render(checks[side][i]) == want[i], (name, order_name, side, i)
+            monkeypatch.undo()
+            # each declaration of a check is rendered once, whatever the order
+            for side in {side for side, _ in order}:
+                theory = checks[side][-1][1].hol_theory
+                assert [rendered.get(id(d)) for d in theory] == [1] * len(theory), (name, order_name)
 
 
 def test_threads_sharing_declarations_render_byte_identically():
@@ -257,6 +305,17 @@ def test_rendered_body_is_reused_only_under_the_same_names():
         theories = _guard_theories(fresh_axiom())
         for i in order:
             assert _problem_key(emit_thf(theories[i], "guard")) == want[i], order
+    # a record names the record before it, not the declaration: once the
+    # second problem gives y a new record, the third may not replay shared's,
+    # made after q's line
+    q, x = ConstDecl("k", BOOL), ConstDecl("j", BOOL)
+    y, shared = ConstDecl("b", BOOL), AxiomDecl("ax", Var("k_tp"))
+    theories = ((q, y, shared), (x, y), (x, y, shared))
+    problems = [("p", ErasedTheory(Theory(decls), Context()), None) for decls in theories]
+    want = [_memo_free_render(p) for p in problems]
+    assert "thf(ax, axiom, k_tp_2)." in want[0][0]
+    assert "thf(ax, axiom, k_tp)." in want[2][0]
+    assert [_render(p) for p in problems] == want
 
 
 def test_rendering_work_is_linear_in_the_declarations(monkeypatch):
@@ -283,18 +342,20 @@ def test_rendering_work_is_linear_in_the_declarations(monkeypatch):
 
 def test_render_memo_is_invisible():
     rep = check_theory(*parse_theory(synth_theory(4, random.Random(1))), Mode.STRONG_EPSILON)
-    decls = [d for d in rep.hol_theory if isinstance(d, (ConstDecl, AxiomDecl))]
-    assert decls and not any(hasattr(d, "_thf") for d in decls)
+    assert not any(hasattr(d, "_thf") for d in rep.hol_theory)
     for ob in rep.obligations:
         emit_thf(ob, ob.id)
-    assert all(hasattr(d, "_thf") for d in decls)
-    for d in decls:
-        twin = type(d)(*(getattr(d, f.name) for f in dataclasses.fields(d)))
-        assert not hasattr(twin, "_thf")
-        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
-        assert "_thf" not in {f.name for f in dataclasses.fields(d)}
-        for copied in (copy.copy(d), pickle.loads(pickle.dumps(d))):
-            assert copied == d and not hasattr(copied, "_thf")
+    # each elaborated declaration keeps its erasure, each erased one its line
+    for decls, slot in ((rep.theory_elaborated, "_erased"), (rep.hol_theory, "_thf")):
+        assert {type(d) for d in decls} == {BaseTypeDecl, ConstDecl, AxiomDecl}
+        for d in decls:
+            assert hasattr(d, slot)
+            twin = type(d)(*(getattr(d, f.name) for f in dataclasses.fields(d)))
+            assert not hasattr(twin, slot)
+            assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+            assert slot not in {f.name for f in dataclasses.fields(d)}
+            for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+                assert copied == d and not hasattr(copied, slot)
 
 
 def test_dependent_product_is_a_bug_guard():
