@@ -14,13 +14,6 @@ only in which variant erases the type arguments.
 
 Connective sugar inside the output is fully expanded to the falsum/implication
 core; printers may re-sugar.
-
-The translation is declaration-wise, and each declaration is erased once:
-its first erasure is kept in its ``_erased`` memo slot (see ``syntax``) with
-the variant, and a later erasure in that variant returns the same objects.
-So ``erase_theory`` of a kernel report's ``theory_elaborated`` returns the
-declarations of its ``hol_theory``, which the report's obligations share,
-and ``thf.emit_thf`` renders them once.
 """
 
 from __future__ import annotations
@@ -204,22 +197,6 @@ def _arrow_chain(doms: list[Type], cod: Type) -> Type:
 
 
 def _erase_declaration(d, variant: ErasureVariant, out: list) -> None:
-    """Append d's erasure to out.  The first erasure of d is kept in its
-    ``_erased`` slot with its variant, and a later one in that variant
-    appends the same objects; another variant gets a fresh erasure.  dholc
-    erases from one thread only; threads that share d may both erase it,
-    and the erasures they keep are equal."""
-    memo = getattr(d, "_erased", None)
-    if memo is not None and memo[0] is variant:
-        out.extend(memo[1])
-        return
-    start = len(out)
-    _erase_fresh(d, variant, out)
-    if memo is None:
-        d._erased = (variant, tuple(out[start:]))
-
-
-def _erase_fresh(d, variant: ErasureVariant, out: list) -> None:
     match d:
         case BaseTypeDecl(name=a, telescope=tele):
             star = per_name(a)

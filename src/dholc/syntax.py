@@ -26,14 +26,11 @@ copied nor pickled.
   alpha key there, with its free names as holes, so that ``alpha_key``,
   ``alpha_eq`` (two nodes of one class with equal templates), ``free_vars``
   (the holes) and the ground prover's instance keys walk a node once.
-- ``_erased``, on every declaration: ``erasure.erase_theory`` keeps the
-  declaration's erasure there with its variant, so that the kernel's
-  obligations, its ``hol_theory`` and a later ``erase_theory`` of the
-  elaborated theory share one set of erased declarations.
 - ``_thf``, on every declaration: ``thf.emit_thf`` keeps the record of the
   declaration's THF line there (the record it followed, the line and the
-  symbol-table entries it added), so that problems sharing a prefix of
-  declarations replay it and render each declaration once.
+  symbol-table entries it added), so that the problems of one check, which
+  share the kernel's erased declarations, replay it and render each
+  declaration once.
 
 The node, declaration, theory and context classes are not ``frozen``: a
 frozen dataclass stores each field through ``object.__setattr__``, which
@@ -178,10 +175,9 @@ _BINDERS = frozenset((Lambda, Forall, Choice))
 class Declaration:
     """Base class of the declaration union."""
 
-    # unset until filled: _erased by erasure.erase_theory with
-    # (variant, erased declarations), _thf by thf.emit_thf with the record
-    # of the declaration's line
-    __slots__ = ("_erased", "_thf")
+    # unset until thf.emit_thf fills it with the record of the
+    # declaration's line
+    __slots__ = ("_thf",)
     __reduce__ = _reduce
 
 

@@ -13,7 +13,8 @@ cover free constants.
 
 Every problem is self-contained, so the obligations of one check repeat the
 erased theory prefix, whose declaration objects they share with each other
-and with the erased theory (see ``erasure``).  So each theory declaration
+and with the kernel report's ``hol_theory``, the erased theory that ``dholc
+erase`` and ``dholc prove`` write.  So each theory declaration
 keeps the record of its line in its ``_thf`` memo slot (see ``syntax``): the
 record of the declaration it followed, the line, and the ``fwd``, ``back``
 and ``used`` entries that ``SymbolTable`` noted as the line added them.  A

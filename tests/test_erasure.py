@@ -1,6 +1,3 @@
-import operator
-import pickle
-
 import pytest
 
 from dholc.erasure import (
@@ -395,34 +392,3 @@ def test_beta_normalize_returns_normal_input_itself():
             assert beta_normalize(t) is t, t
             kept += 1
     assert kept > 500
-
-
-# ---------------------------------------------------------------------------
-# Each declaration is erased once
-
-
-def _same_objects(a, b) -> bool:
-    return len(a) == len(b) and all(map(operator.is_, a, b))
-
-
-@pytest.mark.parametrize("mode,other", [(Mode.STRONG_EPSILON, WEAK), (Mode.WEAK_EPSILON, STRONG)])
-def test_erase_theory_returns_the_kernels_declarations(mode, other):
-    from dholc.corpus import gen_all
-
-    variant = mode.variant
-    for e in gen_all():
-        rep = check_theory(e.theory, e.conjecture, mode)
-        thy = rep.theory_elaborated
-        erased = erase_theory(thy, Context(), variant).hol_theory
-        assert len(erased) > 0 and _same_objects(erased, rep.hol_theory), e.name
-        for ob in rep.obligations:
-            assert _same_objects(ob.hol_theory, rep.hol_theory.decls[: len(ob.hol_theory)]), (e.name, ob.id)
-        # a pickled copy carries no memo, so it is erased afresh
-        twin = pickle.loads(pickle.dumps(thy))
-        assert erase_theory(twin, Context(), variant).hol_theory == erased, e.name
-        # the other variant is a fresh erasure, and keeps the memo as it was
-        fresh = erase_theory(twin, Context(), other).hol_theory
-        again = erase_theory(thy, Context(), other).hol_theory
-        assert again == fresh and not any(map(operator.is_, again, erased)), e.name
-        assert _same_objects(erase_theory(thy, Context(), variant).hol_theory, erased), e.name
-

@@ -190,14 +190,12 @@ def _identity_sources():
 
 def _check_problems(rep, name):
     """(name, source, conjecture) of every problem of one check: one per
-    obligation, then the erased theory with its conjecture, which
-    erase_theory returns from the kernel's own declarations."""
-    variant = rep.mode.variant
+    obligation, then the kernel's erased theory with its conjecture, the
+    problem that `dholc erase` and `dholc prove` write."""
     problems = [(f"{name}.{ob.id}", ob, None) for ob in rep.obligations]
-    erased = erase_theory(rep.theory_elaborated, Context(), variant)
-    goal = rep.conjecture_elaborated
-    conjecture = None if goal is None else erase_term(goal, variant)
-    problems.append((f"{name}.theory", erased, conjecture))
+    goal = rep.conjecture_obligation
+    conjecture = None if goal is None else goal.conjecture
+    problems.append((f"{name}.theory", ErasedTheory(rep.hol_theory, Context()), conjecture))
     return problems
 
 
@@ -345,17 +343,16 @@ def test_render_memo_is_invisible():
     assert not any(hasattr(d, "_thf") for d in rep.hol_theory)
     for ob in rep.obligations:
         emit_thf(ob, ob.id)
-    # each elaborated declaration keeps its erasure, each erased one its line
-    for decls, slot in ((rep.theory_elaborated, "_erased"), (rep.hol_theory, "_thf")):
-        assert {type(d) for d in decls} == {BaseTypeDecl, ConstDecl, AxiomDecl}
-        for d in decls:
-            assert hasattr(d, slot)
-            twin = type(d)(*(getattr(d, f.name) for f in dataclasses.fields(d)))
-            assert not hasattr(twin, slot)
-            assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
-            assert slot not in {f.name for f in dataclasses.fields(d)}
-            for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
-                assert copied == d and not hasattr(copied, slot)
+    decls = rep.hol_theory
+    assert {type(d) for d in decls} == {BaseTypeDecl, ConstDecl, AxiomDecl}
+    for d in decls:
+        assert hasattr(d, "_thf")
+        twin = type(d)(*(getattr(d, f.name) for f in dataclasses.fields(d)))
+        assert not hasattr(twin, "_thf")
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+        assert "_thf" not in {f.name for f in dataclasses.fields(d)}
+        for copied in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+            assert copied == d and not hasattr(copied, "_thf")
 
 
 def test_dependent_product_is_a_bug_guard():
