@@ -269,35 +269,35 @@ def prove_ground(thy: Theory, ctx: Context, conjecture: Term) -> bool:
 
 
 def _unsat(formulas, natoms: int) -> bool:
-    # Variables: 1..natoms are the atoms, then the constant false, then the
-    # Tseitin variables; 0 is unused.
-    false_var = natoms + 1
-    nvars = false_var
-    clauses: list[list[int]] = [[-false_var]]
+    cnf = _Cnf(natoms)
+    for pf in formulas:
+        cnf.clauses.append([cnf.encode(pf)])
+    return not _dpll_sat(cnf.clauses, cnf.nvars)[0]
 
-    def fresh() -> int:
-        nonlocal nvars
-        nvars += 1
-        return nvars
 
-    def encode(pf) -> int:
+class _Cnf:
+    """The Tseitin clauses of formulas.  Variables: 1..natoms are the atoms,
+    then the constant false, then one variable per implication encoded; 0 is
+    unused."""
+
+    __slots__ = ("clauses", "false_var", "nvars")
+
+    def __init__(self, natoms: int):
+        self.false_var = self.nvars = natoms + 1
+        self.clauses: list[list[int]] = [[-self.false_var]]
+
+    def encode(self, pf) -> int:
         if pf == PF_FALSE:
-            return false_var
+            return self.false_var
         if pf[0] == "atom":
             return pf[1] + 1
         _, l, r = pf
-        lv = encode(l)
-        rv = encode(r)
-        v = fresh()
-        clauses.append([-v, -lv, rv])
-        clauses.append([v, lv])
-        clauses.append([v, -rv])
+        lv = self.encode(l)
+        rv = self.encode(r)
+        self.nvars += 1
+        v = self.nvars
+        self.clauses += ([-v, -lv, rv], [v, lv], [v, -rv])
         return v
-
-    for pf in formulas:
-        clauses.append([encode(pf)])
-
-    return not _dpll_sat(clauses, nvars)[0]
 
 
 def _dpll_sat(clauses: list[list[int]], nvars: int) -> tuple[bool, int]:

@@ -19,14 +19,18 @@ computed once per run.  Cards, power tables and binder ranges are passed in
 at run time, so the function serves every carrier-size tuple, and it is kept
 in a bounded cache for the whole process, shared by every search.  A
 countermodel is a model of the axioms and the negated conjecture, so the
-search runs one kind of check: it reassigns the constants' slots depth first
-and, at each level, runs the checks that level completes, the axioms and then
-¬conjecture.  A check's value depends only on the constants it mentions, yet
-the DFS revisits each assignment of them once for every assignment of the
-constants in between.  So each check is memoised, per carrier sizes, on the
-values of the earlier constants it reads, and compiled and evaluated only when
-a memo miss first needs it (MACE-style finders likewise search for a model of
-the clauses and the negated goal; Claessen & Sörensson 2003).  The deadline is
+search runs one kind of check: it enumerates the constants' values in
+declaration order and, at each level, the assignment of one constant, runs
+the checks that level completes, the axioms and then ¬conjecture.  The search
+is generated too, from its level shape, the number of checks each level
+completes: one ``for`` loop per constant, nested in the loop before it, at
+most 16 levels per function, so n constants cost about n/16 Python frames.  A
+check's value depends only on the constants it mentions, yet the enumeration
+revisits each assignment of them once for every assignment of the constants
+in between.  So each check is memoised, per carrier sizes, on the values of
+the earlier constants it reads, and compiled and evaluated only when a memo
+miss first needs it (MACE-style finders likewise search for a model of the
+clauses and the negated goal; Claessen & Sörensson 2003).  The deadline is
 also checked per carrier-size tuple, per run of a level's values and inside
 binder loops over many values.
 """
@@ -223,7 +227,9 @@ class _Powers:
 # CPython rejects a function with more than 20 nested loops and source
 # indented more than 100 levels.  A binder or implication that would nest
 # deeper than these margins in one generated function is outlined into a
-# further function, which takes the bound variables in scope as arguments.
+# further function, which takes the bound variables in scope as arguments;
+# a generated search holds the loops of at most _MAX_LOOPS levels per
+# function.
 _MAX_LOOPS = 16
 _MAX_INDENT = 64
 
@@ -497,18 +503,36 @@ class _Code:
     def __init__(self, t: Term, symbols: dict[str, tuple[int, Type]]):
         gen = _Source(symbols)
         self.type = gen.define("check", "", t, {})
-        namespace: dict = {}
-        exec(compile(gen.module(), "<oracle check>", "exec"), namespace)
-        self.bind = namespace["bind"]
+        self.bind = _define_bind(gen.module(), "<oracle check>", {})
         self.specs = tuple(gen.params)
+
+
+def _define_bind(source: str, filename: str, namespace: dict) -> Callable:
+    """The function ``bind`` that the source defines, compiled by CPython
+    with namespace as its globals.  bind is taken out of the namespace, so
+    that the two do not refer to each other and a cache entry dropped is
+    freed at once."""
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace.pop("bind")
 
 
 # The function of each check is kept for the whole process under the key
 # template of the term (its alpha key, unfilled) and the slot and type of each
-# free symbol, at most _CODE_CACHE_MAX entries; past that bound the oldest
-# goes.
+# free symbol, and the search of each level shape under the shape; each cache
+# holds at most _CODE_CACHE_MAX entries, and past that bound the oldest goes.
 _CODE_CACHE_MAX = 512
 _CODES: dict[tuple, _Code] = {}
+
+
+def _cached(cache: dict, key, make: Callable, *args):
+    """cache[key], made as make(*args) and stored if it is missing."""
+    value = cache.get(key)
+    if value is None:
+        value = make(*args)
+        while len(cache) >= _CODE_CACHE_MAX:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return value
 
 
 class Compiler:
@@ -545,12 +569,7 @@ class Compiler:
         """Returns (function computing the term's value, simple type of the
         term)."""
         key, symbols = self._key(t)
-        code = _CODES.get(key)
-        if code is None:
-            code = _Code(t, symbols)
-            while len(_CODES) >= _CODE_CACHE_MAX:
-                del _CODES[next(iter(_CODES))]
-            _CODES[key] = code
+        code = _cached(_CODES, key, _Code, t, symbols)
         return code.bind(self.env, *map(self._argument, code.specs)), code.type
 
     def _key(self, t: Term) -> tuple[tuple, dict[str, tuple[int, Type]]]:
@@ -644,8 +663,8 @@ class SearchResult:
 
 # Memo rows one carrier-size tuple may store, in bytes.  Each row is charged
 # its length plus _ROW_OVERHEAD for its object header, key and dict entry.
-# Past the cap, a check gets no row of its own: one dfs call tries each
-# value of its level once, so a row that is not kept is never read back.
+# Past the cap, a check gets no row of its own: one entry to a level tries
+# each of its values once, so a row that is not kept is never read back.
 MEMO_MAX_BYTES = 32 << 20
 _ROW_OVERHEAD = 160
 _UNKNOWN = 2  # a memo entry not evaluated yet; known ones hold 0 or 1
@@ -697,17 +716,95 @@ def _compile_bool(comp: Compiler, t: Term) -> Closure:
     return fn
 
 
-class _Check:
-    """One check at one carrier-size tuple: its term, the key of the earlier
-    slots it reads, its memo, and its function once first needed."""
+class _LevelRange:
+    """range(n) for one search level, reading the clock before each run of
+    _LEVEL_CLOCK_EVERY values after the first, and raising _OutOfTime once
+    the deadline has passed.  The search reads the clock before the first
+    run itself, so every level reads it at values 0, 1024, …"""
 
-    __slots__ = ("term", "key", "memo", "root")
+    __slots__ = ("n", "deadline")
 
-    def __init__(self, term: Term, reads: tuple[int, ...]):
-        self.term = term
-        self.key = itemgetter(*reads) if reads else _no_slots
-        self.memo: dict = {}
-        self.root: Optional[Closure] = None
+    def __init__(self, n: int, deadline: float):
+        self.n = n
+        self.deadline = deadline
+
+    def __iter__(self):
+        clock, deadline, n = time.monotonic, self.deadline, self.n
+        for start in range(0, n, _LEVEL_CLOCK_EVERY):
+            if start and clock() > deadline:
+                raise _OutOfTime
+            yield from range(start, min(start + _LEVEL_CLOCK_EVERY, n))
+
+
+def _generate_search(shape: tuple[int, ...]) -> Callable:
+    """Generates ``bind(env, widths, ranges, keys, terms, run, comp,
+    new_row, clock, deadline)`` for a search whose level i completes
+    shape[i] checks.  bind returns the search, a function of no arguments
+    that is true once env holds an assignment passing every check.
+
+    Level i is one ``for`` loop over the values of constant i, nested in
+    the loop of level i - 1 after that level's checks.  On entry, it fetches
+    the memo row of each of its checks under the values the check reads
+    before level i, then reads the clock.  At each value, it reads each
+    check's row, runs the check where the row holds no result yet, compiling
+    it at its first run, and goes on to the next value at the first check
+    that is false.  Check g of the whole search, in level order, has its
+    memo key function in k{g}, its memo in m{g}, its row in row{g} and its
+    function, once compiled, in f[g].  A function holds the loops of at most
+    _MAX_LOOPS levels, and its last loop calls the function of the next
+    ones."""
+    n, total = len(shape), sum(shape)
+    first = [0]  # the index of each level's first check, then total
+    for count in shape:
+        first.append(first[-1] + count)
+
+    def names(prefix: str, count: int) -> str:
+        return "".join(f"{prefix}{g}, " for g in range(count))
+
+    lines = ["def bind(env, widths, ranges, keys, terms, run, comp, new_row, clock, deadline):"]
+    if n:
+        lines += [f"    {names('w', n)}= widths", f"    {names('r', n)}= ranges"]
+    if total:
+        lines += [
+            f"    {names('k', total)}= keys",
+            f"    {names('m', total)}= [{{}} for _ in keys]",
+            f"    f = [None] * {total}",
+            "    def root(g):",
+            "        f[g] = _compile_bool(comp, terms[g])",
+            "        return f[g]",
+        ]
+    for chunk, lo in enumerate(range(0, n, _MAX_LOOPS)):
+        hi = min(lo + _MAX_LOOPS, n)
+        lines.append(f"    def search{chunk}():")
+        pad = " " * 8
+        for i in range(lo, hi):
+            checks = range(first[i], first[i + 1])
+            # a row is never false: it holds at least one entry, or is _UNKEPT
+            lines += [f"{pad}row{g} = m{g}.get(key := k{g}(env)) or new_row(m{g}, key, w{i})" for g in checks]
+            lines += [f"{pad}if clock() > deadline: raise _OutOfTime", f"{pad}for v{i} in r{i}:"]
+            pad += "    "
+            lines.append(f"{pad}env[{i}] = v{i}")
+            for g in checks:
+                lines += [
+                    f"{pad}r = row{g}[v{i}]",
+                    f"{pad}if r == {_UNKNOWN}: r = row{g}[v{i}] = run(f[{g}] or root({g}))",
+                    f"{pad}if not r: continue",
+                ]
+        if hi < n:
+            lines.append(f"{pad}if search{chunk + 1}(): return True")
+        else:
+            lines.append(f"{pad}return True")
+        lines.append("        return False")
+    if not n:
+        lines += ["    def search0():", "        return True"]
+    lines.append("    return search0\n")
+    namespace = {"_OutOfTime": _OutOfTime, "_compile_bool": _compile_bool}
+    return _define_bind("\n".join(lines), "<oracle search>", namespace)
+
+
+# The search of each level shape, generated at the shape's first search and
+# bounded like _CODES
+_SEARCHES: dict[tuple[int, ...], Callable] = {}
 
 
 def _first_sizes(n: int, total: int, max_size: int) -> list[int]:
@@ -754,7 +851,10 @@ def countermodel(
     The checks are the axioms in declaration order, then ¬conjecture.  Each
     level of the search, the assignment of one constant, runs the checks
     whose last constant it is, and an assignment of every constant that
-    passes them all is the countermodel.
+    passes them all is the countermodel.  The search is a generated function
+    of the level shape, the number of checks each level completes (see
+    _generate_search), kept in a bounded process-wide cache, so the searches
+    of one shape at every carrier size and in every call share it.
 
     Each check has a memo for the current carrier sizes, keyed by the values
     of the earlier constants it reads.  An entry is a row with one result per
@@ -782,11 +882,10 @@ def countermodel(
         if not is_simple_type(ty):
             raise OracleError("non-simple constant type reached the oracle")
     index = {n: i for i, (n, _) in enumerate(consts)}
-    nconsts = len(consts)
     # A check runs right after the highest-indexed constant it mentions has
     # been assigned, at that constant's level, and is memoised on the others.
     upfront: list[Term] = []  # closed checks: no free symbols
-    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in range(nconsts)]
+    levels: list[list[tuple[Term, tuple[int, ...]]]] = [[] for _ in consts]
     for t in [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]:
         symbols = free_vars(t)
         for v in symbols:
@@ -797,6 +896,9 @@ def countermodel(
             levels[slots[-1]].append((t, tuple(slots[:-1])))
         else:
             upfront.append(t)
+    shape = tuple(map(len, levels))
+    terms = [t for level in levels for t, _ in level]
+    keys = [itemgetter(*reads) if reads else _no_slots for level in levels for _, reads in level]
 
     deadline = time.monotonic() + budget.max_seconds
     detail = ""
@@ -817,54 +919,20 @@ def countermodel(
         comp = Compiler(sizes, dict(consts), deadline)
         ct = CompiledTerms(comp)
         run = ct.run
-        env = ct.env
         cards = [type_card(ty, sizes) for _, ty in consts]
-        checks = [[_Check(t, reads) for t, reads in level] for level in levels]
-        new_row = _Rows().new
-
-        def dfs(i: int) -> bool:
-            if i == nconsts:
-                return True
-            width = cards[i]
-            rows = []
-            for check in checks[i]:
-                k = check.key(env)
-                row = check.memo.get(k)
-                if row is None:
-                    row = new_row(check.memo, k, width)
-                rows.append((check, row))
-            for start in range(0, width, _LEVEL_CLOCK_EVERY):
-                if time.monotonic() > deadline:
-                    raise _OutOfTime
-                for v in range(start, min(start + _LEVEL_CLOCK_EVERY, width)):
-                    env[i] = v
-                    for check, row in rows:
-                        r = row[v]
-                        if r == _UNKNOWN:
-                            if check.root is None:
-                                check.root = _compile_bool(comp, check.term)
-                            r = row[v] = run(check.root)
-                        if not r:
-                            break
-                    else:
-                        if dfs(i + 1):
-                            return True
-            return False
-
+        ranges = [range(w) if w <= _LEVEL_CLOCK_EVERY else _LevelRange(w, deadline) for w in cards]
+        bind = _cached(_SEARCHES, shape, _generate_search, shape)
+        search = bind(ct.env, cards, ranges, keys, terms, run, comp, _Rows().new, time.monotonic, deadline)
         try:
-            if all(run(_compile_bool(comp, t)) for t in upfront) and dfs(0):
+            if all(run(_compile_bool(comp, t)) for t in upfront) and search():
                 model = FiniteModel(
                     sizes=sizes,
-                    consts={n: env[comp.slot_of[n]] for n, _ in consts},
+                    consts={n: ct.env[comp.slot_of[n]] for n, _ in consts},
                     types={n: ty for n, ty in consts},
                 )
                 return SearchResult("countermodel", model)
         except _OutOfTime:
             return _out_of_time(size_tuple)
-        finally:
-            # dfs refers to itself; breaking that cycle frees this size's
-            # functions and memos now instead of at some later full collection.
-            del dfs
 
     if detail:
         return SearchResult("exhausted", detail=detail)

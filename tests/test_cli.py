@@ -506,6 +506,31 @@ def test_oracle_and_prove_take_480_nested_binders(tmp_path, command):
     assert proc.returncode in (0, 1) and "too deeply" not in proc.stderr, proc.stderr
 
 
+def test_oracle_takes_1200_constants(tmp_path):
+    # c0 => c1, …, c1198 => c1199 with the conjecture c0: the countermodel
+    # makes every constant false.  The search is one loop per constant, in
+    # generated functions of 16 loops each, so its depth costs 75 frames, not
+    # 1,200.  A process of its own, with the interpreter's own recursion
+    # limit.
+    n = 1200
+    lines = [f"const c{i} : $o" for i in range(n)]
+    lines += [f"axiom a{i} : c{i} => c{i + 1}" for i in range(n - 1)]
+    flat = tmp_path / "flat.dhol"
+    flat.write_text("\n".join(lines + ["conjecture : c0"]) + "\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dholc.__file__).parents[1]))
+    budget = ["--budget-size", "1", "--budget-models", str(10**400)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dholc", "oracle", str(flat), *budget],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["oracle: countermodel", "c0 = False"]
+    assert "c1199 = False" in proc.stdout
+
+
 # ---------------------------------------------------------------------------
 # input is read as UTF-8, and outputs that cannot be written are errors
 

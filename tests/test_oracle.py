@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import prod
 from pathlib import Path
@@ -467,17 +470,21 @@ def test_ill_typed_axiom_raises_once_the_search_reaches_its_level():
 # the memoised search against a search that re-runs every check
 
 
-def reference_countermodel(thy, conjecture, budget):
+def reference_countermodel(thy, conjecture, budget, evaluated=None):
     """countermodel without memo, deadline or lazy compiling: the same DFS,
-    running every axiom of a level at every node."""
+    running every check at every node of the level of the last constant it
+    reads, and the closed checks first, once per carrier-size tuple.  With
+    ``evaluated``, a set, it adds (sizes, check, values the check reads) for
+    each evaluation, so the set's size is the number of runs that a search
+    evaluating each check once per values it reads makes."""
     bases = [d.name for d in thy if isinstance(d, BaseTypeDecl)]
     consts = [(d.name, d.ty) for d in thy if isinstance(d, ConstDecl)]
     index = {n: i for i, (n, _) in enumerate(consts)}
-    upfront, levels = [], [[] for _ in consts] + [[conjecture]]
-    for d in thy:
-        if isinstance(d, AxiomDecl):
-            fv = free_vars(d.term)
-            (levels[max(index[v] for v in fv)] if fv else upfront).append(d.term)
+    terms = [d.term for d in thy if isinstance(d, AxiomDecl)] + [neg(conjecture)]
+    reads = [sorted(index[v] for v in free_vars(t)) for t in terms]
+    at = [[] for _ in range(len(consts) + 1)]  # at[0]: closed; at[i + 1]: level i
+    for c, slots in enumerate(reads):
+        at[slots[-1] + 1 if slots else 0].append(c)
     detail = ""
     size_tuples = itertools.product(range(1, budget.max_size + 1), repeat=len(bases))
     for size_tuple in sorted(size_tuples, key=lambda t: (sum(t), t)):
@@ -488,18 +495,23 @@ def reference_countermodel(thy, conjecture, budget):
             continue
         comp = Compiler(sizes, dict(consts))
         env = comp.env
-        checks = [[comp.compile(t)[0] for t in level] for level in [upfront] + levels]
+        roots = [comp.compile(t)[0] for t in terms]
+
+        def holds(c):
+            if evaluated is not None:
+                evaluated.add((size_tuple, c, tuple(env[i] for i in reads[c])))
+            return roots[c]()
 
         def dfs(i):
             if i == len(consts):
-                return checks[-1][0]() == 0
+                return True
             for v in range(cards[i]):
                 env[i] = v
-                if all(c() for c in checks[i + 1]) and dfs(i + 1):
+                if all(holds(c) for c in at[i + 1]) and dfs(i + 1):
                     return True
             return False
 
-        if all(c() for c in checks[0]) and dfs(0):
+        if all(holds(c) for c in at[0]) and dfs(0):
             model = FiniteModel(sizes, {n: env[i] for n, i in index.items()}, dict(consts))
             return SearchResult("countermodel", model)
     if detail:
@@ -586,19 +598,65 @@ def memo_cases():
         cases.append((thy, conjecture, budget))
         # a valid conjecture: the search visits every model of the axioms
         cases.append((thy, Implies(conjecture, conjecture), budget))
-    return cases
+    return cases + long_cases()
 
 
-def test_memoised_search_matches_the_unmemoised_search():
-    statuses = []
+def long_cases():
+    """(theory, conjecture, budget): searches over 40 constants, so they
+    cross the search's function boundaries, and more loops than CPython
+    nests in one function."""
+    a = BaseTypeDecl("a")
+    # p0, p2, … : a, and p1, p3, … : $o.  An even level completes no check,
+    # and the odd one after it lets one value through, so the search stays
+    # narrow: link_i is p_i ∧ p_(i-1) = p0.
+    p = [Var(f"p{i}") for i in range(40)]
+    chain = Theory(
+        (a,)
+        + tuple(ConstDecl(f"p{i}", A if i % 2 == 0 else BOOL) for i in range(40))
+        + tuple(AxiomDecl(f"link{i}", conj(p[i], Eq(A, p[i - 1], p[0]))) for i in range(1, 40, 2))
+    )
+    # q0 … q39 : a, and no check completes at any level but the last
+    q = [Var(f"q{i}") for i in range(40)]
+    free = Theory((a,) + tuple(ConstDecl(f"q{i}", A) for i in range(40)))
+    # the interpretation space at size 3 is 3^20 · 2^20
+    wide = SearchBudget(max_size=3, max_models=10**20)
+    return [
+        # a countermodel at size 1, at the first leaf
+        (chain, neg(p[39]), wide),
+        # ¬(p38 = p0) at level 38 and link39 at level 39 exclude each other
+        (chain, Eq(A, p[38], p[0]), wide),
+        # ¬∀x. x = p38 needs a second element: size 1 is searched through
+        # and found to hold no countermodel first
+        (chain, Forall("x", A, Eq(A, Var("x"), p[38])), wide),
+        # size 1 holds no countermodel, and size 2 exceeds max_models
+        (free, Eq(A, q[39], q[0]), SearchBudget(max_size=2, max_models=1)),
+    ]
+
+
+def test_memoised_search_matches_the_unmemoised_search(monkeypatch):
+    # the same result, and one run per check and values it reads that the
+    # unmemoised search evaluates
+    runs = []
+    run = CompiledTerms.run
+    monkeypatch.setattr(CompiledTerms, "run", lambda self, root: runs.append(root) or run(self, root))
+    statuses = {}
     for thy, conjecture, budget in memo_cases():
+        runs.clear()
         got = countermodel(thy, conjecture, budget)
-        want = reference_countermodel(thy, conjecture, budget)
+        evaluated = set()
+        want = reference_countermodel(thy, conjecture, budget, evaluated)
         assert (got.status, got.detail) == (want.status, want.detail)
         if want.found:
             assert (got.model.sizes, got.model.consts) == (want.model.sizes, want.model.consts)
-        statuses.append(want.status)
-    assert set(statuses) == {"countermodel", "none", "exhausted"}
+        assert len(runs) == len(evaluated)
+        statuses[thy, conjecture] = want.status
+    assert set(statuses.values()) == {"countermodel", "none", "exhausted"}
+    assert [statuses[thy, conjecture] for thy, conjecture, _ in long_cases()] == [
+        "countermodel",
+        "none",
+        "countermodel",
+        "exhausted",
+    ]
 
 
 def record_work(monkeypatch):
@@ -849,6 +907,14 @@ def codes(monkeypatch):
     return oracle._CODES
 
 
+@pytest.fixture
+def searches(monkeypatch):
+    """An empty search cache, so that every level shape's search is
+    generated afresh."""
+    monkeypatch.setattr(oracle, "_SEARCHES", {})
+    return oracle._SEARCHES
+
+
 @pytest.fixture(params=["closures", "generated"])
 def either(request, monkeypatch, codes):
     """Runs a test once with each check's function a fresh closure bound over
@@ -997,20 +1063,51 @@ def test_one_name_with_two_types_never_shares_a_function(codes):
 
 
 @pytest.mark.parametrize("full", [0, 1])
-def test_the_code_cache_stays_within_its_bound(monkeypatch, codes, full):
-    # with full = 1, the bounded cache starts with the last three entries of
-    # the unbounded run, so the first new check already evicts one
+def test_the_code_cache_stays_within_its_bound(monkeypatch, codes, searches, full):
+    # The search cache has the bound of the code cache.  With full = 1, each
+    # bounded cache starts with the last three entries of the unbounded run,
+    # so the first new check or level shape already evicts one.
     cases = memo_cases()
     want = [countermodel(*case) for case in cases]
-    assert len(codes) > 3
-    monkeypatch.setattr(oracle, "_CODES", dict(list(codes.items())[-3:]) if full else {})
+    assert len(codes) > 3 and len(searches) > 3
+    for name, cache in (("_CODES", codes), ("_SEARCHES", searches)):
+        monkeypatch.setattr(oracle, name, dict(list(cache.items())[-3:]) if full else {})
     monkeypatch.setattr(oracle, "_CODE_CACHE_MAX", 3)
     for case, w in zip(cases, want):
         g = countermodel(*case)
         assert (g.status, g.detail) == (w.status, w.detail)
         if w.found:
             assert (g.model.sizes, g.model.consts) == (w.model.sizes, w.model.consts)
-        assert len(oracle._CODES) <= 3
+        assert len(oracle._CODES) <= 3 and len(oracle._SEARCHES) <= 3
+
+
+def test_searches_of_one_level_shape_share_one_function(monkeypatch, searches):
+    generated = []
+    generate = oracle._generate_search
+    monkeypatch.setattr(oracle, "_generate_search", lambda shape: generated.append(shape) or generate(shape))
+    c, d, f, x = Var("c"), Var("d"), Var("f"), Var("x")
+    # no check completes at c's level, and two at d's: the axiom, then
+    # ¬conjecture
+    cd = Theory((BaseTypeDecl("a"), ConstDecl("c", A), ConstDecl("d", A), AxiomDecl("c_d", neg(Eq(A, c, d)))))
+    fx = Theory(
+        (
+            BaseTypeDecl("b"),
+            ConstDecl("x", BOOL),
+            ConstDecl("f", arrows(BOOL, Base("b"))),
+            AxiomDecl("f_x", Forall("y", BOOL, Eq(Base("b"), App(f, Var("y")), App(f, x)))),
+        )
+    )
+    assert countermodel(cd, Eq(A, c, d), SearchBudget(max_size=2)).found
+    assert countermodel(fx, Eq(Base("b"), App(f, x), App(f, neg(x))), SearchBudget(max_size=2)).status == "none"
+    assert generated == [(0, 2)] and list(searches) == [(0, 2)]
+
+
+def test_importing_the_oracle_generates_nothing():
+    # checks and searches are generated at their first use, never at import
+    script = "import dholc.oracle as o; print(len(o._CODES), len(o._SEARCHES))"
+    env = dict(os.environ, PYTHONPATH=str(Path(oracle.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["0", "0"], proc.stderr
 
 
 def test_an_ill_typed_check_raises_every_time_and_caches_nothing(either, codes):

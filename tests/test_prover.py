@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -10,10 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from dholc.corpus import gen_all
-from dholc.erasure import ErasureVariant, erase_theory
+from dholc.corpus import gen_all, gen_problem
+from dholc.erasure import ErasureVariant, erase_term, erase_theory
 from dholc.kernel import Mode, ObligationKind, check_theory
-from dholc.oracle import SearchBudget
+from dholc.oracle import SearchBudget, countermodel, merge_context
 from dholc.parser import parse_term, parse_theory
 from dholc.prover import ProverConfig, discharge, discharge_one, run_atp
 from dholc.syntax import (
@@ -467,3 +468,28 @@ def test_verdicts_do_not_depend_on_bound_names():
                 assert (v2.status, v2.method) == (v.status, v.method), (name, mode, ob.id)
                 compared += 1
     assert renamed > 100 and compared > 100
+
+
+def test_the_prove_path_leaves_no_cyclic_garbage():
+    # Reference counting frees everything one pass makes, so the cyclic
+    # collector finds nothing after it: no run of the ground prover or of
+    # the oracle's search leaves its clauses, memos or functions for a later
+    # full collection.  The searches are oracle_deep's, up to size (2, 2).
+    entries = [gen_problem(name) for name in ("choice_def2", "choice_nq", "no_fp_fin1_reg", "list_head")]
+    deep = SearchBudget(max_size=2, max_models=20_000_000, max_seconds=600.0)
+    gc.collect()
+    gc.disable()
+    try:
+        for entry in entries:
+            for mode in (Mode.STRONG_EPSILON, Mode.WEAK_EPSILON):
+                thy, conjecture = parse_theory(entry.source)
+                rep = check_theory(thy, conjecture, mode)
+                erased = erase_theory(rep.theory_elaborated, Context(), mode.variant)
+                goal = erase_term(rep.conjecture_elaborated, mode.variant)
+                emit_thf(erased, entry.name, conjecture=goal)
+                discharge(rep.obligations)
+                ob = rep.obligations[-1]
+                countermodel(merge_context(ob.hol_theory, ob.hol_context), ob.conjecture, deep)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
