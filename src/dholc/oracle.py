@@ -896,7 +896,10 @@ def countermodel(
             levels[slots[-1]].append((t, tuple(slots[:-1])))
         else:
             upfront.append(t)
-    shape = tuple(map(len, levels))
+    # from a list, not an iterator: CPython sizes a tuple of an iterator by a
+    # guess and shrinks it, and the shrunken tuple, once freed, goes to the
+    # free list of its own size, which only a full collection empties
+    shape = tuple([len(level) for level in levels])
     terms = [t for level in levels for t, _ in level]
     keys = [itemgetter(*reads) if reads else _no_slots for level in levels for _, reads in level]
 
