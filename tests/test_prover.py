@@ -474,7 +474,8 @@ def test_the_prove_path_leaves_no_cyclic_garbage():
     # Reference counting frees everything one pass makes, so the cyclic
     # collector finds nothing after it: no run of the ground prover or of
     # the oracle's search leaves its clauses, memos or functions for a later
-    # full collection.  The searches are oracle_deep's, up to size (2, 2).
+    # full collection.  The searches have oracle_deep's budget: up to size
+    # (2, 2), and no deadline in reach.
     entries = [gen_problem(name) for name in ("choice_def2", "choice_nq", "no_fp_fin1_reg", "list_head")]
     deep = SearchBudget(max_size=2, max_models=20_000_000, max_seconds=600.0)
     gc.collect()
